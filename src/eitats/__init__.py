@@ -14,6 +14,7 @@ from .fitter import (
     FitConvergenceError,
     FitResult,
     fit,
+    fit_many,
     initial_guesses,
     variance_floor,
 )
@@ -47,6 +48,7 @@ from .selection import (
     aic_least_squares,
     akaike_weights,
     discriminate,
+    discriminate_many,
     eit_threshold,
     noise_threshold,
     per_point_weights,
@@ -79,6 +81,7 @@ __all__ = [
     "FitConvergenceError",
     "DegenerateDataError",
     "fit",
+    "fit_many",
     "initial_guesses",
     "variance_floor",
     "Verdict",
@@ -90,6 +93,7 @@ __all__ = [
     "eit_threshold",
     "noise_threshold",
     "discriminate",
+    "discriminate_many",
     "NoiseSpec",
     "SweepResult",
     "add_noise",

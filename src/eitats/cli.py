@@ -133,7 +133,8 @@ def write_spectrum(data: Spectrum, path: str | Path) -> str:
 def ingest_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum CSV (``delta,value[,sigma]`` with header).
 
-    Rows are sorted by detuning; duplicate detunings are rejected.  A
+    Rows are sorted by detuning; duplicate detunings are rejected, and so
+    is a non-finite number (``nan``, ``inf``), naming its line.  A
     per-point sigma column is collapsed to its RMS, since the reported
     noise scale is a single number.
     """
@@ -162,9 +163,13 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         if len(row) != want:
             raise SpectrumParseError(f"{path}: line {lineno}: expected {want} columns, got {len(row)}")
         try:
-            rows.append(tuple(float(cell) for cell in row))
+            numbers = tuple(float(cell) for cell in row)
         except ValueError as exc:
             raise SpectrumParseError(f"{path}: line {lineno}: {exc}") from exc
+        for name, number in zip(cols, numbers):
+            if not math.isfinite(number):
+                raise SpectrumParseError(f"{path}: line {lineno}: {name} must be finite, got {number}")
+        rows.append(numbers)
 
     if len(rows) < 5:
         raise SpectrumParseError(f"{path}: need at least 5 data rows, got {len(rows)}")

@@ -3,10 +3,14 @@
 A plain Levenberg-Marquardt loop (multiplicative damping on the normal
 equations, x10 on a rejected step, /10 on an accepted one) run from
 several starting points.  The first start is a deterministic, data-driven
-guess; the rest are seeded log-uniform perturbations of it.  All starts
-advance in lockstep through one vectorized loop, which is what keeps
-parameter sweeps cheap; a scalar reference implementation of the same
-schedule is kept alongside for verification.
+guess; the rest are seeded log-uniform perturbations of it.  Every start
+of every spectrum handed to :func:`fit_many` advances in lockstep through
+one vectorized loop - lockstep across starts *and* spectra - which is what
+keeps parameter sweeps cheap: the per-iteration interpreter cost is paid
+once per batch, not once per spectrum.  Each row of the batch reads only
+its own data, so a result never depends on what it was batched with.  A
+scalar reference implementation of the same schedule is kept alongside
+for verification.
 
 Widths and amplitudes are fitted unconstrained - the models depend only
 on their squares - and folded to the canonical nonnegative representative
@@ -21,6 +25,7 @@ run's status honestly.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +39,17 @@ __all__ = [
     "FitConvergenceError",
     "DegenerateDataError",
     "fit",
+    "fit_many",
     "initial_guesses",
     "variance_floor",
 ]
 
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
+# Rows (starts x spectra) advanced together by fit_many.  Past a few
+# hundred rows the per-iteration interpreter cost is amortised and larger
+# batches only add memory traffic; 512 is 32 spectra of 16 starts.
+_MAX_BATCH_ROWS = 512
 # Starts whose final SSR is within this relative distance of the best one
 # are counted as agreeing with it.
 _AGREEMENT_RTOL = 1e-6
@@ -175,42 +185,6 @@ def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> list
     return guesses
 
 
-def _batch_eval(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Model values for a stack of parameter vectors; shape (s, n)."""
-    d = deltas[None, :]
-    if model is ModelKind.EIT:
-        cp, cm, gp, gm = (x[:, i : i + 1] for i in range(4))
-        d2 = d * d
-        return cp * cp / (gp * gp + d2) - cm * cm / (gm * gm + d2)
-    c, g, d0 = (x[:, i : i + 1] for i in range(3))
-    return c * c * (1.0 / (g * g + (d - d0) ** 2) + 1.0 / (g * g + (d + d0) ** 2))
-
-
-def _batch_jacobian(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Model Jacobians for a stack of parameter vectors; shape (s, n, k)."""
-    s = x.shape[0]
-    d = deltas[None, :]
-    if model is ModelKind.EIT:
-        cp, cm, gp, gm = (x[:, i : i + 1] for i in range(4))
-        d2 = d * d
-        lp = 1.0 / (gp * gp + d2)
-        lm = 1.0 / (gm * gm + d2)
-        jac = np.empty((s, deltas.size, 4))
-        jac[:, :, 0] = 2.0 * cp * lp
-        jac[:, :, 1] = -2.0 * cm * lm
-        jac[:, :, 2] = -2.0 * gp * cp * cp * lp * lp
-        jac[:, :, 3] = 2.0 * gm * cm * cm * lm * lm
-        return jac
-    c, g, d0 = (x[:, i : i + 1] for i in range(3))
-    lm_ = 1.0 / (g * g + (d - d0) ** 2)
-    lp_ = 1.0 / (g * g + (d + d0) ** 2)
-    jac = np.empty((s, deltas.size, 3))
-    jac[:, :, 0] = 2.0 * c * (lm_ + lp_)
-    jac[:, :, 1] = -2.0 * g * c * c * (lm_ * lm_ + lp_ * lp_)
-    jac[:, :, 2] = c * c * (2.0 * (d - d0) * lm_ * lm_ - 2.0 * (d + d0) * lp_ * lp_)
-    return jac
-
-
 def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Solve the damped normal equations for a stack of systems."""
     k = jtj.shape[-1]
@@ -234,47 +208,52 @@ def _lm_run_batch(
     values: np.ndarray,
     cfg: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance every start through the damped descent in lockstep.
+    """Advance every row of ``x0`` (shape (s, k)) through the damped descent in lockstep.
 
-    Returns (params, ssr, converged) per start.  Each start follows
-    exactly the schedule of :func:`_lm_run_reference`; starts that
-    converge or blow up simply drop out of the active set.
+    ``values`` holds the data: shape (m, n) with m dividing s splits the
+    rows into m consecutive groups of s/m, group j fitting ``values[j]``
+    (m = s gives every row its own data, and a spectrum's starts share one
+    copy of it); a one-dimensional ``values`` is shared by every row.
+    Returns (params, ssr, converged) per row.  Each row follows exactly the
+    schedule of :func:`_lm_run_reference` and reads nothing of the other
+    rows, so its outcome does not depend on what it is batched with; rows
+    that converge or blow up simply drop out of the active set.
     """
-    n_starts = x0.shape[0]
+    n_rows = x0.shape[0]
+    values = np.atleast_2d(values)
+    group = n_rows // values.shape[0]
+    if group * values.shape[0] != n_rows:
+        raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
+    owner = np.arange(n_rows) // group
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resid = values[None, :] - _batch_eval(model, x, deltas)
+        resid = values[owner] - _eval_array(model, x, deltas)
         ssr = np.einsum("sn,sn->s", resid, resid)
-    converged = np.zeros(n_starts, dtype=bool)
+    converged = np.zeros(n_rows, dtype=bool)
     active = np.isfinite(ssr)
     ssr = np.where(np.isfinite(ssr), ssr, np.inf)
-    lam = np.full(n_starts, cfg.initial_damping)
-    grad_tol = 1e-12 * max(1.0, float(np.max(np.square(values))))
+    lam = np.full(n_rows, cfg.initial_damping)
+    grad_tol = 1e-12 * np.maximum(1.0, np.max(np.square(values), axis=1))[owner]
     tiny = np.finfo(float).tiny
 
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        xa = x[idx]
-        jac = _batch_jacobian(model, xa, deltas)
-        grad = np.einsum("snk,sn->sk", jac, resid[idx])
+        jac = _jacobian_array(model, x[idx], deltas)
+        grad = (jac @ (resid if idx.size == n_rows else resid[idx])[:, :, None])[:, :, 0]
+        jtj = jac @ jac.transpose(0, 2, 1)
+        del jac  # the iteration's largest array; not needed by the trial steps
         bad = ~np.all(np.isfinite(grad), axis=1)
-        if bad.any():
-            active[idx[bad]] = False
-            keep = ~bad
-            idx, xa, jac, grad = idx[keep], xa[keep], jac[keep], grad[keep]
+        flat = ~bad & (np.max(np.abs(grad), axis=1) < grad_tol[idx])
+        converged[idx[flat]] = True
+        active[idx[bad | flat]] = False
+        keep = ~(bad | flat)
+        if not keep.all():
+            idx, grad, jtj = idx[keep], grad[keep], jtj[keep]
             if idx.size == 0:
                 continue
-        flat = np.max(np.abs(grad), axis=1) < grad_tol
-        if flat.any():
-            converged[idx[flat]] = True
-            active[idx[flat]] = False
-            keep = ~flat
-            idx, xa, jac, grad = idx[keep], xa[keep], jac[keep], grad[keep]
-            if idx.size == 0:
-                continue
-        jtj = np.einsum("snk,snl->skl", jac, jac)
+        xa = x[idx]
         diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
         # Flat directions (e.g. the doublet offset at zero) get a floor so
         # the damped system stays solvable.
@@ -283,20 +262,20 @@ def _lm_run_batch(
 
         pending = np.ones(idx.size, dtype=bool)
         accepted = np.zeros(idx.size, dtype=bool)
-        x_next = xa.copy()
-        ssr_next = ssr[idx].copy()
-        lam_local = lam[idx].copy()
+        ssr_old = ssr[idx]
+        lam_local = lam[idx]
         while pending.any():
             p = np.flatnonzero(pending)
-            step = _damped_step(jtj[p], diag[p], grad[p], lam_local[p])
-            x_trial = xa[p] + step
+            x_trial = xa[p] + _damped_step(jtj[p], diag[p], grad[p], lam_local[p])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                resid_trial = values[None, :] - _batch_eval(model, x_trial, deltas)
+                resid_trial = values[owner[idx[p]]] - _eval_array(model, x_trial, deltas)
                 ssr_trial = np.einsum("sn,sn->s", resid_trial, resid_trial)
-            ok = np.isfinite(ssr_trial) & (ssr_trial <= ssr[idx][p])
+            ok = np.isfinite(ssr_trial) & (ssr_trial <= ssr_old[p])
             acc = p[ok]
-            x_next[acc] = x_trial[ok]
-            ssr_next[acc] = ssr_trial[ok]
+            ga = idx[acc]
+            x[ga] = x_trial[ok]
+            resid[ga] = resid_trial[ok]
+            ssr[ga] = ssr_trial[ok]
             accepted[acc] = True
             pending[acc] = False
             rej = p[~ok]
@@ -311,10 +290,7 @@ def _lm_run_batch(
         if accepted.any():
             a = np.flatnonzero(accepted)
             ga = idx[a]
-            drop = ssr[ga] - ssr_next[a]
-            x[ga] = x_next[a]
-            resid[ga] = values[None, :] - _batch_eval(model, x[ga], deltas)
-            ssr[ga] = ssr_next[a]
+            drop = ssr_old[a] - ssr[ga]
             lam[ga] = np.maximum(lam_local[a] / 10.0, _DAMPING_MIN)
             done = drop <= cfg.relative_tolerance * np.maximum(ssr[ga], tiny)
             converged[ga[done]] = True
@@ -332,12 +308,13 @@ def _lm_run_reference(
 ) -> tuple[np.ndarray, float, bool, list[float]]:
     """Scalar single-start descent; returns (x, ssr, converged, ssr history).
 
-    Same schedule as the batch engine, kept as an independent check and
-    for per-iteration diagnostics.
+    Same schedule and model kernel as the batch engine (one row), kept as
+    an independent check of the lockstep bookkeeping and for
+    per-iteration diagnostics.
     """
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resid = values - _eval_array(model, x, deltas)
+        resid = values - _eval_array(model, x[None, :], deltas)[0]
         ssr = float(resid @ resid)
     if not np.isfinite(ssr):
         return x, np.inf, False, [ssr]
@@ -348,14 +325,14 @@ def _lm_run_reference(
     converged = False
 
     for _ in range(cfg.max_iterations):
-        jac = _jacobian_array(model, x, deltas)
-        grad = jac.T @ resid
+        jac = _jacobian_array(model, x[None, :], deltas)[0]
+        grad = jac @ resid
         if not np.all(np.isfinite(grad)):
             break
         if float(np.max(np.abs(grad))) < grad_tol:
             converged = True
             break
-        jtj = jac.T @ jac
+        jtj = jac @ jac.T
         diag = np.diag(jtj).copy()
         floor = 1e-12 * max(float(diag.max()), tiny)
         diag[diag < floor] = floor
@@ -368,7 +345,7 @@ def _lm_run_reference(
                 step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), grad, rcond=None)
             x_trial = x + step
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                resid_trial = values - _eval_array(model, x_trial, deltas)
+                resid_trial = values - _eval_array(model, x_trial[None, :], deltas)[0]
                 ssr_trial = float(resid_trial @ resid_trial) if np.all(np.isfinite(resid_trial)) else np.inf
             if np.isfinite(ssr_trial) and ssr_trial <= ssr:
                 accepted = True
@@ -390,13 +367,83 @@ def _lm_run_reference(
     return x, ssr, converged, history
 
 
+def _best_of(model: ModelKind, x: np.ndarray, ssr: np.ndarray, converged: np.ndarray, n: int) -> FitResult:
+    """The lowest-SSR start of one spectrum, the lowest index breaking exact ties."""
+    usable = np.isfinite(ssr)
+    if not usable.any():
+        raise FitConvergenceError(f"no usable minimum fitting {model.value} ({ssr.size} starts)")
+    best = int(np.argmin(np.where(usable, ssr, np.inf)))  # argmin keeps the lowest index on ties
+    best_ssr = float(ssr[best])
+    agreeing = int(np.sum(usable & (ssr <= best_ssr * (1.0 + _AGREEMENT_RTOL) + np.finfo(float).tiny)))
+    return FitResult(
+        params=canonicalize(model, x[best]),
+        ssr=best_ssr,
+        sigma_hat_sq=best_ssr / n,
+        n_points=n,
+        converged=bool(converged[best]),
+        n_starts_agreeing=agreeing,
+    )
+
+
+def fit_many(
+    model: ModelKind, spectra: Sequence[Spectrum], cfg: FitConfig | None = None
+) -> list[FitResult | Exception]:
+    """Fit one model to many spectra on one detuning grid, in lockstep.
+
+    Every start of every spectrum becomes one row of a lockstep batch.  A
+    batch holds whole spectra, as many as fit in ``_MAX_BATCH_ROWS`` rows
+    (at least one), so the per-iteration interpreter cost is paid once per
+    batch rather than once per spectrum.  A row reads only its own data,
+    which makes each result identical to :func:`fit` on that spectrum
+    alone, whatever the batch holds.
+
+    Returns one entry per spectrum, in order: its :class:`FitResult`, or
+    the exception :func:`fit` would raise for it.
+
+    Raises
+    ------
+    ValueError
+        If the spectra do not all share one detuning grid.
+    """
+    cfg = cfg or FitConfig()
+    if not spectra:
+        return []
+    deltas = spectra[0].deltas
+    if any(not np.array_equal(s.deltas, deltas) for s in spectra[1:]):
+        raise ValueError("fit_many needs every spectrum on one detuning grid")
+    n = deltas.size
+    if n <= model.k:
+        return [ValueError(f"need more than {model.k} points to fit {model.value}, got {n}") for _ in spectra]
+    out: list[FitResult | Exception] = [None] * len(spectra)  # type: ignore[list-item]
+    todo = []
+    for i, data in enumerate(spectra):
+        if np.all(data.values == data.values[0]):
+            out[i] = DegenerateDataError("all data values are equal; nothing to fit")
+        else:
+            todo.append(i)
+
+    per_batch = max(1, _MAX_BATCH_ROWS // cfg.n_starts)
+    for lo in range(0, len(todo), per_batch):
+        batch = todo[lo : lo + per_batch]
+        x0 = np.concatenate([np.stack(initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed)) for i in batch])
+        values = np.stack([spectra[i].values for i in batch])
+        x, ssr, converged = _lm_run_batch(model, x0, deltas, values, cfg)
+        for j, i in enumerate(batch):
+            rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
+            try:
+                out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], n)
+            except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
+                out[i] = exc
+    return out
+
+
 def fit(model: ModelKind, data: Spectrum, cfg: FitConfig | None = None) -> FitResult:
     """Maximum-likelihood (unweighted least squares) fit of one model.
 
     Runs ``cfg.n_starts`` damped descents and keeps the lowest SSR, with
     the lowest start index breaking exact ties, so the outcome does not
     depend on evaluation order.  Residuals are data minus model on the
-    spectrum's own grid.
+    spectrum's own grid.  This is :func:`fit_many` on one spectrum.
 
     Raises
     ------
@@ -407,29 +454,7 @@ def fit(model: ModelKind, data: Spectrum, cfg: FitConfig | None = None) -> FitRe
     ValueError
         If the spectrum has too few points for the model.
     """
-    cfg = cfg or FitConfig()
-    n = data.n_points
-    if n <= model.k:
-        raise ValueError(f"need more than {model.k} points to fit {model.value}, got {n}")
-    values = data.values
-    if np.all(values == values[0]):
-        raise DegenerateDataError("all data values are equal; nothing to fit")
-
-    x0 = np.stack(initial_guesses(model, data, cfg.n_starts, cfg.seed))
-    x, ssr, converged = _lm_run_batch(model, x0, data.deltas, values, cfg)
-
-    usable = np.isfinite(ssr)
-    if not usable.any():
-        raise FitConvergenceError(f"no usable minimum fitting {model.value} ({cfg.n_starts} starts)")
-    best = int(np.argmin(np.where(usable, ssr, np.inf)))  # argmin keeps the lowest index on ties
-    best_ssr = float(ssr[best])
-    agreeing = int(np.sum(usable & (ssr <= best_ssr * (1.0 + _AGREEMENT_RTOL) + np.finfo(float).tiny)))
-
-    return FitResult(
-        params=canonicalize(model, x[best]),
-        ssr=best_ssr,
-        sigma_hat_sq=best_ssr / n,
-        n_points=n,
-        converged=bool(converged[best]),
-        n_starts_agreeing=agreeing,
-    )
+    result = fit_many(model, [data], cfg)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result

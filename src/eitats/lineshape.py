@@ -123,8 +123,9 @@ class Spectrum:
     """A sampled profile: detuning grid, values, optional noise scale.
 
     The grid must be strictly increasing and the same length as the
-    values.  ``sigma_exp`` is a reported relative noise scale carried for
-    reporting only; ``meta`` holds free-form provenance tags.
+    values, and every value must be finite.  ``sigma_exp`` is a reported
+    relative noise scale carried for reporting only; ``meta`` holds
+    free-form provenance tags.
     """
 
     deltas: np.ndarray
@@ -145,6 +146,9 @@ class Spectrum:
             raise ValueError("spectrum must contain at least one point")
         if not np.all(np.isfinite(deltas)):
             raise ValueError("deltas must be finite")
+        if not np.all(np.isfinite(values)):
+            i = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"values must be finite, got {values[i]} at index {i}")
         if not np.all(np.diff(deltas) > 0):
             raise ValueError("deltas must be strictly increasing")
         if self.sigma_exp is not None and not self.sigma_exp >= 0:

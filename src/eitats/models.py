@@ -117,37 +117,42 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
 
 
 def _eval_array(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Evaluate from the raw vector without constructing a dataclass."""
-    d = deltas
+    """Model values for a stack of raw vectors ``x`` of shape (s, k); shape (s, n)."""
+    d = deltas[None, :]
     if model is ModelKind.EIT:
-        cp, cm, gp, gm = x
+        cp, cm, gp, gm = (x[:, i : i + 1] for i in range(4))
         d2 = d * d
         return cp * cp / (gp * gp + d2) - cm * cm / (gm * gm + d2)
-    c, g, d0 = x
+    c, g, d0 = (x[:, i : i + 1] for i in range(3))
     return c * c * (1.0 / (g * g + (d - d0) ** 2) + 1.0 / (g * g + (d + d0) ** 2))
 
 
 def _jacobian_array(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Analytic d(model)/d(params), shape (len(deltas), k)."""
-    d = np.atleast_1d(deltas)
+    """Analytic d(model)/d(params) for a stack of raw vectors; shape (s, k, n).
+
+    Parameters sit on the middle axis so that the fitter's normal
+    equations are batched matrix products over contiguous rows.  Each
+    column is written straight into the result, since a fitting batch can
+    hold hundreds of rows.
+    """
+    d = deltas[None, :]
+    jac = np.empty((x.shape[0], model.k, deltas.size))
     if model is ModelKind.EIT:
-        cp, cm, gp, gm = x
+        cp, cm, gp, gm = (x[:, i : i + 1] for i in range(4))
         d2 = d * d
         lp = 1.0 / (gp * gp + d2)
         lm = 1.0 / (gm * gm + d2)
-        jac = np.empty((d.size, 4))
-        jac[:, 0] = 2.0 * cp * lp
-        jac[:, 1] = -2.0 * cm * lm
-        jac[:, 2] = -2.0 * gp * cp * cp * lp * lp
-        jac[:, 3] = 2.0 * gm * cm * cm * lm * lm
+        np.multiply(2.0 * cp, lp, out=jac[:, 0])
+        np.multiply(-2.0 * cm, lm, out=jac[:, 1])
+        np.multiply(-2.0 * gp * cp * cp * lp, lp, out=jac[:, 2])
+        np.multiply(2.0 * gm * cm * cm * lm, lm, out=jac[:, 3])
         return jac
-    c, g, d0 = x
+    c, g, d0 = (x[:, i : i + 1] for i in range(3))
     lm_ = 1.0 / (g * g + (d - d0) ** 2)
     lp_ = 1.0 / (g * g + (d + d0) ** 2)
-    jac = np.empty((d.size, 3))
-    jac[:, 0] = 2.0 * c * (lm_ + lp_)
-    jac[:, 1] = -2.0 * g * c * c * (lm_ * lm_ + lp_ * lp_)
-    jac[:, 2] = c * c * (2.0 * (d - d0) * lm_ * lm_ - 2.0 * (d + d0) * lp_ * lp_)
+    np.multiply(2.0 * c, lm_ + lp_, out=jac[:, 0])
+    np.multiply(-2.0 * g * c * c, lm_ * lm_ + lp_ * lp_, out=jac[:, 1])
+    np.multiply(c * c, 2.0 * (d - d0) * lm_ * lm_ - 2.0 * (d + d0) * lp_ * lp_, out=jac[:, 2])
     return jac
 
 
@@ -155,8 +160,8 @@ def evaluate(model: ModelKind, params, delta):
     """Evaluate either model from a dataclass or a raw parameter vector."""
     x = as_array(params) if isinstance(params, (EitParams, AtsParams)) else np.asarray(params, dtype=float)
     d = np.asarray(delta, dtype=float)
-    out = _eval_array(model, x, d)
-    return float(out) if np.ndim(delta) == 0 else out
+    out = _eval_array(model, x[None, :], d.reshape(-1))[0]
+    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
 def jacobian(model: ModelKind, params, delta) -> np.ndarray:
@@ -168,5 +173,5 @@ def jacobian(model: ModelKind, params, delta) -> np.ndarray:
     if x.shape != (model.k,):
         raise ValueError(f"expected {model.k} parameters for {model.value}, got {x.shape}")
     d = np.asarray(delta, dtype=float)
-    jac = _jacobian_array(model, x, d)
-    return jac[0] if np.ndim(delta) == 0 else jac
+    jac = _jacobian_array(model, x[None, :], d.reshape(-1))[0].T
+    return jac[0] if d.ndim == 0 else jac

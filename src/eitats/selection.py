@@ -9,6 +9,7 @@ first, which keeps noisy-data comparisons from binarizing as N grows.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +21,7 @@ from .fitter import (
     FitConvergenceError,
     FitResult,
     fit,
+    fit_many,
     variance_floor,
 )
 from .lineshape import Spectrum
@@ -34,6 +36,7 @@ __all__ = [
     "eit_threshold",
     "noise_threshold",
     "discriminate",
+    "discriminate_many",
     "DEFAULT_MARGIN",
 ]
 
@@ -134,30 +137,25 @@ def noise_threshold(gamma_ab: float, gamma_bc: float, sigma: float) -> float:
 _MODEL_ORDER = (ModelKind.EIT, ModelKind.ATS)
 
 
-def discriminate(
-    data: Spectrum,
-    cfg: FitConfig | None = None,
-    margin: float = DEFAULT_MARGIN,
-) -> SelectionReport:
-    """Fit both models and report which transparency mechanism the data favor.
-
-    The verdict is Inconclusive when the per-point weights differ by less
-    than ``margin``; otherwise it names the model with the larger weight.
-    If exactly one model fails to fit, the survivor wins by default and
-    the failure is recorded.
-    """
+def _check_margin(margin: float) -> None:
     if not 0 <= margin < 1:
         raise ValueError(f"margin must lie in [0, 1), got {margin}")
-    cfg = cfg or FitConfig()
 
+
+def _report(data: Spectrum, outcomes: dict[str, FitResult | Exception], margin: float) -> SelectionReport:
+    """Weights and verdict from both models' fit outcomes on one spectrum.
+
+    A fit that raised is recorded as a failure; if both did, the spectrum
+    has no verdict and :class:`FitConvergenceError` is raised.
+    """
     fits: dict[str, FitResult | None] = {}
     failures: dict[str, str] = {}
-    for kind in _MODEL_ORDER:
-        try:
-            fits[kind.value] = fit(kind, data, cfg)
-        except (FitConvergenceError, DegenerateDataError, ValueError) as exc:
-            fits[kind.value] = None
-            failures[kind.value] = str(exc)
+    for name, outcome in outcomes.items():
+        if isinstance(outcome, FitResult):
+            fits[name] = outcome
+        else:
+            fits[name] = None
+            failures[name] = str(outcome)
     if all(f is None for f in fits.values()):
         raise FitConvergenceError(f"both model fits failed: {failures}")
 
@@ -202,3 +200,48 @@ def discriminate(
         fits=fits,
         fit_failures=failures,
     )
+
+
+def discriminate(
+    data: Spectrum,
+    cfg: FitConfig | None = None,
+    margin: float = DEFAULT_MARGIN,
+) -> SelectionReport:
+    """Fit both models and report which transparency mechanism the data favor.
+
+    The verdict is Inconclusive when the per-point weights differ by less
+    than ``margin``; otherwise it names the model with the larger weight.
+    If exactly one model fails to fit, the survivor wins by default and
+    the failure is recorded.
+    """
+    _check_margin(margin)
+    cfg = cfg or FitConfig()
+    outcomes: dict[str, FitResult | Exception] = {}
+    for kind in _MODEL_ORDER:
+        try:
+            outcomes[kind.value] = fit(kind, data, cfg)
+        except (FitConvergenceError, DegenerateDataError, ValueError) as exc:
+            outcomes[kind.value] = exc
+    return _report(data, outcomes, margin)
+
+
+def discriminate_many(
+    spectra: Sequence[Spectrum],
+    cfg: FitConfig | None = None,
+    margin: float = DEFAULT_MARGIN,
+) -> list[SelectionReport]:
+    """:func:`discriminate` on each of many spectra sharing one detuning grid.
+
+    Each model is fitted to all spectra in one :func:`eitats.fitter.fit_many`
+    call, so every report equals the one :func:`discriminate` gives for
+    that spectrum alone.  Raises :class:`FitConvergenceError` for the first
+    spectrum on which both fits fail, as :func:`discriminate` would, and
+    ValueError if the spectra do not share one detuning grid.
+    """
+    _check_margin(margin)
+    cfg = cfg or FitConfig()
+    per_model = {kind.value: fit_many(kind, spectra, cfg) for kind in _MODEL_ORDER}
+    return [
+        _report(data, {name: outcomes[i] for name, outcomes in per_model.items()}, margin)
+        for i, data in enumerate(spectra)
+    ]

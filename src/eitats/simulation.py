@@ -5,6 +5,10 @@ xi drawn per point from N(0, sigma^2).  Draws come from a counter-based
 generator keyed on (seed, replicate), so any replicate of any sweep point
 can be regenerated in isolation and results never depend on execution
 order.
+
+A sweep builds all of its spectra before fitting any, then hands them to
+the fitter together: spectra on one grid share every solver iteration,
+and each still gets exactly the result it would get alone.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import numpy as np
 
 from .fitter import FitConfig
 from .lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transparency_depth
-from .selection import DEFAULT_MARGIN, discriminate
+from .selection import DEFAULT_MARGIN, discriminate_many
 
 __all__ = [
     "NoiseSpec",
@@ -114,9 +118,14 @@ def sweep_omega(
 
     Each pump value generates the default-grid profile, applies noise
     (averaging both weight families over replicates when there are
-    several), and records the resulting weights.  Fit failures are
-    counted per axis point; a failed model contributes the survivor-wins
-    weights of its replicate.
+    several), and records the resulting weights.  Every (pump value x
+    replicate) spectrum is built first and all are discriminated in one
+    :func:`eitats.selection.discriminate_many` call, whose reports equal
+    per-spectrum :func:`eitats.selection.discriminate` ones.  Fit failures
+    are counted per axis point; a failed model contributes the
+    survivor-wins weights of its replicate.  If both fits of any spectrum
+    fail, the :class:`eitats.fitter.FitConvergenceError` of the first such
+    spectrum is raised.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0 or not np.all(np.diff(omegas) > 0):
@@ -128,26 +137,29 @@ def sweep_omega(
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
 
     n_omega = omegas.size
-    pp = np.empty((n_omega, 2))
-    aw = np.empty((n_omega, 2))
-    failures = np.zeros(n_omega, dtype=int)
-
-    for i, omega in enumerate(omegas):
+    n_rep = 1 if noise.sigma == 0.0 else noise.n_replicates
+    spectra = []
+    for omega in omegas:
         p = TlaParams(omega=float(omega), delta1=0.0, gamma_ab=gamma_ab, gamma_bc=gamma_bc)
         base = absorption_profile(p, grid)
         if noise.sigma == 0.0:
-            replicates = [base]
+            spectra.append(base)
         else:
-            replicates = [add_noise(base, noise, r) for r in range(noise.n_replicates)]
+            spectra.extend(add_noise(base, noise, r) for r in range(n_rep))
+    reports = discriminate_many(spectra, cfg, margin)
+
+    pp = np.empty((n_omega, 2))
+    aw = np.empty((n_omega, 2))
+    failures = np.zeros(n_omega, dtype=int)
+    for i in range(n_omega):
         pp_acc = np.zeros(2)
         aw_acc = np.zeros(2)
-        for rep in replicates:
-            report = discriminate(rep, cfg, margin)
+        for report in reports[i * n_rep : (i + 1) * n_rep]:
             failures[i] += len(report.fit_failures)
             pp_acc += [report.per_point_weights["eit"] or 0.0, report.per_point_weights["ats"] or 0.0]
             aw_acc += [report.akaike_weights["eit"] or 0.0, report.akaike_weights["ats"] or 0.0]
-        pp[i] = pp_acc / len(replicates)
-        aw[i] = aw_acc / len(replicates)
+        pp[i] = pp_acc / n_rep
+        aw[i] = aw_acc / n_rep
 
     crossover = _interp_crossover(omegas, pp[:, 0] - pp[:, 1])
     return SweepResult(
@@ -169,8 +181,9 @@ def sweep_gbc_boundary(
 ) -> SweepResult:
     """Locate the weight-crossing pump strength as the two-photon dephasing varies.
 
-    Runs a pump sweep at each dephasing value, extracts the crossover,
-    and records the induced-transparency depth evaluated at it.
+    Runs a pump sweep at each dephasing value (whose fits share lockstep
+    batches, see :func:`sweep_omega`), extracts the crossover, and records
+    the induced-transparency depth evaluated at it.
     """
     gbc_values = np.asarray(gbc_values, dtype=float)
     if gbc_values.ndim != 1 or gbc_values.size == 0 or not np.all(np.diff(gbc_values) > 0):

@@ -70,6 +70,13 @@ class TestSpectrumFiles:
         with pytest.raises(SpectrumParseError, match="line 3"):
             ingest_spectrum(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_rejected_with_line_number(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"delta,value\n0.0,0.1\n1.0,0.2\n2.0,{bad}\n3.0,0.1\n4.0,0.2\n")
+        with pytest.raises(SpectrumParseError, match=f"nonfinite.csv: line 4: value must be finite, got {bad}"):
+            ingest_spectrum(path)
+
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("delta,value\n0.0,0.1\n1.0,0.2\n")

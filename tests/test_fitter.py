@@ -1,18 +1,26 @@
-"""Fitting engine: exact recovery, determinism, descent behavior, guesses."""
+"""Fitting engine: exact recovery, determinism, descent behavior, guesses,
+and batch invariance of the lockstep engine."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eitats import fitter
 from eitats.fitter import (
     DegenerateDataError,
     FitConfig,
     _lm_run_batch,
     _lm_run_reference,
     fit,
+    fit_many,
     initial_guesses,
     variance_floor,
 )
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid
 from eitats.models import AtsParams, EitParams, ModelKind, as_array, eval_ats, eval_eit
+from eitats.simulation import NoiseSpec, add_noise
 
 
 def ats_spectrum(params=AtsParams(0.5, 1.0, 2.0), grid=None):
@@ -109,6 +117,85 @@ class TestDescentBehaviour:
             for i in range(5):
                 _, sssr, _, _ = _lm_run_reference(model, x0[i], data.deltas, data.values, cfg)
                 assert bssr[i] == pytest.approx(sssr, rel=1e-4)
+
+
+# Few starts and a short cap keep the property test fast; the flat-valley
+# EIT fits still stop at the cap, where rounding differences would show.
+BATCH_CFG = FitConfig(max_iterations=60, n_starts=3, seed=2)
+FLAT = 7  # index of the all-equal spectrum in the pool
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """Noiseless profiles across the crossover, noisy replicates, one
+    profile on a 1000x larger scale (its rows get a larger gradient
+    tolerance), and one flat spectrum."""
+    grid = default_grid()
+    spectra = [absorption_profile(TlaParams(omega=w), grid) for w in (0.2, 0.6, 0.9, 1.3)]
+    noise = NoiseSpec(sigma=0.1, seed=4, n_replicates=2)
+    spectra += [add_noise(spectra[1], noise, r) for r in range(2)]
+    spectra.append(absorption_profile(TlaParams(alpha=1000.0, omega=2.0), grid))
+    spectra.append(Spectrum(deltas=grid, values=np.full(grid.size, 0.4)))
+    assert len(spectra) == FLAT + 1
+    return spectra
+
+
+@pytest.fixture(scope="module")
+def alone(pool):
+    """Each spectrum fitted on its own with fit(); the reference outcomes."""
+    out = {}
+    for model in ModelKind:
+        out[model] = []
+        for data in pool:
+            try:
+                out[model].append(fit(model, data, BATCH_CFG))
+            except DegenerateDataError as exc:
+                out[model].append(exc)
+    return out
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want  # bit-identical dataclasses
+
+
+class TestBatchInvariance:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelKind)),
+        order=st.permutations(range(FLAT + 1)),
+        size=st.integers(1, FLAT + 1),
+        cap=st.sampled_from([1, BATCH_CFG.n_starts, 2 * BATCH_CFG.n_starts + 1, 512]),
+    )
+    def test_any_subset_in_any_order_matches_fit_alone(self, pool, alone, model, order, size, cap):
+        chosen = order[:size]
+        with mock.patch.object(fitter, "_MAX_BATCH_ROWS", cap):
+            results = fit_many(model, [pool[i] for i in chosen], BATCH_CFG)
+        assert len(results) == size
+        for i, got in zip(chosen, results):
+            assert_same_outcome(got, alone[model][i])
+
+    def test_pool_larger_than_one_batch(self, pool, alone):
+        with mock.patch.object(fitter, "_MAX_BATCH_ROWS", 2 * BATCH_CFG.n_starts):
+            results = fit_many(ModelKind.EIT, pool, BATCH_CFG)
+        assert isinstance(results[FLAT], DegenerateDataError)
+        for got, want in zip(results, alone[ModelKind.EIT]):
+            assert_same_outcome(got, want)
+
+    def test_spectra_on_different_grids_rejected(self, pool):
+        other = absorption_profile(TlaParams(omega=0.6), default_grid(-4.0, 4.0, 0.05))
+        with pytest.raises(ValueError, match="one detuning grid"):
+            fit_many(ModelKind.ATS, [pool[0], other], BATCH_CFG)
+
+    def test_one_dimensional_values_broadcast_to_every_row(self, pool):
+        data = pool[2]
+        x0 = np.stack(initial_guesses(ModelKind.ATS, data, 4, 0))
+        shared = _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values, BATCH_CFG)
+        per_row = _lm_run_batch(ModelKind.ATS, x0, data.deltas, np.tile(data.values, (4, 1)), BATCH_CFG)
+        for a, b in zip(shared, per_row):
+            assert np.array_equal(a, b)
 
 
 class TestInitialGuesses:

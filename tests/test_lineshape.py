@@ -243,6 +243,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="mismatch"):
             Spectrum(deltas=np.array([0.0, 1.0]), values=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_rejects_nonfinite_values(self, bad):
+        with pytest.raises(ValueError, match="finite.*index 1"):
+            Spectrum(deltas=np.array([0.0, 1.0, 2.0]), values=np.array([0.1, bad, 0.2]))
+
     def test_tla_params_reject_bad_rates(self):
         with pytest.raises(ValueError):
             TlaParams(gamma_ab=0.0)

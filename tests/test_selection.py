@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eitats.fitter import FitConfig
+from eitats.fitter import FitConfig, FitConvergenceError
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid
 from eitats.models import AtsParams, eval_ats
 from eitats.selection import (
@@ -12,6 +12,7 @@ from eitats.selection import (
     aic_least_squares,
     akaike_weights,
     discriminate,
+    discriminate_many,
     eit_threshold,
     noise_threshold,
     per_point_weights,
@@ -208,3 +209,39 @@ class TestDiscriminate:
         lax = discriminate(data, cfg, margin=0.999)
         assert strict.verdict in (Verdict.EIT, Verdict.ATS)
         assert lax.verdict is Verdict.INCONCLUSIVE
+
+
+class TestDiscriminateMany:
+    CFG = FitConfig(max_iterations=80, n_starts=4)
+
+    def test_reports_equal_single_spectrum_reports(self):
+        grid = default_grid()
+        weak = absorption_profile(TlaParams(omega=0.2, gamma_ab=1.0, gamma_bc=0.1), grid)
+        spectra = [
+            weak,
+            absorption_profile(TlaParams(omega=1.2, gamma_ab=1.0, gamma_bc=0.1), grid),
+            add_noise(weak, NoiseSpec(sigma=0.1, seed=9), 0),
+        ]
+        many = discriminate_many(spectra, self.CFG, margin=0.2)
+        assert many == [discriminate(data, self.CFG, margin=0.2) for data in spectra]
+
+    def test_survivor_wins_as_in_discriminate(self):
+        grid = np.linspace(-2, 2, 4)
+        spectra = [Spectrum(deltas=grid, values=eval_ats(AtsParams(0.8, 1.0, d0), grid)) for d0 in (0.5, 1.0)]
+        many = discriminate_many(spectra, self.CFG)
+        assert many == [discriminate(data, self.CFG) for data in spectra]
+        assert all(report.verdict is Verdict.ATS and "eit" in report.fit_failures for report in many)
+
+    def test_both_fits_failing_raises_as_discriminate_does(self):
+        grid = default_grid()
+        flat = Spectrum(deltas=grid, values=np.full(grid.size, 0.3))
+        with pytest.raises(FitConvergenceError) as single:
+            discriminate(flat, self.CFG)
+        good = absorption_profile(TlaParams(omega=0.5), grid)
+        with pytest.raises(FitConvergenceError, match="both model fits failed") as batched:
+            discriminate_many([good, flat], self.CFG)
+        assert str(batched.value) == str(single.value)
+
+    def test_margin_validation(self):
+        with pytest.raises(ValueError, match="margin"):
+            discriminate_many([absorption_profile(TlaParams(omega=0.5), default_grid())], margin=-0.1)

@@ -5,7 +5,7 @@ import pytest
 from eitats.fitter import FitConfig
 from eitats.lineshape import TlaParams, absorption_profile, default_grid
 from eitats.selection import discriminate
-from eitats.simulation import NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
+from eitats.simulation import NoiseSpec, _interp_crossover, add_noise, sweep_gbc_boundary, sweep_omega
 
 FAST = FitConfig(max_iterations=200)
 
@@ -107,6 +107,34 @@ class TestSweepOmega:
                         diffs.append(abs(rep.per_point_weights["eit"] - rep.per_point_weights["ats"]))
                     separations.append(float(np.mean(diffs)))
             assert separations[0] >= separations[1] >= separations[2]
+
+    def test_matches_per_spectrum_loop(self):
+        # Reference: discriminate each (pump value, replicate) spectrum on
+        # its own in a plain loop and average, as sweep_omega did before it
+        # batched the fits.  Batching must not change a single bit.
+        cfg = FitConfig(max_iterations=100, n_starts=6)
+        omegas = np.array([0.3, 0.9])
+        noise = NoiseSpec(sigma=0.1, seed=5, n_replicates=3)
+        pp = np.empty((2, 2))
+        aw = np.empty((2, 2))
+        failures = np.zeros(2, dtype=int)
+        for i, omega in enumerate(omegas):
+            base = absorption_profile(TlaParams(omega=float(omega), gamma_ab=1.0, gamma_bc=0.1), default_grid())
+            pp_acc = np.zeros(2)
+            aw_acc = np.zeros(2)
+            for r in range(noise.n_replicates):
+                report = discriminate(add_noise(base, noise, r), cfg)
+                failures[i] += len(report.fit_failures)
+                pp_acc += [report.per_point_weights["eit"] or 0.0, report.per_point_weights["ats"] or 0.0]
+                aw_acc += [report.akaike_weights["eit"] or 0.0, report.akaike_weights["ats"] or 0.0]
+            pp[i] = pp_acc / noise.n_replicates
+            aw[i] = aw_acc / noise.n_replicates
+
+        result = sweep_omega(1.0, 0.1, noise, omegas, cfg)
+        assert np.array_equal(result.per_point_weights, pp)
+        assert np.array_equal(result.akaike_weights, aw)
+        assert np.array_equal(result.fit_failures, failures)
+        assert result.crossover == _interp_crossover(omegas, pp[:, 0] - pp[:, 1])
 
     def test_rejects_unsorted_omegas(self):
         with pytest.raises(ValueError, match="increasing"):
