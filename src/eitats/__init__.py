@@ -53,7 +53,7 @@ from .selection import (
     noise_threshold,
     per_point_weights,
 )
-from .simulation import NoiseSpec, SweepResult, add_noise, sweep_gbc_boundary, sweep_omega
+from .simulation import BoundaryResult, NoiseSpec, SweepResult, add_noise, sweep_gbc_boundary, sweep_omega
 
 __all__ = [
     "__version__",
@@ -96,6 +96,7 @@ __all__ = [
     "discriminate_many",
     "NoiseSpec",
     "SweepResult",
+    "BoundaryResult",
     "add_noise",
     "sweep_omega",
     "sweep_gbc_boundary",

@@ -9,11 +9,12 @@ sweep         weights vs pump strength, written as a CSV table
 boundary      weight-crossing pump strength vs two-photon dephasing
 circuit       preset: driven-circuit transmission case study
 
-Spectrum files are CSV with header ``delta,value`` or
-``delta,value,sigma``.  Reports are JSON and echo the fully resolved
-configuration, so re-running a report's config reproduces it exactly.
-All file writes are atomic (temp file + rename); the exit status is 0
-exactly when every requested artifact was written.
+Each subcommand takes only the flags its handler reads (``_COMMANDS``);
+argparse rejects any other.  Spectrum files are CSV with header
+``delta,value`` or ``delta,value,sigma``.  Reports are JSON and echo the
+command and every one of its flags, so re-running a report's config
+reproduces it exactly.  All file writes are atomic (temp file + rename);
+the exit status is 0 exactly when every requested artifact was written.
 """
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .lineshape import (
 )
 from .models import EitParams, ModelKind
 from .selection import DEFAULT_MARGIN, SelectionReport, discriminate
-from .simulation import NoiseSpec, SweepResult, add_noise, sweep_gbc_boundary, sweep_omega
+from .simulation import NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
 
 __all__ = ["RunConfig", "Report", "SpectrumParseError", "ingest_spectrum", "write_spectrum", "run", "main"]
 
@@ -57,7 +59,11 @@ class SpectrumParseError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: command plus every knob it uses."""
+    """Fully resolved invocation.
+
+    Each command reads only its own flags (``_COMMANDS``); the other
+    fields keep their defaults and are neither used nor echoed.
+    """
 
     command: str
     gamma_ab: float = 1.0
@@ -65,7 +71,6 @@ class RunConfig:
     omega: float = 0.0
     delta1: float = 0.0
     alpha: float = 1.0
-    gamma_rel: float = CIRCUIT_PRESET.gamma_rel
     sigma: float = 0.0
     seed: int = 0
     replicate: int = 0
@@ -88,7 +93,6 @@ class Report:
 
     config: RunConfig
     version: str
-    seed: int
     fits: dict[str, Any] | None = None
     selection: dict[str, Any] | None = None
     summary: dict[str, Any] | None = None
@@ -111,23 +115,25 @@ def _atomic_write(path: str | Path, text: str) -> str:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
     return str(path)
+
+
+def _write_table(path: str | Path, header: str, *columns) -> str:
+    """CSV with one row per index of the equal-length numeric ``columns``."""
+    lines = [header, *(",".join(_fmt(float(x)) for x in row) for row in zip(*columns))]
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_spectrum(data: Spectrum, path: str | Path) -> str:
     """Write a spectrum as CSV; numbers keep full double precision."""
-    lines = []
-    if data.sigma_exp is not None:
-        lines.append("delta,value,sigma")
-        sig = _fmt(data.sigma_exp)
-        for d, v in zip(data.deltas, data.values):
-            lines.append(f"{_fmt(d)},{_fmt(v)},{sig}")
-    else:
-        lines.append("delta,value")
-        for d, v in zip(data.deltas, data.values):
-            lines.append(f"{_fmt(d)},{_fmt(v)}")
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    if data.sigma_exp is None:
+        return _write_table(path, "delta,value", data.deltas, data.values)
+    return _write_table(path, "delta,value,sigma", data.deltas, data.values, np.full(data.n_points, data.sigma_exp))
 
 
 def ingest_spectrum(path: str | Path) -> Spectrum:
@@ -181,7 +187,11 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         raise SpectrumParseError(f"{path}: duplicate detuning {dup}")
     sigma_exp = None
     if want == 3:
-        sigma_exp = float(math.sqrt(np.mean(np.square([r[2] for r in rows]))))
+        # RMS scaled by the largest magnitude, so that squaring can neither
+        # overflow nor underflow; a constant column comes back exactly.
+        sigmas = np.array([r[2] for r in rows])
+        scale = float(np.max(np.abs(sigmas)))
+        sigma_exp = scale * math.sqrt(np.mean(np.square(sigmas / scale))) if scale > 0 else 0.0
     return Spectrum(deltas=deltas, values=values, sigma_exp=sigma_exp, meta={"source": str(path)})
 
 
@@ -216,11 +226,16 @@ def _selection_dict(report: SelectionReport) -> dict[str, Any]:
     }
 
 
-def _report_dict(report: Report) -> dict[str, Any]:
+def _config_dict(config: RunConfig) -> dict[str, Any]:
+    """The command and the flags it reads, in ``RunConfig`` field order."""
+    flags = _COMMANDS[config.command].flags
+    return {"command": config.command, **{name: getattr(config, name) for name in flags}}
+
+
+def _report_json(report: Report) -> str:
     out: dict[str, Any] = {
-        "config": asdict(report.config),
+        "config": _config_dict(report.config),
         "version": report.version,
-        "seed": report.seed,
         "outputs": list(report.outputs),
     }
     if report.fits is not None:
@@ -229,7 +244,7 @@ def _report_dict(report: Report) -> dict[str, Any]:
         out["selection"] = report.selection
     if report.summary is not None:
         out["summary"] = report.summary
-    return out
+    return json.dumps(out, indent=2) + "\n"
 
 
 def _fit_config(config: RunConfig) -> FitConfig:
@@ -241,18 +256,7 @@ def _fit_config(config: RunConfig) -> FitConfig:
 
 
 def _noise_spec(config: RunConfig) -> NoiseSpec:
-    n_needed = max(config.replicates, config.replicate + 1)
-    return NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=n_needed)
-
-
-def _tla_params(config: RunConfig) -> TlaParams:
-    return TlaParams(
-        alpha=config.alpha,
-        omega=config.omega,
-        delta1=config.delta1,
-        gamma_ab=config.gamma_ab,
-        gamma_bc=config.gamma_bc,
-    )
+    return NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=config.replicates)
 
 
 def _require(config: RunConfig, field: str) -> str:
@@ -262,73 +266,47 @@ def _require(config: RunConfig, field: str) -> str:
     return value
 
 
-def _write_sweep_csv(result: SweepResult, path: str | Path) -> str:
-    lines = ["omega,w_ppt_eit,w_ppt_ats,w_akaike_eit,w_akaike_ats,fit_failures"]
-    for i, x in enumerate(result.axis):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(float(x)),
-                    _fmt(result.per_point_weights[i, 0]),
-                    _fmt(result.per_point_weights[i, 1]),
-                    _fmt(result.akaike_weights[i, 0]),
-                    _fmt(result.akaike_weights[i, 1]),
-                    str(int(result.fit_failures[i])),
-                ]
-            )
-        )
-    return _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_boundary_csv(result: SweepResult, path: str | Path) -> str:
-    lines = ["gamma_bc,omega_crossover,transparency_depth"]
-    for i, x in enumerate(result.axis):
-        lines.append(
-            ",".join([_fmt(float(x)), _fmt(float(result.boundary_omega[i])), _fmt(float(result.transparency[i]))])
-        )
-    return _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _run_generate(config: RunConfig) -> Report:
     out_path = _require(config, "output")
+    if config.replicate < 0:
+        raise ValueError(f"--replicate must be >= 0, got {config.replicate}")
     grid = _parse_range(config.grid, "--grid")
-    data = absorption_profile(_tla_params(config), grid)
+    params = TlaParams(
+        alpha=config.alpha, omega=config.omega, delta1=config.delta1, gamma_ab=config.gamma_ab, gamma_bc=config.gamma_bc
+    )
+    data = absorption_profile(params, grid)
     if config.sigma > 0:
-        data = add_noise(data, _noise_spec(config), config.replicate)
+        noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=config.replicate + 1)
+        data = add_noise(data, noise, config.replicate)
     written = write_spectrum(data, out_path)
     summary = {
         "n_points": data.n_points,
         "value_min": float(np.min(data.values)),
         "value_max": float(np.max(data.values)),
     }
-    return Report(config=config, version=__version__, seed=config.seed, summary=summary, outputs=(written,))
+    return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
 
 def _run_fit(config: RunConfig) -> Report:
     data = ingest_spectrum(_require(config, "input"))
     cfg = _fit_config(config)
-    kinds = {
-        "eit": [ModelKind.EIT],
-        "ats": [ModelKind.ATS],
-        "both": [ModelKind.EIT, ModelKind.ATS],
-    }.get(config.model)
-    if kinds is None:
-        raise ValueError(f"--model must be eit, ats, or both, got {config.model!r}")
+    kinds = list(ModelKind) if config.model == "both" else [ModelKind(config.model)]
     fits = {kind.value: _fit_result_dict(fit(kind, data, cfg)) for kind in kinds}
-    return Report(config=config, version=__version__, seed=config.seed, fits=fits)
+    return Report(config=config, version=__version__, fits=fits)
 
 
-def _run_discriminate(config: RunConfig, data: Spectrum | None = None) -> Report:
-    if data is None:
-        data = ingest_spectrum(_require(config, "input"))
+def _selection_fields(config: RunConfig, data: Spectrum) -> dict[str, Any]:
+    """The ``fits`` and ``selection`` of a report discriminating ``data``."""
     report = discriminate(data, _fit_config(config), config.margin)
-    return Report(
-        config=config,
-        version=__version__,
-        seed=config.seed,
-        fits={name: _fit_result_dict(res) for name, res in report.fits.items()},
-        selection=_selection_dict(report),
-    )
+    return {
+        "fits": {name: _fit_result_dict(res) for name, res in report.fits.items()},
+        "selection": _selection_dict(report),
+    }
+
+
+def _run_discriminate(config: RunConfig) -> Report:
+    data = ingest_spectrum(_require(config, "input"))
+    return Report(config=config, version=__version__, **_selection_fields(config, data))
 
 
 def _run_sweep(config: RunConfig) -> Report:
@@ -344,9 +322,16 @@ def _run_sweep(config: RunConfig) -> Report:
         config.margin,
         grid,
     )
-    written = _write_sweep_csv(result, out_path)
+    written = _write_table(
+        out_path,
+        "omega,w_ppt_eit,w_ppt_ats,w_akaike_eit,w_akaike_ats,fit_failures",
+        result.axis,
+        *result.per_point_weights.T,
+        *result.akaike_weights.T,
+        result.fit_failures,
+    )
     summary = {"crossover": result.crossover, "n_axis_points": int(result.axis.size)}
-    return Report(config=config, version=__version__, seed=config.seed, summary=summary, outputs=(written,))
+    return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
 
 def _run_boundary(config: RunConfig) -> Report:
@@ -356,13 +341,15 @@ def _run_boundary(config: RunConfig) -> Report:
     result = sweep_gbc_boundary(
         config.gamma_ab, gbc_values, _noise_spec(config), omegas, _fit_config(config), config.margin
     )
-    written = _write_boundary_csv(result, out_path)
+    written = _write_table(
+        out_path, "gamma_bc,omega_crossover,transparency_depth", result.axis, result.boundary_omega, result.transparency
+    )
     summary = {
         "n_axis_points": int(result.axis.size),
         "boundary_min": float(np.nanmin(result.boundary_omega)),
         "boundary_max": float(np.nanmax(result.boundary_omega)),
     }
-    return Report(config=config, version=__version__, seed=config.seed, summary=summary, outputs=(written,))
+    return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
 
 def _run_circuit(config: RunConfig) -> Report:
@@ -371,7 +358,6 @@ def _run_circuit(config: RunConfig) -> Report:
     outputs: tuple[str, ...] = ()
     if config.write_spectrum:
         outputs = (write_spectrum(data, config.write_spectrum),)
-    base = _run_discriminate(config, data)
     preset = {
         "gamma_rel": CIRCUIT_PRESET.gamma_rel,
         "gamma_ab": CIRCUIT_PRESET.gamma_ab,
@@ -383,30 +369,96 @@ def _run_circuit(config: RunConfig) -> Report:
     return Report(
         config=config,
         version=__version__,
-        seed=config.seed,
-        fits=base.fits,
-        selection=base.selection,
         summary={"preset": preset, "n_points": data.n_points},
         outputs=outputs,
+        **_selection_fields(config, data),
     )
 
 
+# Every flag once, as argparse keywords; its default is the RunConfig
+# field of the same name, and ``--max-iterations`` sets ``max_iterations``.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "gamma_ab": {"type": float, "help": "probed-transition dephasing rate"},
+    "gamma_bc": {"type": float, "help": "two-photon dephasing rate"},
+    "omega": {"type": float, "help": "pump Rabi frequency"},
+    "delta1": {"type": float, "help": "one-photon detuning"},
+    "alpha": {"type": float, "help": "probe Rabi frequency (amplitude)"},
+    "sigma": {"type": float, "help": "relative noise level"},
+    "seed": {"type": int, "help": "seed for noise and fit starts"},
+    "replicate": {"type": int, "help": "noise replicate index"},
+    "replicates": {"type": int, "help": "replicates to average in sweeps"},
+    "starts": {"type": int, "help": "multi-start count for the fitter"},
+    "max_iterations": {"type": int, "help": "fitter iteration cap"},
+    "margin": {"type": float, "help": "inconclusive margin on weight gap"},
+    "grid": {"help": "detuning grid lo:hi:step"},
+    "omegas": {"help": "pump sweep lo:hi:step"},
+    "gbc": {"help": "dephasing sweep lo:hi:step"},
+    "model": {"choices": ("eit", "ats", "both"), "help": "model(s) to fit"},
+    "input": {"help": "input spectrum CSV"},
+    "output": {"help": "output artifact path (the JSON report for fit, discriminate and circuit)"},
+    "write_spectrum": {"help": "also dump the generated spectrum CSV"},
+}
+
+
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], Report]
+    help: str
+    flags: tuple[str, ...]  # in RunConfig field order, the order they are echoed in
+
+
 _COMMANDS = {
-    "generate": _run_generate,
-    "fit": _run_fit,
-    "discriminate": _run_discriminate,
-    "sweep": _run_sweep,
-    "boundary": _run_boundary,
-    "circuit": _run_circuit,
+    "generate": _Command(
+        _run_generate,
+        "write a synthetic absorption spectrum",
+        ("gamma_ab", "gamma_bc", "omega", "delta1", "alpha", "sigma", "seed", "replicate", "grid", "output"),
+    ),
+    "fit": _Command(
+        _run_fit, "fit model(s) to a spectrum file", ("seed", "starts", "max_iterations", "model", "input", "output")
+    ),
+    "discriminate": _Command(
+        _run_discriminate,
+        "model-selection report for a spectrum file",
+        ("seed", "starts", "max_iterations", "margin", "input", "output"),
+    ),
+    "sweep": _Command(
+        _run_sweep,
+        "weights vs pump strength (CSV table)",
+        ("gamma_ab", "gamma_bc", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "grid",
+         "omegas", "output"),
+    ),
+    "boundary": _Command(
+        _run_boundary,
+        "crossover pump strength vs two-photon dephasing (CSV table)",
+        ("gamma_ab", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "omegas", "gbc",
+         "output"),
+    ),
+    "circuit": _Command(
+        _run_circuit,
+        "driven-circuit transmission case study",
+        ("seed", "starts", "max_iterations", "margin", "output", "write_spectrum"),
+    ),
 }
 
 
 def run(config: RunConfig) -> Report:
-    """Execute one resolved command; writes artifacts, returns the report."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
+    """Execute one resolved command; writes artifacts, returns the report.
+
+    A path to write whose directory does not exist is rejected before any
+    work starts.  For ``fit``, ``discriminate`` and ``circuit``, ``output``
+    receives the JSON report, which lists it among its outputs.
+    """
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise ValueError(f"unknown command {config.command!r}")
-    return handler(config)
+    for name in ("output", "write_spectrum"):
+        path = getattr(config, name)
+        if name in command.flags and path and not Path(path).parent.is_dir():
+            raise ValueError(f"--{name.replace('_', '-')} {path}: directory {Path(path).parent} does not exist")
+    report = command.handler(config)
+    if config.command in ("fit", "discriminate", "circuit") and config.output:
+        report = replace(report, outputs=(*report.outputs, config.output))
+        _atomic_write(config.output, _report_json(report))
+    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,79 +468,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig(command="_")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--gamma-ab", type=float, default=defaults.gamma_ab, help="probed-transition dephasing rate")
-        p.add_argument("--gamma-bc", type=float, default=defaults.gamma_bc, help="two-photon dephasing rate")
-        p.add_argument("--omega", type=float, default=defaults.omega, help="pump Rabi frequency")
-        p.add_argument("--delta1", type=float, default=defaults.delta1, help="one-photon detuning")
-        p.add_argument("--alpha", type=float, default=defaults.alpha, help="probe Rabi frequency (amplitude)")
-        p.add_argument("--sigma", type=float, default=defaults.sigma, help="relative noise level")
-        p.add_argument("--seed", type=int, default=defaults.seed, help="seed for noise and fit starts")
-        p.add_argument("--replicate", type=int, default=defaults.replicate, help="noise replicate index")
-        p.add_argument("--replicates", type=int, default=defaults.replicates, help="replicates to average in sweeps")
-        p.add_argument("--starts", type=int, default=defaults.starts, help="multi-start count for the fitter")
-        p.add_argument("--max-iterations", type=int, default=defaults.max_iterations, help="fitter iteration cap")
-        p.add_argument("--margin", type=float, default=defaults.margin, help="inconclusive margin on weight gap")
-        p.add_argument("--grid", default=defaults.grid, help="detuning grid lo:hi:step")
-        p.add_argument("--omegas", default=defaults.omegas, help="pump sweep lo:hi:step")
-        p.add_argument("--gbc", default=defaults.gbc, help="dephasing sweep lo:hi:step")
-        p.add_argument("--model", default=defaults.model, choices=("eit", "ats", "both"), help="model(s) to fit")
-        p.add_argument("--input", default=None, help="input spectrum CSV")
-        p.add_argument("--output", default=None, help="output artifact path")
-        p.add_argument("--write-spectrum", dest="write_spectrum", default=None, help="also dump the generated spectrum CSV")
-        return p
-
-    add("generate", "write a synthetic absorption spectrum")
-    add("fit", "fit model(s) to a spectrum file")
-    add("discriminate", "model-selection report for a spectrum file")
-    add("sweep", "weights vs pump strength (CSV table)")
-    add("boundary", "crossover pump strength vs two-photon dephasing (CSV table)")
-    add("circuit", "driven-circuit transmission case study")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument("--" + flag.replace("_", "-"), default=getattr(defaults, flag), **_FLAGS[flag])
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        gamma_ab=args.gamma_ab,
-        gamma_bc=args.gamma_bc,
-        omega=args.omega,
-        delta1=args.delta1,
-        alpha=args.alpha,
-        gamma_rel=CIRCUIT_PRESET.gamma_rel,
-        sigma=args.sigma,
-        seed=args.seed,
-        replicate=args.replicate,
-        replicates=args.replicates,
-        starts=args.starts,
-        max_iterations=args.max_iterations,
-        margin=args.margin,
-        grid=args.grid,
-        omegas=args.omegas,
-        gbc=args.gbc,
-        model=args.model,
-        input=args.input,
-        output=args.output,
-        write_spectrum=args.write_spectrum,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
+    config = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
-        report = run(config)
+        text = _report_json(run(config))
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}, "config": asdict(config)}
+        error = {"error": {"type": type(exc).__name__, "message": str(exc)}, "config": _config_dict(config)}
         print(json.dumps(error, indent=2), file=sys.stderr)
         return 1
-    report_dict = _report_dict(report)
-    if config.command in ("fit", "discriminate", "circuit") and config.output:
-        report_dict["outputs"] = report_dict["outputs"] + [config.output]
-        _atomic_write(config.output, json.dumps(report_dict, indent=2) + "\n")
-    print(json.dumps(report_dict, indent=2))
+    print(text, end="")
     return 0
 
 

@@ -123,9 +123,9 @@ class Spectrum:
     """A sampled profile: detuning grid, values, optional noise scale.
 
     The grid must be strictly increasing and the same length as the
-    values, and every value must be finite.  ``sigma_exp`` is a reported
-    relative noise scale carried for reporting only; ``meta`` holds
-    free-form provenance tags.
+    values, and every value must be finite.  ``sigma_exp``, if given, is a
+    finite nonnegative relative noise scale carried for reporting only;
+    ``meta`` holds free-form provenance tags.
     """
 
     deltas: np.ndarray
@@ -151,8 +151,8 @@ class Spectrum:
             raise ValueError(f"values must be finite, got {values[i]} at index {i}")
         if not np.all(np.diff(deltas) > 0):
             raise ValueError("deltas must be strictly increasing")
-        if self.sigma_exp is not None and not self.sigma_exp >= 0:
-            raise ValueError(f"sigma_exp must be >= 0, got {self.sigma_exp}")
+        if self.sigma_exp is not None and not 0 <= self.sigma_exp < np.inf:
+            raise ValueError(f"sigma_exp must be finite and >= 0, got {self.sigma_exp}")
         self.deltas = deltas
         self.values = values
 

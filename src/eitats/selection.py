@@ -82,12 +82,6 @@ def aic_least_squares(ssr: float, n: int, k: int) -> float:
     return n * math.log(ssr / n) + 2 * k
 
 
-def _shifted_weights(info: np.ndarray) -> np.ndarray:
-    shifted = -(info - info.min()) / 2.0
-    w = np.exp(shifted)
-    return w / w.sum()
-
-
 def akaike_weights(aics) -> np.ndarray:
     """Relative likelihood of each model: softmax of -I/2.
 
@@ -99,19 +93,15 @@ def akaike_weights(aics) -> np.ndarray:
         raise ValueError("need at least one information value")
     if not np.all(np.isfinite(info)):
         raise ValueError("information values must be finite")
-    return _shifted_weights(info)
+    w = np.exp(-(info - info.min()) / 2.0)
+    return w / w.sum()
 
 
 def per_point_weights(aics, n: int) -> np.ndarray:
     """Softmax of -I/(2N): the noise-robust per-point weight family."""
     if n <= 0:
         raise ValueError("n must be positive")
-    info = np.asarray(aics, dtype=float)
-    if info.size == 0:
-        raise ValueError("need at least one information value")
-    if not np.all(np.isfinite(info)):
-        raise ValueError("information values must be finite")
-    return _shifted_weights(info / n)
+    return akaike_weights(np.asarray(aics, dtype=float) / n)
 
 
 def eit_threshold(gamma_ab: float, gamma_bc: float) -> float:

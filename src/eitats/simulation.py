@@ -23,6 +23,7 @@ from .selection import DEFAULT_MARGIN, discriminate_many
 __all__ = [
     "NoiseSpec",
     "SweepResult",
+    "BoundaryResult",
     "add_noise",
     "sweep_omega",
     "sweep_gbc_boundary",
@@ -43,30 +44,39 @@ class NoiseSpec:
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.n_replicates < 1:
-            raise ValueError("n_replicates must be >= 1")
+            raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Plot-ready table of a sweep.
+    """Plot-ready table of a pump-strength sweep.
 
-    For pump-strength sweeps, ``axis`` holds the swept pump values and the
-    weight arrays hold one (eit, ats) pair per axis point (averaged over
-    replicates when noise is on); ``crossover`` is the interpolated pump
-    value where the per-point weights cross, if they do.  For
-    boundary sweeps over the two-photon dephasing rate, ``axis`` holds the
-    dephasing values, ``boundary_omega`` the crossover found at each, and
-    ``transparency`` the induced-dip depth at that crossover; the weight
-    arrays are None there.
+    ``axis`` holds the swept pump values, and each weight array one
+    (eit, ats) pair per axis point, averaged over replicates when noise
+    is on.  ``crossover`` is the interpolated pump value where the
+    per-point weights cross, or None if they do not; ``fit_failures``
+    counts the failed fits per axis point.
     """
 
     axis: np.ndarray
-    per_point_weights: np.ndarray | None
-    akaike_weights: np.ndarray | None
+    per_point_weights: np.ndarray
+    akaike_weights: np.ndarray
     crossover: float | None
-    fit_failures: np.ndarray | None = None
-    boundary_omega: np.ndarray | None = None
-    transparency: np.ndarray | None = None
+    fit_failures: np.ndarray
+
+
+@dataclass(frozen=True)
+class BoundaryResult:
+    """Weight-crossing pump strength across two-photon dephasing values.
+
+    ``axis`` holds the dephasing values, ``boundary_omega`` the crossover
+    found at each (NaN where the weights do not cross), and
+    ``transparency`` the induced-dip depth at that crossover.
+    """
+
+    axis: np.ndarray
+    boundary_omega: np.ndarray
+    transparency: np.ndarray
 
 
 def add_noise(data: Spectrum, spec: NoiseSpec, replicate: int = 0) -> Spectrum:
@@ -178,7 +188,7 @@ def sweep_gbc_boundary(
     omegas=None,
     cfg: FitConfig | None = None,
     margin: float = DEFAULT_MARGIN,
-) -> SweepResult:
+) -> BoundaryResult:
     """Locate the weight-crossing pump strength as the two-photon dephasing varies.
 
     Runs a pump sweep at each dephasing value (whose fits share lockstep
@@ -202,11 +212,4 @@ def sweep_gbc_boundary(
             p = TlaParams(omega=result.crossover, delta1=0.0, gamma_ab=gamma_ab, gamma_bc=float(gbc))
             depth[i] = transparency_depth(p)
 
-    return SweepResult(
-        axis=gbc_values,
-        per_point_weights=None,
-        akaike_weights=None,
-        crossover=None,
-        boundary_omega=boundary,
-        transparency=depth,
-    )
+    return BoundaryResult(axis=gbc_values, boundary_omega=boundary, transparency=depth)

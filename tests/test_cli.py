@@ -2,14 +2,20 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import eitats.cli
 from eitats.cli import (
     RunConfig,
     SpectrumParseError,
+    _build_parser,
+    _report_json,
     ingest_spectrum,
     main,
     run,
@@ -19,6 +25,22 @@ from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_gr
 from eitats.selection import Verdict, discriminate
 
 FIXTURE = Path(__file__).parent / "data" / "circuit_noisy.csv"
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# The flags each subcommand reads (RunConfig field names): 49 in all.
+FLAGS = {
+    "generate": {"gamma_ab", "gamma_bc", "omega", "delta1", "alpha", "sigma", "seed", "replicate", "grid", "output"},
+    "fit": {"seed", "starts", "max_iterations", "model", "input", "output"},
+    "discriminate": {"seed", "starts", "max_iterations", "margin", "input", "output"},
+    "sweep": {
+        "gamma_ab", "gamma_bc", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "grid",
+        "omegas", "output",
+    },
+    "boundary": {
+        "gamma_ab", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "omegas", "gbc", "output",
+    },
+    "circuit": {"seed", "starts", "max_iterations", "margin", "output", "write_spectrum"},
+}
 
 
 def cli(*args):
@@ -34,16 +56,26 @@ def cli(*args):
 
 
 class TestSpectrumFiles:
-    def test_round_trip_full_precision(self, tmp_path):
-        rng = np.random.default_rng(51)
-        grid = np.sort(rng.uniform(-5, 5, size=40))
-        data = Spectrum(deltas=grid, values=rng.normal(size=40), sigma_exp=0.0731)
-        path = tmp_path / "spec.csv"
-        write_spectrum(data, path)
-        back = ingest_spectrum(path)
-        assert np.array_equal(back.deltas, data.deltas)
-        assert np.array_equal(back.values, data.values)
-        assert back.sigma_exp == pytest.approx(data.sigma_exp, rel=1e-15)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(FINITE, FINITE), min_size=5, max_size=40, unique_by=lambda row: row[0]),
+        sigma=st.none() | st.floats(min_value=0.0, allow_infinity=False),
+    )
+    @example(rows=[(float(i), 0.5) for i in range(5)], sigma=1e200)  # squares overflow
+    @example(rows=[(float(i), 0.5) for i in range(5)], sigma=1e-170)  # squares underflow
+    def test_round_trip_full_precision_any_finite_spectrum(self, rows, sigma):
+        rows.sort()
+        data = Spectrum(deltas=[d for d, _ in rows], values=[v for _, v in rows], sigma_exp=sigma)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.csv"
+            write_spectrum(data, path)
+            back = ingest_spectrum(path)
+        assert back.deltas.tobytes() == data.deltas.tobytes()
+        assert back.values.tobytes() == data.values.tobytes()
+        if sigma is None:
+            assert back.sigma_exp is None
+        else:
+            assert back.sigma_exp == pytest.approx(sigma, rel=1e-15, abs=0.0)
 
     def test_two_column_file_has_no_noise_scale(self, tmp_path):
         data = absorption_profile(TlaParams(omega=0.3), default_grid())
@@ -178,6 +210,92 @@ class TestCommands:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SpectrumParseError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circuit", "--omega", "3"],
+            ["boundary", "--grid", "-1:1:0.5"],
+            ["boundary", "--gamma-bc", "0.2"],
+            ["fit", "--margin", "0.2"],
+            ["generate", "--starts", "4"],
+            ["discriminate", "--model", "ats"],
+            ["sweep", "--gbc", "0.1:0.2:0.1"],
+        ],
+    )
+    def test_each_command_takes_and_echoes_only_its_own_flags(self, tmp_path, capsys, argv):
+        command, flag, _ = argv
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert set(vars(_build_parser().parse_args([command]))) == {"command"} | FLAGS[command]
+        # A missing output directory fails before any work; the error echoes the config.
+        assert main([command, "--output", str(tmp_path / "missing" / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "does not exist" in err["error"]["message"]
+        assert set(err["config"]) == {"command"} | FLAGS[command]
+
+    def test_49_settable_command_flag_pairs(self):
+        parser = _build_parser()
+        assert sum(len(vars(parser.parse_args([command]))) - 1 for command in FLAGS) == 49
+
+    @pytest.mark.parametrize(
+        ("argv", "word"),
+        [
+            (["sweep", "--replicates", "0"], "replicates"),
+            (["generate", "--sigma", "0.1", "--replicate", "-1"], "replicate"),
+        ],
+    )
+    def test_replicate_counts_are_validated(self, tmp_path, capsys, argv, word):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 1
+        assert word in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    def test_echoed_config_reproduces_the_report(self, tmp_path):
+        spec = str(tmp_path / "s.csv")
+        caps = ["--starts", "4", "--max-iterations", "100"]
+        argvs = [
+            ["generate", "--omega", "0.8", "--sigma", "0.05", "--seed", "3", "--replicate", "1", "--output", spec],
+            ["fit", "--input", spec, "--model", "ats", *caps, "--output", str(tmp_path / "fit.json")],
+            ["discriminate", "--input", spec, *caps, "--seed", "2", "--output", str(tmp_path / "d.json")],
+            [
+                "sweep", "--omegas", "0.6:1.0:0.2", "--sigma", "0.05", "--replicates", "2", *caps,
+                "--output", str(tmp_path / "sweep.csv"),
+            ],
+            ["boundary", "--gbc", "0.1:0.2:0.1", "--omegas", "0.5:1.1:0.1", *caps, "--output", str(tmp_path / "b.csv")],
+            [
+                "circuit", *caps, "--margin", "0.2", "--output", str(tmp_path / "c.json"),
+                "--write-spectrum", str(tmp_path / "c.csv"),
+            ],
+        ]
+        for argv in argvs:
+            code, report = cli(*argv)
+            assert code == 0
+            written = {path: Path(path).read_bytes() for path in report["outputs"]}
+            assert json.loads(_report_json(run(RunConfig(**report["config"])))) == report
+            assert {path: Path(path).read_bytes() for path in report["outputs"]} == written
+
+    def test_unwritable_report_path_is_a_reported_error(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.mkdir()  # a directory cannot be replaced by the report file
+        code = main(["circuit", "--starts", "2", "--max-iterations", "20", "--output", str(target)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "IsADirectoryError"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_missing_output_directory_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sweep_omega was called")
+
+        monkeypatch.setattr(eitats.cli, "sweep_omega", must_not_run)
+        code = main(["sweep", "--output", str(tmp_path / "missing" / "sweep.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "does not exist" in err["message"]
 
     def test_generate_requires_output(self, capsys):
         code = main(["generate"])

@@ -248,6 +248,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite.*index 1"):
             Spectrum(deltas=np.array([0.0, 1.0, 2.0]), values=np.array([0.1, bad, 0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_spectrum_rejects_noise_scale_that_is_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="sigma_exp must be finite and >= 0"):
+            Spectrum(deltas=np.array([0.0, 1.0, 2.0]), values=np.zeros(3), sigma_exp=bad)
+
     def test_tla_params_reject_bad_rates(self):
         with pytest.raises(ValueError):
             TlaParams(gamma_ab=0.0)
