@@ -211,6 +211,7 @@ def _fit_result_dict(res: FitResult | None) -> dict[str, Any] | None:
         "n_points": res.n_points,
         "converged": res.converged,
         "n_starts_agreeing": res.n_starts_agreeing,
+        "iterations": res.iterations,
     }
 
 
@@ -244,7 +245,7 @@ def _report_json(report: Report) -> str:
         out["selection"] = report.selection
     if report.summary is not None:
         out["summary"] = report.summary
-    return json.dumps(out, indent=2) + "\n"
+    return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
 def _fit_config(config: RunConfig) -> FitConfig:
@@ -344,10 +345,11 @@ def _run_boundary(config: RunConfig) -> Report:
     written = _write_table(
         out_path, "gamma_bc,omega_crossover,transparency_depth", result.axis, result.boundary_omega, result.transparency
     )
+    crossed = result.boundary_omega[~np.isnan(result.boundary_omega)]
     summary = {
         "n_axis_points": int(result.axis.size),
-        "boundary_min": float(np.nanmin(result.boundary_omega)),
-        "boundary_max": float(np.nanmax(result.boundary_omega)),
+        "boundary_min": float(crossed.min()) if crossed.size else None,
+        "boundary_max": float(crossed.max()) if crossed.size else None,
     }
     return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
@@ -375,21 +377,29 @@ def _run_circuit(config: RunConfig) -> Report:
     )
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: reports must stay strict JSON, which has no nan or inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 # Every flag once, as argparse keywords; its default is the RunConfig
 # field of the same name, and ``--max-iterations`` sets ``max_iterations``.
 _FLAGS: dict[str, dict[str, Any]] = {
-    "gamma_ab": {"type": float, "help": "probed-transition dephasing rate"},
-    "gamma_bc": {"type": float, "help": "two-photon dephasing rate"},
-    "omega": {"type": float, "help": "pump Rabi frequency"},
-    "delta1": {"type": float, "help": "one-photon detuning"},
-    "alpha": {"type": float, "help": "probe Rabi frequency (amplitude)"},
-    "sigma": {"type": float, "help": "relative noise level"},
+    "gamma_ab": {"type": _finite_float, "help": "probed-transition dephasing rate"},
+    "gamma_bc": {"type": _finite_float, "help": "two-photon dephasing rate"},
+    "omega": {"type": _finite_float, "help": "pump Rabi frequency"},
+    "delta1": {"type": _finite_float, "help": "one-photon detuning"},
+    "alpha": {"type": _finite_float, "help": "probe Rabi frequency (amplitude)"},
+    "sigma": {"type": _finite_float, "help": "relative noise level"},
     "seed": {"type": int, "help": "seed for noise and fit starts"},
     "replicate": {"type": int, "help": "noise replicate index"},
     "replicates": {"type": int, "help": "replicates to average in sweeps"},
     "starts": {"type": int, "help": "multi-start count for the fitter"},
     "max_iterations": {"type": int, "help": "fitter iteration cap"},
-    "margin": {"type": float, "help": "inconclusive margin on weight gap"},
+    "margin": {"type": _finite_float, "help": "inconclusive margin on weight gap"},
     "grid": {"help": "detuning grid lo:hi:step"},
     "omegas": {"help": "pump sweep lo:hi:step"},
     "gbc": {"help": "dephasing sweep lo:hi:step"},
@@ -481,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         text = _report_json(run(config))
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}, "config": _config_dict(config)}
-        print(json.dumps(error, indent=2), file=sys.stderr)
+        print(json.dumps(error, indent=2, allow_nan=False), file=sys.stderr)
         return 1
     print(text, end="")
     return 0

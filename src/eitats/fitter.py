@@ -1,27 +1,31 @@
-"""Damped least-squares fitting of the lineshape models.
+"""Damped least-squares fitting of the lineshape models, by variable projection.
 
-A plain Levenberg-Marquardt loop (multiplicative damping on the normal
-equations, x10 on a rejected step, /10 on an accepted one) run from
-several starting points.  The first start is a deterministic, data-driven
-guess; the rest are seeded log-uniform perturbations of it.  Every start
-of every spectrum handed to :func:`fit_many` advances in lockstep through
-one vectorized loop - lockstep across starts *and* spectra - which is what
-keeps parameter sweeps cheap: the per-iteration interpreter cost is paid
-once per batch, not once per spectrum.  Each row of the batch reads only
-its own data, so a result never depends on what it was batched with.  A
-scalar reference implementation of the same schedule is kept alongside
-for verification.
+Both models are linear in their squared amplitudes once the widths and
+the doublet's offset are fixed, so only those are iterated: ``(g_plus,
+g_minus)`` for EIT, ``(g, u)`` with ``u = d0**2 >= 0`` for ATS.  At every
+trial point the amplitudes are solved in closed form as a 1- or 2-column
+nonnegative least-squares problem, and steps use Kaufman's projected
+Jacobian (separable least squares: Golub & Pereyra, SIAM J. Numer. Anal.
+10, 1973; Kaufman, BIT 15, 1975).  Fitting ``u`` instead of ``d0``
+removes the stationary plane ``d0 = 0``; ``u`` is held at its bound 0 by
+projected steps.  The information criterion still counts every amplitude
+(K = 4 and 3): profiling them out does not change what is fitted.
 
-Widths and amplitudes are fitted unconstrained - the models depend only
-on their squares - and folded to the canonical nonnegative representative
-at readout.
+Steps follow a plain Levenberg-Marquardt schedule (x10 damping on a
+rejected step, /10 on an accepted one) from several starts: a
+deterministic, data-driven guess and seeded log-uniform perturbations of
+it.  Every start of every spectrum handed to :func:`fit_many` advances in
+lockstep through one vectorized loop, so the per-iteration interpreter
+cost is paid once per batch, not once per spectrum.  Each row reads only
+its own data, so a result never depends on what it was batched with.
 
-The best run wins by SSR whether or not it met a convergence criterion
-before the iteration cap: the interference-type model has flat valleys
-(nearly cancelling lobes) where the minimum is approached but never
-attained, and discarding a capped run there would hand victory to a far
-worse local minimum.  The returned ``converged`` flag reports the best
-run's status honestly.
+On some spectra the interference model has no interior minimum: the SSR
+keeps falling as the widths merge and the amplitudes grow without bound.
+The descent follows that valley until the SSR stops falling by the
+relative tolerance and converges there; :func:`_profile` says how the
+solve stays accurate in that limit.  The lowest SSR over the starts wins,
+converged or not; ``converged`` and ``iterations`` report how the winning
+start ended, and parameters are returned in canonical nonnegative form.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lineshape import Spectrum
-from .models import AtsParams, EitParams, ModelKind, _eval_array, _jacobian_array, canonicalize
+from .models import _COLUMN_OF, AtsParams, EitParams, ModelKind, _basis, _join, _split, canonicalize
 
 __all__ = [
     "FitConfig",
@@ -96,6 +100,7 @@ class FitResult:
     n_points: int
     converged: bool
     n_starts_agreeing: int
+    iterations: int  # iterations the winning start ran; max_iterations means it stopped at the cap
 
 
 def variance_floor(values) -> float:
@@ -201,23 +206,96 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
         return steps
 
 
+# Below this sine of the angle between EIT's second basis direction and
+# its first, the pair is treated as one column (see _profile).
+_COLLINEAR_SIN = 1e-8
+
+
+def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, derivatives: bool = False):
+    """Profile the squared amplitudes out at the nonlinear parameters ``theta`` (s, 2).
+
+    Each row's amplitudes ``alpha >= 0`` minimise ``|y - Phi alpha|``: the
+    unconstrained solve if it is nonnegative, else the better single
+    column.  Returns ``(alpha, ssr)``, or with ``derivatives`` ``(alpha,
+    ssr, resid, jac)``, ``jac`` (s, 2, n) being Kaufman's Jacobian
+    ``P (dPhi/dtheta alpha)`` with ``P`` the projector onto the complement
+    of the columns in use.
+
+    The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
+    ``-L(g_minus)`` turn parallel and the amplitudes grow like
+    ``1/(g_plus - g_minus)`` while the lobes cancel; a solve in those two
+    columns loses as many digits as the widths share.  The pair is
+    therefore solved in the basis ``L(g_plus)``, ``E = L(g_minus) -
+    L(g_plus)`` of the same plane, with ``E = (g_plus**2 - g_minus**2)
+    L(g_plus) L(g_minus)`` formed without a difference of near-equal
+    numbers.  ``E`` does not turn parallel to ``L(g_plus)`` (``E / (g_plus
+    - g_minus)`` tends to the width derivative), and the residual comes
+    from the Gram-Schmidt form ``y - Q Q^T y``, so it never forms the
+    large amplitudes; only they, recovered from the coefficients in that
+    basis, carry the growth.  Where ``E`` still lies within
+    ``_COLLINEAR_SIN`` of ``L(g_plus)`` (equal widths, or both far wider
+    than the grid), the pair counts as one column.
+    """
+    phi = _basis(model, theta, deltas, derivatives)
+    if derivatives:
+        phi, dphi = phi
+    if model is ModelKind.EIT:
+        gp, gm = theta[:, 0:1], theta[:, 1:2]
+        e = (gp - gm) * (gp + gm) * phi[:, 0] * -phi[:, 1]
+    norm = np.sqrt(np.einsum("spn,spn->sp", phi, phi))
+    q = phi
+    q /= norm[:, :, None]  # unit columns; below, the basis of the columns in use
+    z = np.einsum("spn,sn->sp", q, y)  # coefficient of each unit column alone
+    if model is ModelKind.ATS:
+        z = np.maximum(z, 0.0)
+        alpha = z / norm
+        in_use = z > 0.0
+    else:
+        e_norm = np.sqrt(np.einsum("sn,sn->s", e, e))
+        r01 = np.einsum("sn,sn->s", q[:, 0], e)
+        e -= r01[:, None] * q[:, 0]
+        r11 = np.sqrt(np.einsum("sn,sn->s", e, e))
+        e /= r11[:, None]
+        z_e = np.einsum("sn,sn->s", e, y)
+        # Model = b0 L(g_plus) + b1 E, so alpha = (b0 - b1, -b1).
+        alpha_minus = -z_e / r11
+        alpha_pair = np.column_stack(((z[:, 0] - r01 * z_e / r11) / norm[:, 0] + alpha_minus, alpha_minus))
+        pair = (r11 > _COLLINEAR_SIN * e_norm) & np.all(alpha_pair >= 0.0, axis=1)
+        first = np.maximum(z[:, 0], 0.0) >= np.maximum(z[:, 1], 0.0)
+        single = np.column_stack((np.where(first, np.maximum(z[:, 0], 0.0), 0.0), np.where(first, 0.0, z[:, 1])))
+        q[pair, 1] = e[pair]
+        z = np.where(pair[:, None], np.column_stack((z[:, 0], z_e)), single)
+        alpha = np.where(pair[:, None], alpha_pair, single / norm)
+        in_use = pair[:, None] | (z > 0.0)
+    resid = y - np.einsum("sp,spn->sn", z, q)
+    ssr = np.einsum("sn,sn->s", resid, resid)
+    if not derivatives:
+        return alpha, ssr
+    q *= in_use[:, :, None]
+    jac = dphi
+    jac *= alpha[:, list(_COLUMN_OF[model])][:, :, None]
+    jac -= (q.transpose(0, 2, 1) @ (q @ jac.transpose(0, 2, 1))).transpose(0, 2, 1)
+    return alpha, ssr, resid, jac
+
+
 def _lm_run_batch(
     model: ModelKind,
     x0: np.ndarray,
     deltas: np.ndarray,
     values: np.ndarray,
     cfg: FitConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance every row of ``x0`` (shape (s, k)) through the damped descent in lockstep.
 
     ``values`` holds the data: shape (m, n) with m dividing s splits the
     rows into m consecutive groups of s/m, group j fitting ``values[j]``
     (m = s gives every row its own data, and a spectrum's starts share one
     copy of it); a one-dimensional ``values`` is shared by every row.
-    Returns (params, ssr, converged) per row.  Each row follows exactly the
-    schedule of :func:`_lm_run_reference` and reads nothing of the other
-    rows, so its outcome does not depend on what it is batched with; rows
-    that converge or blow up simply drop out of the active set.
+    Only the widths and offset of a start are used (see :func:`_profile`).
+    Returns (params, ssr, converged, iterations) per row, the parameters
+    as canonical raw vectors.  A row reads nothing of the other rows, so
+    its outcome does not depend on what it is batched with; rows that
+    converge or blow up simply drop out of the active set.
     """
     n_rows = x0.shape[0]
     values = np.atleast_2d(values)
@@ -225,11 +303,11 @@ def _lm_run_batch(
     if group * values.shape[0] != n_rows:
         raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
     owner = np.arange(n_rows) // group
-    x = np.array(x0, dtype=float)
+    theta, _ = _split(model, np.array(x0, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resid = values[owner] - _eval_array(model, x, deltas)
-        ssr = np.einsum("sn,sn->s", resid, resid)
+        alpha, ssr = _profile(model, theta, deltas, values[owner])
     converged = np.zeros(n_rows, dtype=bool)
+    iterations = np.zeros(n_rows, dtype=int)
     active = np.isfinite(ssr)
     ssr = np.where(np.isfinite(ssr), ssr, np.inf)
     lam = np.full(n_rows, cfg.initial_damping)
@@ -240,11 +318,20 @@ def _lm_run_batch(
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        jac = _jacobian_array(model, x[idx], deltas)
-        grad = (jac @ (resid if idx.size == n_rows else resid[idx])[:, :, None])[:, :, 0]
-        jtj = jac @ jac.transpose(0, 2, 1)
-        del jac  # the iteration's largest array; not needed by the trial steps
-        bad = ~np.all(np.isfinite(grad), axis=1)
+        iterations[idx] += 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, _, resid, jac = _profile(model, theta[idx], deltas, values[owner[idx]], derivatives=True)
+            grad = (jac @ resid[:, :, None])[:, :, 0]
+            jtj = jac @ jac.transpose(0, 2, 1)
+        del jac, resid  # not needed by the trial steps
+        if model is ModelKind.ATS:
+            # At u = 0 with descent pointing to u < 0 the bound is active:
+            # u leaves the step (a projected Newton step), so the width is
+            # still optimised, and only the free components count below.
+            bound = (theta[idx, 1] == 0.0) & (grad[:, 1] <= 0.0)
+            grad[bound, 1] = 0.0
+            jtj[bound, 0, 1] = jtj[bound, 1, 0] = 0.0
+        bad = ~np.all(np.isfinite(grad), axis=1) | ~np.all(np.isfinite(jtj), axis=(1, 2))
         flat = ~bad & (np.max(np.abs(grad), axis=1) < grad_tol[idx])
         converged[idx[flat]] = True
         active[idx[bad | flat]] = False
@@ -253,10 +340,10 @@ def _lm_run_batch(
             idx, grad, jtj = idx[keep], grad[keep], jtj[keep]
             if idx.size == 0:
                 continue
-        xa = x[idx]
+        ta = theta[idx]
         diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
-        # Flat directions (e.g. the doublet offset at zero) get a floor so
-        # the damped system stays solvable.
+        # Flat directions (e.g. the width of a lobe whose amplitude is
+        # zero) get a floor so the damped system stays solvable.
         floor = 1e-12 * np.maximum(diag.max(axis=1), tiny)
         diag = np.maximum(diag, floor[:, None])
 
@@ -266,15 +353,16 @@ def _lm_run_batch(
         lam_local = lam[idx]
         while pending.any():
             p = np.flatnonzero(pending)
-            x_trial = xa[p] + _damped_step(jtj[p], diag[p], grad[p], lam_local[p])
+            t_trial = ta[p] + _damped_step(jtj[p], diag[p], grad[p], lam_local[p])
+            if model is ModelKind.ATS:
+                np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                resid_trial = values[owner[idx[p]]] - _eval_array(model, x_trial, deltas)
-                ssr_trial = np.einsum("sn,sn->s", resid_trial, resid_trial)
+                alpha_trial, ssr_trial = _profile(model, t_trial, deltas, values[owner[idx[p]]])
             ok = np.isfinite(ssr_trial) & (ssr_trial <= ssr_old[p])
             acc = p[ok]
             ga = idx[acc]
-            x[ga] = x_trial[ok]
-            resid[ga] = resid_trial[ok]
+            theta[ga] = t_trial[ok]
+            alpha[ga] = alpha_trial[ok]
             ssr[ga] = ssr_trial[ok]
             accepted[acc] = True
             pending[acc] = False
@@ -296,78 +384,12 @@ def _lm_run_batch(
             converged[ga[done]] = True
             active[ga[done]] = False
 
-    return x, ssr, converged
+    return _join(model, theta, alpha), ssr, converged, iterations
 
 
-def _lm_run_reference(
-    model: ModelKind,
-    x0: np.ndarray,
-    deltas: np.ndarray,
-    values: np.ndarray,
-    cfg: FitConfig,
-) -> tuple[np.ndarray, float, bool, list[float]]:
-    """Scalar single-start descent; returns (x, ssr, converged, ssr history).
-
-    Same schedule and model kernel as the batch engine (one row), kept as
-    an independent check of the lockstep bookkeeping and for
-    per-iteration diagnostics.
-    """
-    x = np.array(x0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resid = values - _eval_array(model, x[None, :], deltas)[0]
-        ssr = float(resid @ resid)
-    if not np.isfinite(ssr):
-        return x, np.inf, False, [ssr]
-    lam = cfg.initial_damping
-    grad_tol = 1e-12 * max(1.0, float(np.max(np.square(values))))
-    tiny = np.finfo(float).tiny
-    history = [ssr]
-    converged = False
-
-    for _ in range(cfg.max_iterations):
-        jac = _jacobian_array(model, x[None, :], deltas)[0]
-        grad = jac @ resid
-        if not np.all(np.isfinite(grad)):
-            break
-        if float(np.max(np.abs(grad))) < grad_tol:
-            converged = True
-            break
-        jtj = jac @ jac.T
-        diag = np.diag(jtj).copy()
-        floor = 1e-12 * max(float(diag.max()), tiny)
-        diag[diag < floor] = floor
-
-        accepted = False
-        while lam <= _DAMPING_MAX:
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), grad, rcond=None)
-            x_trial = x + step
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                resid_trial = values - _eval_array(model, x_trial[None, :], deltas)[0]
-                ssr_trial = float(resid_trial @ resid_trial) if np.all(np.isfinite(resid_trial)) else np.inf
-            if np.isfinite(ssr_trial) and ssr_trial <= ssr:
-                accepted = True
-                break
-            lam *= 10.0
-
-        if not accepted:
-            converged = True
-            break
-
-        drop = ssr - ssr_trial
-        x, resid, ssr = x_trial, resid_trial, ssr_trial
-        history.append(ssr)
-        lam = max(lam / 10.0, _DAMPING_MIN)
-        if drop <= cfg.relative_tolerance * max(ssr, tiny):
-            converged = True
-            break
-
-    return x, ssr, converged, history
-
-
-def _best_of(model: ModelKind, x: np.ndarray, ssr: np.ndarray, converged: np.ndarray, n: int) -> FitResult:
+def _best_of(
+    model: ModelKind, x: np.ndarray, ssr: np.ndarray, converged: np.ndarray, iterations: np.ndarray, n: int
+) -> FitResult:
     """The lowest-SSR start of one spectrum, the lowest index breaking exact ties."""
     usable = np.isfinite(ssr)
     if not usable.any():
@@ -382,6 +404,7 @@ def _best_of(model: ModelKind, x: np.ndarray, ssr: np.ndarray, converged: np.nda
         n_points=n,
         converged=bool(converged[best]),
         n_starts_agreeing=agreeing,
+        iterations=int(iterations[best]),
     )
 
 
@@ -427,11 +450,11 @@ def fit_many(
         batch = todo[lo : lo + per_batch]
         x0 = np.concatenate([np.stack(initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed)) for i in batch])
         values = np.stack([spectra[i].values for i in batch])
-        x, ssr, converged = _lm_run_batch(model, x0, deltas, values, cfg)
+        x, ssr, converged, iterations = _lm_run_batch(model, x0, deltas, values, cfg)
         for j, i in enumerate(batch):
             rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
             try:
-                out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], n)
+                out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], iterations[rows], n)
             except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
                 out[i] = exc
     return out

@@ -4,10 +4,16 @@ The interference-type model is a broad positive Lorentzian minus a narrow
 negative one, both centred at zero detuning (4 parameters).  The
 splitting-type model is a pair of equal-width positive Lorentzians shifted
 symmetrically from the origin (3 parameters).  Amplitudes enter squared,
-so their sign never matters; widths enter squared as well, which is what
-lets the fitter work in an unconstrained parameter space.
+so their sign never matters; widths enter squared as well, and the doublet
+depends on its offset only through its square.
 
-Evaluation and analytic Jacobians accept scalar or array detunings.
+Both models are linear in their squared amplitudes ``alpha = c**2`` once
+the nonlinear parameters ``theta`` are fixed: the model is
+``sum_i alpha_i * Phi_i(theta)``.  One batched kernel, :func:`_basis`,
+holds the Lorentzian formulas: it returns the columns ``Phi`` and their
+derivatives with respect to ``theta``.  The fitter profiles the amplitudes
+out through it, and evaluation and analytic Jacobians in the raw
+parameters (which accept scalar or array detunings) are built from it.
 """
 from __future__ import annotations
 
@@ -71,16 +77,12 @@ class AtsParams:
 
 def eval_eit(m: EitParams, delta):
     """Evaluate the signed-pair model; even in delta."""
-    d2 = np.square(np.asarray(delta, dtype=float))
-    out = m.c_plus**2 / (m.g_plus**2 + d2) - m.c_minus**2 / (m.g_minus**2 + d2)
-    return float(out) if np.ndim(delta) == 0 else out
+    return evaluate(ModelKind.EIT, m, delta)
 
 
 def eval_ats(m: AtsParams, delta):
     """Evaluate the shifted-doublet model; even in delta, nonnegative."""
-    d = np.asarray(delta, dtype=float)
-    out = m.c**2 * (1.0 / (m.g**2 + (d - m.d0) ** 2) + 1.0 / (m.g**2 + (d + m.d0) ** 2))
-    return float(out) if np.ndim(delta) == 0 else out
+    return evaluate(ModelKind.ATS, m, delta)
 
 
 def as_array(params: EitParams | AtsParams) -> np.ndarray:
@@ -116,43 +118,93 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
     return params_from_array(model, x)
 
 
+# For each nonlinear parameter, the one column it moves: EIT's g_plus and
+# g_minus each shape their own lobe, the doublet's g and u shape its only
+# column.  The column count is the number of amplitudes.
+_COLUMN_OF = {ModelKind.EIT: (0, 1), ModelKind.ATS: (0, 0)}
+
+
+def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False):
+    """Model columns at the nonlinear parameters ``theta`` of shape (s, 2).
+
+    EIT: ``theta = (g_plus, g_minus)``, columns ``L(g_plus)`` and
+    ``-L(g_minus)`` with ``L(g) = 1/(g**2 + d**2)``.  ATS: ``theta = (g, u)``
+    with ``u = d0**2 >= 0``, one column ``L_g(d - d0) + L_g(d + d0)``.
+
+    Returns the columns, shape (s, p, n), and with ``derivatives`` also
+    ``dphi`` of shape (s, 2, n): ``dphi[:, j]`` is the derivative with
+    respect to ``theta_j`` of column ``_COLUMN_OF[model][j]``, the only
+    column ``theta_j`` moves.
+    """
+    s, n = theta.shape[0], deltas.size
+    g = theta[:, 0:1]
+    if model is ModelKind.EIT:
+        d2 = deltas * deltas
+        gm = theta[:, 1:2]
+        phi = np.empty((s, 2, n))
+        np.divide(1.0, g * g + d2, out=phi[:, 0])
+        np.divide(-1.0, gm * gm + d2, out=phi[:, 1])
+        if not derivatives:
+            return phi
+        dphi = np.empty((s, 2, n))
+        np.multiply(-2.0 * g * phi[:, 0], phi[:, 0], out=dphi[:, 0])
+        np.multiply(2.0 * gm * phi[:, 1], phi[:, 1], out=dphi[:, 1])
+        return phi, dphi
+    # The doublet is even in the detuning, so |d| is used: then d0 >= 0
+    # makes L(|d| + d0) the smaller Lorentzian, and du below has no
+    # cancellation at either peak (d = +-d0).
+    a = np.abs(deltas)
+    gg = g * g
+    d0 = np.sqrt(theta[:, 1:2])
+    lm = 1.0 / (gg + np.square(a - d0))
+    lp = 1.0 / (gg + np.square(a + d0))
+    phi = (lm + lp)[:, None, :]
+    if not derivatives:
+        return phi
+    dphi = np.empty((s, 2, n))
+    np.multiply(-2.0 * g, lm * lm + lp * lp, out=dphi[:, 0])
+    # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
+    # stays finite at d0 = 0 where the doublet merges.
+    np.subtract(4.0 * a * (a - d0) * lm * lp * (lm + lp), 2.0 * lp * lp, out=dphi[:, 1])
+    return phi, dphi
+
+
+def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw vectors (s, k) as nonlinear parameters (s, 2) and squared amplitudes (s, p)."""
+    if model is ModelKind.EIT:
+        return x[:, 2:4], np.square(x[:, 0:2])
+    return np.column_stack((x[:, 1], np.square(x[:, 2]))), np.square(x[:, 0:1])
+
+
+def _join(model: ModelKind, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_split` on the canonical branch (nonnegative amplitudes and offset)."""
+    if model is ModelKind.EIT:
+        return np.column_stack((np.sqrt(alpha), theta))
+    return np.column_stack((np.sqrt(alpha[:, 0]), theta[:, 0], np.sqrt(theta[:, 1])))
+
+
 def _eval_array(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Model values for a stack of raw vectors ``x`` of shape (s, k); shape (s, n)."""
-    d = deltas[None, :]
-    if model is ModelKind.EIT:
-        cp, cm, gp, gm = (x[:, i : i + 1] for i in range(4))
-        d2 = d * d
-        return cp * cp / (gp * gp + d2) - cm * cm / (gm * gm + d2)
-    c, g, d0 = (x[:, i : i + 1] for i in range(3))
-    return c * c * (1.0 / (g * g + (d - d0) ** 2) + 1.0 / (g * g + (d + d0) ** 2))
+    theta, alpha = _split(model, x)
+    return np.einsum("sp,spn->sn", alpha, _basis(model, theta, deltas))
 
 
 def _jacobian_array(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Analytic d(model)/d(params) for a stack of raw vectors; shape (s, k, n).
+    """Analytic d(model)/d(raw params) for a stack of raw vectors; shape (s, k, n).
 
-    Parameters sit on the middle axis so that the fitter's normal
-    equations are batched matrix products over contiguous rows.  Each
-    column is written straight into the result, since a fitting batch can
-    hold hundreds of rows.
+    Amplitude rows are ``2 c Phi``; width and offset rows are the squared
+    amplitude times the column derivative, times ``du/dd0 = 2 d0`` for the
+    doublet's offset.
     """
-    d = deltas[None, :]
+    theta, alpha = _split(model, x)
+    phi, dphi = _basis(model, theta, deltas, derivatives=True)
+    p = phi.shape[1]
     jac = np.empty((x.shape[0], model.k, deltas.size))
-    if model is ModelKind.EIT:
-        cp, cm, gp, gm = (x[:, i : i + 1] for i in range(4))
-        d2 = d * d
-        lp = 1.0 / (gp * gp + d2)
-        lm = 1.0 / (gm * gm + d2)
-        np.multiply(2.0 * cp, lp, out=jac[:, 0])
-        np.multiply(-2.0 * cm, lm, out=jac[:, 1])
-        np.multiply(-2.0 * gp * cp * cp * lp, lp, out=jac[:, 2])
-        np.multiply(2.0 * gm * cm * cm * lm, lm, out=jac[:, 3])
-        return jac
-    c, g, d0 = (x[:, i : i + 1] for i in range(3))
-    lm_ = 1.0 / (g * g + (d - d0) ** 2)
-    lp_ = 1.0 / (g * g + (d + d0) ** 2)
-    np.multiply(2.0 * c, lm_ + lp_, out=jac[:, 0])
-    np.multiply(-2.0 * g * c * c, lm_ * lm_ + lp_ * lp_, out=jac[:, 1])
-    np.multiply(c * c, 2.0 * (d - d0) * lm_ * lm_ - 2.0 * (d + d0) * lp_ * lp_, out=jac[:, 2])
+    np.multiply(2.0 * x[:, :p, None], phi, out=jac[:, :p])
+    scale = alpha[:, list(_COLUMN_OF[model])]
+    if model is ModelKind.ATS:
+        scale[:, 1] *= 2.0 * x[:, 2]
+    np.multiply(scale[:, :, None], dphi, out=jac[:, p:])
     return jac
 
 

@@ -4,9 +4,9 @@ Criterion 4 is split. 4 checks the doublet-model parameters, the per-point
 weight and the verdict directly. 4b checks the published signed-pair vector
 (25.4, 24.2, 6.36, 6.15) by what least squares determines on the circuit
 curve, not by the fitted vector itself: that objective has no interior
-minimum there, so the fitted amplitudes are wherever the iteration cap
-stops the descent along a flat valley (see
-test_criterion_4_eit_parameters_as_published).
+minimum there, so the fitted amplitudes are wherever the solver's
+stopping rule ends the descent along a flat valley towards equal widths
+(see test_criterion_4_eit_parameters_as_published).
 """
 import importlib.util
 import math
@@ -108,12 +108,16 @@ def test_criterion_4_eit_parameters_as_published(circuit_report):
 
     The fitted vector itself is not determined: the signed-pair objective
     has no interior minimum on this curve. The SSR keeps falling as both
-    amplitudes grow together and the two widths converge, so the reported
-    vector moves with the iteration cap - (12.9, 10.4, 6.85, 5.86) at 50
-    iterations, (28.7, 27.7, 6.44, 6.27) at 200, (90.7, 90.4, 6.365, 6.349)
-    at the default 1000 and (312, 312, 6.358, 6.357) at 5000 - while the SSR
-    falls only from 0.07853 to 0.0773459. Comparing that vector with the
-    published one would test the cap, not the method.
+    amplitudes grow together and the two widths merge. The solver profiles
+    the amplitudes out and follows that valley until the SSR stops falling
+    by its relative tolerance, then reports convergence: about (3551,
+    3551, 6.35720, 6.35719) at SSR 0.0773459206, the same at caps 1000 and
+    5000. How far along the valley that is, is set by the tolerance, not
+    by the data; a solver that stops at its cap reports any point along it
+    ((12.9, 10.4, 6.85, 5.86) at 50 iterations and (90.7, 90.4, 6.365,
+    6.349) at 1000 for the one this package used before, at SSRs from
+    0.07853 down to 0.0773462). Comparing the vector with the published
+    one would test the stopping rule, not the method.
 
     What is determined, and what the published numbers agree with:
 
@@ -126,11 +130,12 @@ def test_criterion_4_eit_parameters_as_published(circuit_report):
        a rounding artefact: the two large amplitudes nearly cancel, and
        the SSR falls to 0.0782 inside the box of vectors that round to the
        published three significant figures.
-    3. All points along the valley draw nearly the same curve. From cap 50
-       to cap 5000 the fitted curve stays 0.82-0.85% of the data's peak
-       from the published-point curve; 2% leaves room for solver detail
-       and still rejects the competing local basin (SSR 0.1888, widths
-       near 23.4 and 23.6), which lies 19% away.
+    3. All points along the valley draw nearly the same curve. The fitted
+       curve lies 0.84% of the data's peak from the published-point curve,
+       and every point the earlier solver stopped at, from cap 50 to 5000,
+       lay 0.82-0.85% from it; 2% leaves room for solver detail and still
+       rejects the competing local basin (SSR 0.1888, widths near 23.4 and
+       23.6), which lies 19% away.
     4. The fit keeps the published ordering, broad positive lobe over
        narrow negative one: c_plus >= c_minus and g_plus >= g_minus.
     """

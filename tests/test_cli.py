@@ -1,5 +1,6 @@
 """CLI commands, spectrum file round trips, and report reproducibility."""
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_gr
 from eitats.selection import Verdict, discriminate
 
 FIXTURE = Path(__file__).parent / "data" / "circuit_noisy.csv"
+SRC = Path(__file__).resolve().parents[1] / "src"
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 # The flags each subcommand reads (RunConfig field names): 49 in all.
@@ -43,6 +45,15 @@ FLAGS = {
 }
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which standard JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def cli(*args):
     """Invoke the CLI in-process; returns (exit code, stdout json or None)."""
     import io
@@ -52,7 +63,7 @@ def cli(*args):
     with redirect_stdout(buf):
         code = main(list(args))
     out = buf.getvalue()
-    return code, json.loads(out) if out.strip() else None
+    return code, strict_json(out) if out.strip() else None
 
 
 class TestSpectrumFiles:
@@ -198,6 +209,25 @@ class TestCommands:
         assert lines[0] == "gamma_bc,omega_crossover,transparency_depth"
         assert len(lines) == 3
 
+    def test_boundary_without_any_crossing_reports_null(self, tmp_path):
+        out = tmp_path / "boundary.csv"
+        code, report = cli(
+            "boundary", "--gbc", "0.1:0.2:0.1", "--omegas", "0.1:0.3:0.1", "--starts", "4",
+            "--max-iterations", "50", "--output", str(out),
+        )
+        assert code == 0
+        assert report["summary"]["boundary_min"] is None and report["summary"]["boundary_max"] is None
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["nan", "nan"]
+
+    @pytest.mark.parametrize(
+        "argv", [["discriminate", "--margin", "nan"], ["generate", "--omega", "inf"], ["sweep", "--sigma=-inf"]]
+    )
+    def test_non_finite_number_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+
     def test_missing_input_fails_with_machine_readable_error(self, tmp_path, capsys):
         code = main(["discriminate"])
         assert code == 1
@@ -309,6 +339,7 @@ class TestCommands:
             [sys.executable, "-m", "eitats.cli", "generate", "--omega", "0.4", "--output", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -327,6 +358,14 @@ class TestCircuitPreset:
         assert report["summary"]["preset"]["omega"] == 6.0
         assert spectrum_out.exists()
         assert out.exists()
+        for entry in report["fits"].values():
+            assert entry["converged"] and 1 <= entry["iterations"] < 1000
+
+    def test_circuit_fits_do_not_move_with_the_cap(self):
+        # The EIT flat valley converges rather than stopping at the cap.
+        _, at_1000 = cli("circuit", "--max-iterations", "1000")
+        _, at_5000 = cli("circuit", "--max-iterations", "5000")
+        assert at_1000["fits"] == at_5000["fits"]
 
     def test_noisy_circuit_fixture_is_inconclusive(self):
         data = ingest_spectrum(FIXTURE)

@@ -1,6 +1,8 @@
 """Model evaluation, symmetries, and analytic Jacobians vs finite differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitats.models import (
     AtsParams,
@@ -13,6 +15,14 @@ from eitats.models import (
     evaluate,
     jacobian,
 )
+
+
+def raw_vectors(model):
+    """Raw parameter vectors of either sign: amplitudes, nonzero widths, offset."""
+    amplitude = st.floats(-1e3, 1e3)
+    width = st.floats(1e-3, 1e3).flatmap(lambda g: st.sampled_from([g, -g]))
+    parts = [amplitude, amplitude, width, width] if model is ModelKind.EIT else [amplitude, width, st.floats(-1e3, 1e3)]
+    return st.tuples(*parts).map(np.array)
 
 
 def finite_difference(model, x, delta, h_rel=1e-6):
@@ -50,14 +60,11 @@ class TestEvaluation:
     def test_doublet_peak_value(self):
         assert eval_ats(AtsParams(0.5, 1.0, 3.0), 3.0) == pytest.approx(0.25675675675675674, rel=1e-12)
 
-    def test_both_models_even_in_detuning(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            d = float(rng.uniform(0.0, 6.0))
-            m = EitParams(*rng.uniform(0.2, 3.0, size=4))
-            assert eval_eit(m, d) == pytest.approx(eval_eit(m, -d), abs=1e-15)
-            a = AtsParams(*rng.uniform(0.2, 3.0, size=3))
-            assert eval_ats(a, d) == pytest.approx(eval_ats(a, -d), abs=1e-15)
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(list(ModelKind)), x=st.data(), d=st.floats(-1e3, 1e3))
+    def test_both_models_even_in_detuning(self, model, x, d):
+        raw = x.draw(raw_vectors(model))
+        assert evaluate(model, raw, d) == evaluate(model, raw, -d)
 
     def test_doublet_nonnegative(self):
         rng = np.random.default_rng(22)
@@ -66,13 +73,18 @@ class TestEvaluation:
             a = AtsParams(*rng.uniform(0.1, 3.0, size=3))
             assert np.all(eval_ats(a, grid) >= 0)
 
-    def test_amplitude_sign_irrelevant(self):
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(list(ModelKind)), x=st.data())
+    def test_sign_flips_change_nothing(self, model, x):
+        # Amplitudes and widths enter squared and the doublet is even in
+        # its offset, so any component's sign is immaterial.
+        raw = x.draw(raw_vectors(model))
+        i = x.draw(st.integers(0, model.k - 1))
+        flipped = raw.copy()
+        flipped[i] = -flipped[i]
         grid = np.linspace(-5, 5, 41)
-        m = EitParams(1.3, 0.7, 2.0, 0.5)
-        flipped = EitParams(-1.3, -0.7, 2.0, 0.5)
-        assert np.array_equal(eval_eit(m, grid), eval_eit(flipped, grid))
-        a = AtsParams(0.8, 1.0, 2.0)
-        assert np.array_equal(eval_ats(a, grid), eval_ats(AtsParams(-0.8, 1.0, 2.0), grid))
+        assert np.array_equal(evaluate(model, raw, grid), evaluate(model, flipped, grid))
+        assert canonicalize(model, raw) == canonicalize(model, flipped)
 
     def test_array_evaluation_matches_scalar(self):
         grid = np.linspace(-3, 3, 13)

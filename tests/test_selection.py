@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eitats.fitter import FitConfig, FitConvergenceError
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid
@@ -49,17 +51,19 @@ class TestWeights:
         assert w[0] == pytest.approx(expected, rel=1e-12)
         assert w[1] == pytest.approx(1.0 - expected, rel=1e-12)
 
-    def test_normalization(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            vals = rng.uniform(-500, 500, size=rng.integers(2, 6))
-            assert abs(akaike_weights(vals).sum() - 1.0) <= 1e-12
-            assert abs(per_point_weights(vals, 201).sum() - 1.0) <= 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(vals=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    def test_normalization(self, vals):
+        for w in (akaike_weights(vals), per_point_weights(vals, 201)):
+            assert np.all(np.isfinite(w))
+            assert np.all((w >= 0.0) & (w <= 1.0))
+            assert abs(w.sum() - 1.0) <= 1e-12
 
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(42)
-        vals = rng.uniform(-50, 50, size=4)
-        shifted = vals + 123.456
+    @settings(max_examples=200, deadline=None)
+    @given(vals=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6), shift=st.floats(-1e3, 1e3))
+    @example(vals=[-31.0, 7.5, 44.2, -0.3], shift=123.456)
+    def test_shift_invariance(self, vals, shift):
+        shifted = np.asarray(vals) + shift
         assert np.max(np.abs(akaike_weights(vals) - akaike_weights(shifted))) <= 1e-12
         assert np.max(np.abs(per_point_weights(vals, 77) - per_point_weights(shifted, 77))) <= 1e-12
 
