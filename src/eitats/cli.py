@@ -212,6 +212,7 @@ def _fit_result_dict(res: FitResult | None) -> dict[str, Any] | None:
         "converged": res.converged,
         "n_starts_agreeing": res.n_starts_agreeing,
         "iterations": res.iterations,
+        "stop": res.stop,
     }
 
 
@@ -248,18 +249,6 @@ def _report_json(report: Report) -> str:
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
-def _fit_config(config: RunConfig) -> FitConfig:
-    return FitConfig(
-        max_iterations=config.max_iterations,
-        n_starts=config.starts,
-        seed=config.seed,
-    )
-
-
-def _noise_spec(config: RunConfig) -> NoiseSpec:
-    return NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=config.replicates)
-
-
 def _require(config: RunConfig, field: str) -> str:
     value = getattr(config, field)
     if not value:
@@ -267,10 +256,8 @@ def _require(config: RunConfig, field: str) -> str:
     return value
 
 
-def _run_generate(config: RunConfig) -> Report:
+def _run_generate(config: RunConfig, *_: None) -> Report:
     out_path = _require(config, "output")
-    if config.replicate < 0:
-        raise ValueError(f"--replicate must be >= 0, got {config.replicate}")
     grid = _parse_range(config.grid, "--grid")
     params = TlaParams(
         alpha=config.alpha, omega=config.omega, delta1=config.delta1, gamma_ab=config.gamma_ab, gamma_bc=config.gamma_bc
@@ -288,41 +275,32 @@ def _run_generate(config: RunConfig) -> Report:
     return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
 
-def _run_fit(config: RunConfig) -> Report:
+def _run_fit(config: RunConfig, cfg: FitConfig, _: None) -> Report:
     data = ingest_spectrum(_require(config, "input"))
-    cfg = _fit_config(config)
     kinds = list(ModelKind) if config.model == "both" else [ModelKind(config.model)]
     fits = {kind.value: _fit_result_dict(fit(kind, data, cfg)) for kind in kinds}
     return Report(config=config, version=__version__, fits=fits)
 
 
-def _selection_fields(config: RunConfig, data: Spectrum) -> dict[str, Any]:
+def _selection_fields(config: RunConfig, cfg: FitConfig, data: Spectrum) -> dict[str, Any]:
     """The ``fits`` and ``selection`` of a report discriminating ``data``."""
-    report = discriminate(data, _fit_config(config), config.margin)
+    report = discriminate(data, cfg, config.margin)
     return {
         "fits": {name: _fit_result_dict(res) for name, res in report.fits.items()},
         "selection": _selection_dict(report),
     }
 
 
-def _run_discriminate(config: RunConfig) -> Report:
+def _run_discriminate(config: RunConfig, cfg: FitConfig, _: None) -> Report:
     data = ingest_spectrum(_require(config, "input"))
-    return Report(config=config, version=__version__, **_selection_fields(config, data))
+    return Report(config=config, version=__version__, **_selection_fields(config, cfg, data))
 
 
-def _run_sweep(config: RunConfig) -> Report:
+def _run_sweep(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> Report:
     out_path = _require(config, "output")
     omegas = _parse_range(config.omegas, "--omegas")
     grid = _parse_range(config.grid, "--grid")
-    result = sweep_omega(
-        config.gamma_ab,
-        config.gamma_bc,
-        _noise_spec(config),
-        omegas,
-        _fit_config(config),
-        config.margin,
-        grid,
-    )
+    result = sweep_omega(config.gamma_ab, config.gamma_bc, noise, omegas, cfg, config.margin, grid)
     written = _write_table(
         out_path,
         "omega,w_ppt_eit,w_ppt_ats,w_akaike_eit,w_akaike_ats,fit_failures",
@@ -335,13 +313,11 @@ def _run_sweep(config: RunConfig) -> Report:
     return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
 
-def _run_boundary(config: RunConfig) -> Report:
+def _run_boundary(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> Report:
     out_path = _require(config, "output")
     gbc_values = _parse_range(config.gbc, "--gbc")
     omegas = _parse_range(config.omegas, "--omegas")
-    result = sweep_gbc_boundary(
-        config.gamma_ab, gbc_values, _noise_spec(config), omegas, _fit_config(config), config.margin
-    )
+    result = sweep_gbc_boundary(config.gamma_ab, gbc_values, noise, omegas, cfg, config.margin)
     written = _write_table(
         out_path, "gamma_bc,omega_crossover,transparency_depth", result.axis, result.boundary_omega, result.transparency
     )
@@ -354,7 +330,7 @@ def _run_boundary(config: RunConfig) -> Report:
     return Report(config=config, version=__version__, summary=summary, outputs=(written,))
 
 
-def _run_circuit(config: RunConfig) -> Report:
+def _run_circuit(config: RunConfig, cfg: FitConfig, _: None) -> Report:
     grid = default_grid(*CIRCUIT_GRID)
     data = transmission_profile(CIRCUIT_PRESET, grid)
     outputs: tuple[str, ...] = ()
@@ -373,7 +349,7 @@ def _run_circuit(config: RunConfig) -> Report:
         version=__version__,
         summary={"preset": preset, "n_points": data.n_points},
         outputs=outputs,
-        **_selection_fields(config, data),
+        **_selection_fields(config, cfg, data),
     )
 
 
@@ -410,8 +386,14 @@ _FLAGS: dict[str, dict[str, Any]] = {
 }
 
 
+# Lower bound of each integer flag, checked before any work starts.
+_AT_LEAST = {"seed": 0, "replicate": 0, "replicates": 1, "starts": 1, "max_iterations": 1}
+
+
 class _Command(NamedTuple):
-    handler: Callable[[RunConfig], Report]
+    # Called with the config, its FitConfig if the command fits and its
+    # NoiseSpec if it sweeps (else None), both built before any work.
+    handler: Callable[[RunConfig, FitConfig | None, NoiseSpec | None], Report]
     help: str
     flags: tuple[str, ...]  # in RunConfig field order, the order they are echoed in
 
@@ -453,9 +435,10 @@ _COMMANDS = {
 def run(config: RunConfig) -> Report:
     """Execute one resolved command; writes artifacts, returns the report.
 
-    A path to write whose directory does not exist is rejected before any
-    work starts.  For ``fit``, ``discriminate`` and ``circuit``, ``output``
-    receives the JSON report, which lists it among its outputs.
+    A flag value out of range, or a path to write whose directory does not
+    exist, is rejected by its flag before any work starts.  For ``fit``,
+    ``discriminate`` and ``circuit``, ``output`` receives the JSON report,
+    which lists it among its outputs.
     """
     command = _COMMANDS.get(config.command)
     if command is None:
@@ -464,7 +447,15 @@ def run(config: RunConfig) -> Report:
         path = getattr(config, name)
         if name in command.flags and path and not Path(path).parent.is_dir():
             raise ValueError(f"--{name.replace('_', '-')} {path}: directory {Path(path).parent} does not exist")
-    report = command.handler(config)
+    for name, low in _AT_LEAST.items():
+        if name in command.flags and getattr(config, name) < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {getattr(config, name)}")
+    cfg = noise = None
+    if "starts" in command.flags:
+        cfg = FitConfig(max_iterations=config.max_iterations, n_starts=config.starts, seed=config.seed)
+    if "replicates" in command.flags:
+        noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=config.replicates)
+    report = command.handler(config, cfg, noise)
     if config.command in ("fit", "discriminate", "circuit") and config.output:
         report = replace(report, outputs=(*report.outputs, config.output))
         _atomic_write(config.output, _report_json(report))

@@ -14,7 +14,10 @@ projected steps.  The information criterion still counts every amplitude
 Steps follow a plain Levenberg-Marquardt schedule (x10 damping on a
 rejected step, /10 on an accepted one) from several starts: a
 deterministic, data-driven guess and seeded log-uniform perturbations of
-it.  Every start of every spectrum handed to :func:`fit_many` advances in
+it.  The rejections are taken two damping levels at a time, and each
+accepted point's normal equations come from the profile that accepted it
+(see :func:`_lm_run_batch`), so an iteration usually profiles once.
+Every start of every spectrum handed to :func:`fit_many` advances in
 lockstep through one vectorized loop, so the per-iteration interpreter
 cost is paid once per batch, not once per spectrum.  Each row reads only
 its own data, so a result never depends on what it was batched with.
@@ -24,8 +27,9 @@ keeps falling as the widths merge and the amplitudes grow without bound.
 The descent follows that valley until the SSR stops falling by the
 relative tolerance and converges there; :func:`_profile` says how the
 solve stays accurate in that limit.  The lowest SSR over the starts wins,
-converged or not; ``converged`` and ``iterations`` report how the winning
-start ended, and parameters are returned in canonical nonnegative form.
+converged or not; ``converged``, ``iterations`` and ``stop`` (one of
+``STOP_REASONS``) report how the winning start ended, and parameters are
+returned in canonical nonnegative form.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from .lineshape import Spectrum
 from .models import _COLUMN_OF, AtsParams, EitParams, ModelKind, _basis, _join, _split, canonicalize
 
 __all__ = [
+    "STOP_REASONS",
     "FitConfig",
     "FitResult",
     "FitConvergenceError",
@@ -54,6 +59,13 @@ _DAMPING_MIN = 1e-15
 # hundred rows the per-iteration interpreter cost is amortised and larger
 # batches only add memory traffic; 512 is 32 spectra of 16 starts.
 _MAX_BATCH_ROWS = 512
+# Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
+# falling by the relative tolerance, the gradient fell below its
+# tolerance, no step at any damping up to the ceiling lowered the SSR, the
+# iteration cap was reached, or the point went non-finite.  The first
+# three count as converged.
+STOP_REASONS = ("tolerance", "gradient", "damping", "cap", "non-finite")
+_TOLERANCE, _GRADIENT, _DAMPING, _CAP, _NON_FINITE = range(len(STOP_REASONS))
 # Starts whose final SSR is within this relative distance of the best one
 # are counted as agreeing with it.
 _AGREEMENT_RTOL = 1e-6
@@ -100,7 +112,8 @@ class FitResult:
     n_points: int
     converged: bool
     n_starts_agreeing: int
-    iterations: int  # iterations the winning start ran; max_iterations means it stopped at the cap
+    iterations: int  # iterations the winning start ran
+    stop: str  # why the winning start stopped, one of STOP_REASONS
 
 
 def variance_floor(values) -> float:
@@ -211,15 +224,14 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
 _COLLINEAR_SIN = 1e-8
 
 
-def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, derivatives: bool = False):
+def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray):
     """Profile the squared amplitudes out at the nonlinear parameters ``theta`` (s, 2).
 
     Each row's amplitudes ``alpha >= 0`` minimise ``|y - Phi alpha|``: the
     unconstrained solve if it is nonnegative, else the better single
-    column.  Returns ``(alpha, ssr)``, or with ``derivatives`` ``(alpha,
-    ssr, resid, jac)``, ``jac`` (s, 2, n) being Kaufman's Jacobian
-    ``P (dPhi/dtheta alpha)`` with ``P`` the projector onto the complement
-    of the columns in use.
+    column.  Returns ``(alpha, ssr, resid, q)``, ``q`` (s, p, n) being an
+    orthonormal basis of the columns in use with the unused ones zeroed:
+    with ``resid`` it is what :func:`_normal_equations` needs at this point.
 
     The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
     ``-L(g_minus)`` turn parallel and the amplitudes grow like
@@ -236,9 +248,7 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     ``_COLLINEAR_SIN`` of ``L(g_plus)`` (equal widths, or both far wider
     than the grid), the pair counts as one column.
     """
-    phi = _basis(model, theta, deltas, derivatives)
-    if derivatives:
-        phi, dphi = phi
+    phi = _basis(model, theta, deltas)
     if model is ModelKind.EIT:
         gp, gm = theta[:, 0:1], theta[:, 1:2]
         e = (gp - gm) * (gp + gm) * phi[:, 0] * -phi[:, 1]
@@ -269,13 +279,22 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
         in_use = pair[:, None] | (z > 0.0)
     resid = y - np.einsum("sp,spn->sn", z, q)
     ssr = np.einsum("sn,sn->s", resid, resid)
-    if not derivatives:
-        return alpha, ssr
     q *= in_use[:, :, None]
-    jac = dphi
+    return alpha, ssr, resid, q
+
+
+def _normal_equations(
+    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, alpha: np.ndarray, resid: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``J^T r`` (s, 2) and ``J^T J`` (s, 2, 2) at a point :func:`_profile` returned.
+
+    ``J`` (s, 2, n) is Kaufman's Jacobian ``P (dPhi/dtheta alpha)``, ``P``
+    the projector onto the complement of ``q``'s columns.
+    """
+    _, jac = _basis(model, theta, deltas, derivatives=True)
     jac *= alpha[:, list(_COLUMN_OF[model])][:, :, None]
     jac -= (q.transpose(0, 2, 1) @ (q @ jac.transpose(0, 2, 1))).transpose(0, 2, 1)
-    return alpha, ssr, resid, jac
+    return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
 
 
 def _lm_run_batch(
@@ -284,7 +303,7 @@ def _lm_run_batch(
     deltas: np.ndarray,
     values: np.ndarray,
     cfg: FitConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Advance every row of ``x0`` (shape (s, k)) through the damped descent in lockstep.
 
     ``values`` holds the data: shape (m, n) with m dividing s splits the
@@ -292,10 +311,22 @@ def _lm_run_batch(
     (m = s gives every row its own data, and a spectrum's starts share one
     copy of it); a one-dimensional ``values`` is shared by every row.
     Only the widths and offset of a start are used (see :func:`_profile`).
-    Returns (params, ssr, converged, iterations) per row, the parameters
-    as canonical raw vectors.  A row reads nothing of the other rows, so
-    its outcome does not depend on what it is batched with; rows that
-    converge or blow up simply drop out of the active set.
+
+    Each row carries the normal equations of its current point.  An
+    iteration tries damped steps on a ladder, two damping levels ``lam``
+    and ``10 lam`` per pass, both profiled in one call, and takes the
+    lower level whose SSR does not rise; a row whose two levels both rise
+    climbs to ``100 lam`` for the next pass.  This is the sequence of
+    trials the plain x10 schedule makes one level at a time, so it reaches
+    the same points.  The accepted trial's profile already holds the
+    residual and basis there, so the next normal equations are formed from
+    it and no point is profiled twice.
+
+    Returns (params, ssr, converged, iterations, stop) per row, the
+    parameters as canonical raw vectors and ``stop`` indexing
+    ``STOP_REASONS``.  A row reads nothing of the other rows, so its
+    outcome does not depend on what it is batched with; rows that stop
+    simply drop out of the active set.
     """
     n_rows = x0.shape[0]
     values = np.atleast_2d(values)
@@ -305,11 +336,14 @@ def _lm_run_batch(
     owner = np.arange(n_rows) // group
     theta, _ = _split(model, np.array(x0, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        alpha, ssr = _profile(model, theta, deltas, values[owner])
-    converged = np.zeros(n_rows, dtype=bool)
+        alpha, ssr, resid, q = _profile(model, theta, deltas, values[owner])
+        grad, jtj = _normal_equations(model, theta, deltas, alpha, resid, q)
+    del resid, q
+    stop = np.full(n_rows, _CAP)
     iterations = np.zeros(n_rows, dtype=int)
     active = np.isfinite(ssr)
-    ssr = np.where(np.isfinite(ssr), ssr, np.inf)
+    stop[~active] = _NON_FINITE
+    ssr = np.where(active, ssr, np.inf)
     lam = np.full(n_rows, cfg.initial_damping)
     grad_tol = 1e-12 * np.maximum(1.0, np.max(np.square(values), axis=1))[owner]
     tiny = np.finfo(float).tiny
@@ -319,76 +353,83 @@ def _lm_run_batch(
             break
         idx = np.flatnonzero(active)
         iterations[idx] += 1
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, _, resid, jac = _profile(model, theta[idx], deltas, values[owner[idx]], derivatives=True)
-            grad = (jac @ resid[:, :, None])[:, :, 0]
-            jtj = jac @ jac.transpose(0, 2, 1)
-        del jac, resid  # not needed by the trial steps
+        g, h = grad[idx], jtj[idx]
         if model is ModelKind.ATS:
             # At u = 0 with descent pointing to u < 0 the bound is active:
             # u leaves the step (a projected Newton step), so the width is
             # still optimised, and only the free components count below.
-            bound = (theta[idx, 1] == 0.0) & (grad[:, 1] <= 0.0)
-            grad[bound, 1] = 0.0
-            jtj[bound, 0, 1] = jtj[bound, 1, 0] = 0.0
-        bad = ~np.all(np.isfinite(grad), axis=1) | ~np.all(np.isfinite(jtj), axis=(1, 2))
-        flat = ~bad & (np.max(np.abs(grad), axis=1) < grad_tol[idx])
-        converged[idx[flat]] = True
+            bound = (theta[idx, 1] == 0.0) & (g[:, 1] <= 0.0)
+            g[bound, 1] = 0.0
+            h[bound, 0, 1] = h[bound, 1, 0] = 0.0
+        bad = ~np.all(np.isfinite(g), axis=1) | ~np.all(np.isfinite(h), axis=(1, 2))
+        flat = ~bad & (np.max(np.abs(g), axis=1) < grad_tol[idx])
+        stop[idx[bad]] = _NON_FINITE
+        stop[idx[flat]] = _GRADIENT
         active[idx[bad | flat]] = False
         keep = ~(bad | flat)
         if not keep.all():
-            idx, grad, jtj = idx[keep], grad[keep], jtj[keep]
+            idx, g, h = idx[keep], g[keep], h[keep]
             if idx.size == 0:
                 continue
         ta = theta[idx]
-        diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
+        diag = np.diagonal(h, axis1=1, axis2=2).copy()
         # Flat directions (e.g. the width of a lobe whose amplitude is
         # zero) get a floor so the damped system stays solvable.
         floor = 1e-12 * np.maximum(diag.max(axis=1), tiny)
         diag = np.maximum(diag, floor[:, None])
 
         pending = np.ones(idx.size, dtype=bool)
-        accepted = np.zeros(idx.size, dtype=bool)
         ssr_old = ssr[idx]
         lam_local = lam[idx]
         while pending.any():
             p = np.flatnonzero(pending)
-            t_trial = ta[p] + _damped_step(jtj[p], diag[p], grad[p], lam_local[p])
+            both = np.concatenate((p, p))  # the ladder's two levels, lower first
+            lam_trial = np.concatenate((lam_local[p], lam_local[p] * 10.0))
+            t_trial = ta[both] + _damped_step(h[both], diag[both], g[both], lam_trial)
             if model is ModelKind.ATS:
                 np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                alpha_trial, ssr_trial = _profile(model, t_trial, deltas, values[owner[idx[p]]])
-            ok = np.isfinite(ssr_trial) & (ssr_trial <= ssr_old[p])
-            acc = p[ok]
-            ga = idx[acc]
-            theta[ga] = t_trial[ok]
-            alpha[ga] = alpha_trial[ok]
-            ssr[ga] = ssr_trial[ok]
-            accepted[acc] = True
-            pending[acc] = False
-            rej = p[~ok]
-            lam_local[rej] *= 10.0
-            dead = rej[lam_local[rej] > _DAMPING_MAX]
-            if dead.size:
-                # No descent direction at any damping: numerically stationary.
-                converged[idx[dead]] = True
-                active[idx[dead]] = False
-                pending[dead] = False
-
-        if accepted.any():
-            a = np.flatnonzero(accepted)
+                alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, values[owner[idx[both]]])
+            ok = np.isfinite(ssr_t) & (ssr_t <= ssr_old[both])
+            ok[p.size :] &= lam_trial[p.size :] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
+            ok = ok.reshape(2, p.size)
+            took = ok.any(axis=0)
+            j = np.argmax(ok, axis=0)[took] * p.size + np.flatnonzero(took)  # trial row taken
+            a = p[took]
             ga = idx[a]
-            drop = ssr_old[a] - ssr[ga]
-            lam[ga] = np.maximum(lam_local[a] / 10.0, _DAMPING_MIN)
-            done = drop <= cfg.relative_tolerance * np.maximum(ssr[ga], tiny)
-            converged[ga[done]] = True
+            theta[ga] = t_trial[j]
+            alpha[ga] = alpha_t[j]
+            ssr[ga] = ssr_t[j]
+            lam[ga] = np.maximum(lam_trial[j] / 10.0, _DAMPING_MIN)
+            pending[a] = False
+            done = ssr_old[a] - ssr[ga] <= cfg.relative_tolerance * np.maximum(ssr[ga], tiny)
+            stop[ga[done]] = _TOLERANCE
             active[ga[done]] = False
+            j, ga = j[~done], ga[~done]
+            if ga.size:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_t[j], q_t[j])
+            del resid_t, q_t
+            rej = p[~took]
+            lam_local[rej] = lam_trial[p.size :][~took] * 10.0
+            dead = rej[lam_local[rej] > _DAMPING_MAX]
+            # No descent direction at any damping: numerically stationary.
+            stop[idx[dead]] = _DAMPING
+            active[idx[dead]] = False
+            pending[dead] = False
 
-    return _join(model, theta, alpha), ssr, converged, iterations
+    converged = np.isin(stop, (_TOLERANCE, _GRADIENT, _DAMPING))
+    return _join(model, theta, alpha), ssr, converged, iterations, stop
 
 
 def _best_of(
-    model: ModelKind, x: np.ndarray, ssr: np.ndarray, converged: np.ndarray, iterations: np.ndarray, n: int
+    model: ModelKind,
+    x: np.ndarray,
+    ssr: np.ndarray,
+    converged: np.ndarray,
+    iterations: np.ndarray,
+    stop: np.ndarray,
+    n: int,
 ) -> FitResult:
     """The lowest-SSR start of one spectrum, the lowest index breaking exact ties."""
     usable = np.isfinite(ssr)
@@ -405,6 +446,7 @@ def _best_of(
         converged=bool(converged[best]),
         n_starts_agreeing=agreeing,
         iterations=int(iterations[best]),
+        stop=STOP_REASONS[stop[best]],
     )
 
 
@@ -450,11 +492,11 @@ def fit_many(
         batch = todo[lo : lo + per_batch]
         x0 = np.concatenate([np.stack(initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed)) for i in batch])
         values = np.stack([spectra[i].values for i in batch])
-        x, ssr, converged, iterations = _lm_run_batch(model, x0, deltas, values, cfg)
+        x, ssr, converged, iterations, stop = _lm_run_batch(model, x0, deltas, values, cfg)
         for j, i in enumerate(batch):
             rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
             try:
-                out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], iterations[rows], n)
+                out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], iterations[rows], stop[rows], n)
             except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
                 out[i] = exc
     return out

@@ -283,6 +283,29 @@ class TestCommands:
         assert word in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["circuit", "--starts", "0"], "--starts must be >= 1, got 0"),
+            (["circuit", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["fit", "--input", str(FIXTURE), "--max-iterations", "0"], "--max-iterations must be >= 1, got 0"),
+            (["sweep", "--starts", "0"], "--starts must be >= 1, got 0"),
+            (["sweep", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("transmission_profile", "ingest_spectrum", "sweep_omega"):
+            monkeypatch.setattr(eitats.cli, name, must_not_run)
+        out = tmp_path / "out"
+        extra = ["--write-spectrum", str(tmp_path / "spectrum.csv")] if argv[0] == "circuit" else []
+        assert main([*argv, *extra, "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": message}
+        assert not list(tmp_path.iterdir())
+
     def test_echoed_config_reproduces_the_report(self, tmp_path):
         spec = str(tmp_path / "s.csv")
         caps = ["--starts", "4", "--max-iterations", "100"]
@@ -360,6 +383,7 @@ class TestCircuitPreset:
         assert out.exists()
         for entry in report["fits"].values():
             assert entry["converged"] and 1 <= entry["iterations"] < 1000
+            assert entry["stop"] == "tolerance"
 
     def test_circuit_fits_do_not_move_with_the_cap(self):
         # The EIT flat valley converges rather than stopping at the cap.

@@ -1,5 +1,8 @@
 """Fitting engine: exact recovery, determinism, descent behavior, guesses,
-and batch invariance of the lockstep engine."""
+frozen per-row solver output, stop reasons, and batch invariance of the
+lockstep engine."""
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,9 @@ from hypothesis import strategies as st
 from eitats import fitter
 from eitats.fitter import (
     DegenerateDataError,
+    STOP_REASONS,
     FitConfig,
+    _damped_step,
     _lm_run_batch,
     _profile,
     fit,
@@ -115,6 +120,12 @@ def ssr_by_cap(model, data, x0, caps):
     )
 
 
+def noisy_replicate(omega, seed, replicate):
+    """A 10%-noise replicate drawn as criterion 5 draws them (there with noise seed 42)."""
+    noise = NoiseSpec(sigma=0.1, seed=seed, n_replicates=100)
+    return add_noise(absorption_profile(TlaParams(omega=omega), default_grid()), noise, replicate)
+
+
 class TestDescentBehaviour:
     def test_accepted_steps_never_increase_ssr(self):
         # Runs are deterministic, so the first k iterations under cap k + 1
@@ -136,7 +147,7 @@ class TestDescentBehaviour:
         data = absorption_profile(TlaParams(omega=omega), default_grid())
         for model in (ModelKind.EIT, ModelKind.ATS):
             x0 = np.stack(initial_guesses(model, data, 5, 1))
-            _, ssr, converged, _ = _lm_run_batch(model, x0, data.deltas, data.values, FitConfig(max_iterations=cap))
+            _, ssr, converged, *_ = _lm_run_batch(model, x0, data.deltas, data.values, FitConfig(max_iterations=cap))
             bound = np.maximum(np.array(FROZEN_SSR[omega, cap][model]) * (1.0 + 1e-9), rounding_floor(data.values))
             assert np.all(ssr <= bound), (model, ssr, bound)
             assert converged.all()
@@ -146,11 +157,120 @@ class TestDescentBehaviour:
         # A noisy single peak: the best doublet has d0 = 0, where descent
         # points to u = d0**2 < 0.  The frozen SSR is what the retired
         # descent reached with d0 held on its stationary plane d0 = 0.
-        noise = NoiseSpec(sigma=0.1, seed=42, n_replicates=100)
-        data = add_noise(absorption_profile(TlaParams(omega=0.0), default_grid()), noise, 41)
+        data = noisy_replicate(0.0, 42, 41)
         res = fit(ModelKind.ATS, data, FitConfig(max_iterations=300))
         assert res.converged and res.params.d0 == 0.0
         assert res.ssr <= 0.45954434282255163 * (1.0 + 1e-9)
+
+
+# Problems whose every row of _lm_run_batch output is frozen in
+# data/solver_rows.json, from 16 starts of fit seed 0: (model, pump omega,
+# noise seed, replicate, cap); omega None is the circuit curve, noise seed
+# None a noiseless spectrum.
+FROZEN_PROBLEMS = {
+    "circuit_eit": (ModelKind.EIT, None, None, 0, 1000),
+    "circuit_ats": (ModelKind.ATS, None, None, 0, 1000),
+    # Criterion-5 replicate: the doublet fit ends on its bound u = 0.
+    "offset_bound_ats": (ModelKind.ATS, 0.0, 42, 41, 300),
+    # The winner and 14 other starts stop at the cap.
+    "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 300),
+    # Start 7 stops at the damping ceiling.
+    "damping_eit": (ModelKind.EIT, 1.35, None, 0, 300),
+}
+FROZEN_ROWS = json.loads((Path(__file__).parent / "data" / "solver_rows.json").read_text(encoding="utf-8"))
+
+
+def frozen_problem(name):
+    """The spectrum, model, starts and config of one frozen problem."""
+    model, omega, seed, replicate, cap = FROZEN_PROBLEMS[name]
+    if omega is None:
+        data = transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
+    elif seed is None:
+        data = absorption_profile(TlaParams(omega=omega), default_grid())
+    else:
+        data = noisy_replicate(omega, seed, replicate)
+    return model, data, np.stack(initial_guesses(model, data, 16, 0)), FitConfig(max_iterations=cap)
+
+
+def solver_rows(name):
+    """Every row _lm_run_batch returns on a frozen problem, floats as float.hex."""
+    model, data, x0, cfg = frozen_problem(name)
+    x, ssr, converged, iterations, stop = _lm_run_batch(model, x0, data.deltas, data.values, cfg)
+    return [
+        {
+            "params": [float(v).hex() for v in x[i]],
+            "ssr": float(ssr[i]).hex(),
+            "converged": bool(converged[i]),
+            "iterations": int(iterations[i]),
+            "stop": STOP_REASONS[stop[i]],
+        }
+        for i in range(x.shape[0])
+    ]
+
+
+class TestFrozenRows:
+    @pytest.mark.parametrize("name", FROZEN_PROBLEMS)
+    def test_every_row_is_bit_identical_to_the_frozen_output(self, name):
+        rows = solver_rows(name)
+        assert rows == FROZEN_ROWS[name]
+        for row in rows:
+            assert row["converged"] == (row["stop"] not in ("cap", "non-finite"))
+
+    def test_frozen_problems_stop_as_described(self):
+        stops = {name: [row["stop"] for row in FROZEN_ROWS[name]] for name in FROZEN_PROBLEMS}
+        assert stops["capped_eit"].count("cap") == 15
+        assert stops["damping_eit"][7] == "damping"
+        best = min(FROZEN_ROWS["offset_bound_ats"], key=lambda row: float.fromhex(row["ssr"]))
+        assert best["params"][2] == "0x0.0p+0"
+
+
+class TestStopReasons:
+    @pytest.mark.parametrize("reason", STOP_REASONS)
+    def test_the_winner_reports_why_it_stopped(self, reason):
+        cfg = FitConfig()
+        guesses = initial_guesses
+        if reason == "tolerance":
+            model, data = ModelKind.EIT, transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
+        elif reason == "gradient":  # an exact fit: the gradient vanishes first
+            model, data = ModelKind.ATS, ats_spectrum()
+        elif reason == "damping":  # the only start is one that stops at the ceiling
+            model, data, x0, cfg = frozen_problem("damping_eit")
+            cfg = FitConfig(max_iterations=cfg.max_iterations, n_starts=1)
+
+            def guesses(*args):
+                return [x0[7]]
+
+        elif reason == "cap":
+            model, data, _, cfg = frozen_problem("capped_eit")
+        else:  # narrow lines scaled by 1e152: the normal equations overflow, the SSR stays finite
+            model, cfg = ModelKind.ATS, FitConfig(n_starts=4)
+            data = ats_spectrum(AtsParams(1.0, 0.1, 1.0))
+            data = Spectrum(deltas=data.deltas, values=1e152 * data.values)
+        with mock.patch.object(fitter, "initial_guesses", guesses):
+            res = fit(model, data, cfg)
+        assert res.stop == reason
+        assert res.converged == (reason not in ("cap", "non-finite"))
+        assert np.isfinite(res.ssr)
+        assert (res.iterations == cfg.max_iterations) == (reason == "cap")
+
+
+class TestDampedStep:
+    def test_a_singular_system_falls_back_to_least_squares_alone(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 3, 2))
+        jtj = a.transpose(0, 2, 1) @ a
+        diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
+        grad = rng.normal(size=(6, 2))
+        lam = np.full(6, 1e-3)
+        jtj[4] = [[1.0, 2.0], [2.0, 4.0]]  # rank 1, and undamped below
+        diag[4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jtj[4], grad[4])
+        steps = _damped_step(jtj, diag, grad, lam)
+        others = np.arange(6) != 4
+        systems = jtj + lam[:, None, None] * diag[:, :, None] * np.eye(2)
+        assert np.array_equal(steps[others], np.linalg.solve(systems[others], grad[others][..., None])[..., 0])
+        assert np.array_equal(steps[4], np.linalg.lstsq(jtj[4], grad[4], rcond=None)[0])
 
 
 # Profiled EIT SSR on the circuit curve at widths (6.357, 6.357 - delta),
@@ -171,7 +291,7 @@ class TestProfile:
         # the residual must stay as accurate as for well-separated widths.
         data = transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
         for delta, want in COLLINEAR_SSR.items():
-            alpha, ssr = _profile(ModelKind.EIT, np.array([[6.357, 6.357 - delta]]), data.deltas, data.values[None])
+            alpha, ssr, *_ = _profile(ModelKind.EIT, np.array([[6.357, 6.357 - delta]]), data.deltas, data.values[None])
             assert ssr[0] == pytest.approx(want, rel=1e-13)
             assert np.all(alpha > 0.0)
 
