@@ -42,7 +42,7 @@ from .lineshape import (
     transmission_profile,
 )
 from .models import EitParams, ModelKind
-from .selection import DEFAULT_MARGIN, SelectionReport, discriminate
+from .selection import DEFAULT_MARGIN, SelectionReport, _check_margin, discriminate
 from .simulation import NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
 
 __all__ = ["RunConfig", "Report", "SpectrumParseError", "ingest_spectrum", "write_spectrum", "run", "main"]
@@ -75,8 +75,8 @@ class RunConfig:
     seed: int = 0
     replicate: int = 0
     replicates: int = 1
-    starts: int = 16
-    max_iterations: int = 1000
+    starts: int = FitConfig.n_starts
+    max_iterations: int = FitConfig.max_iterations
     margin: float = DEFAULT_MARGIN
     grid: str = "-5:5:0.05"
     omegas: str = "0.05:1.5:0.01"
@@ -256,15 +256,14 @@ def _require(config: RunConfig, field: str) -> str:
     return value
 
 
-def _run_generate(config: RunConfig, *_: None) -> Report:
+def _run_generate(config: RunConfig, _: None, noise: NoiseSpec) -> Report:
     out_path = _require(config, "output")
     grid = _parse_range(config.grid, "--grid")
     params = TlaParams(
         alpha=config.alpha, omega=config.omega, delta1=config.delta1, gamma_ab=config.gamma_ab, gamma_bc=config.gamma_bc
     )
     data = absorption_profile(params, grid)
-    if config.sigma > 0:
-        noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=config.replicate + 1)
+    if noise.sigma > 0:  # a noiseless spectrum is written without a sigma column
         data = add_noise(data, noise, config.replicate)
     written = write_spectrum(data, out_path)
     summary = {
@@ -392,7 +391,7 @@ _AT_LEAST = {"seed": 0, "replicate": 0, "replicates": 1, "starts": 1, "max_itera
 
 class _Command(NamedTuple):
     # Called with the config, its FitConfig if the command fits and its
-    # NoiseSpec if it sweeps (else None), both built before any work.
+    # NoiseSpec if it makes noise (else None), both built before any work.
     handler: Callable[[RunConfig, FitConfig | None, NoiseSpec | None], Report]
     help: str
     flags: tuple[str, ...]  # in RunConfig field order, the order they are echoed in
@@ -453,8 +452,14 @@ def run(config: RunConfig) -> Report:
     cfg = noise = None
     if "starts" in command.flags:
         cfg = FitConfig(max_iterations=config.max_iterations, n_starts=config.starts, seed=config.seed)
-    if "replicates" in command.flags:
-        noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=config.replicates)
+    try:
+        if "margin" in command.flags:
+            _check_margin(config.margin)
+        if "sigma" in command.flags:
+            n_replicates = config.replicates if "replicates" in command.flags else config.replicate + 1
+            noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=n_replicates)
+    except ValueError as exc:  # each message starts with the flag's field name, e.g. "sigma must ..."
+        raise ValueError(f"--{exc}") from None
     report = command.handler(config, cfg, noise)
     if config.command in ("fit", "discriminate", "circuit") and config.output:
         report = replace(report, outputs=(*report.outputs, config.output))

@@ -53,8 +53,12 @@ __all__ = [
     "variance_floor",
 ]
 
+# Damping of a start's first step and its bounds, and the relative SSR
+# drop at or below which an accepted step ends a start (a tolerance stop).
+_INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
+_RELATIVE_TOLERANCE = 1e-12
 # Rows (starts x spectra) advanced together by fit_many.  Past a few
 # hundred rows the per-iteration interpreter cost is amortised and larger
 # batches only add memory traffic; 512 is 32 spectra of 16 starts.
@@ -84,18 +88,12 @@ class FitConfig:
     """Solver knobs; defaults are deliberate and reproducible."""
 
     max_iterations: int = 1000
-    relative_tolerance: float = 1e-12
-    initial_damping: float = 1e-3
     n_starts: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if not self.relative_tolerance > 0:
-            raise ValueError("relative_tolerance must be positive")
-        if not self.initial_damping > 0:
-            raise ValueError("initial_damping must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if self.seed < 0:
@@ -297,6 +295,9 @@ def _normal_equations(
     return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
 
 
+# Overflow far out or near the float limit gives non-finite values, which
+# the rows' checks stop on; the warnings are silenced once, for the body.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lm_run_batch(
     model: ModelKind,
     x0: np.ndarray,
@@ -335,16 +336,15 @@ def _lm_run_batch(
         raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
     owner = np.arange(n_rows) // group
     theta, _ = _split(model, np.array(x0, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        alpha, ssr, resid, q = _profile(model, theta, deltas, values[owner])
-        grad, jtj = _normal_equations(model, theta, deltas, alpha, resid, q)
+    alpha, ssr, resid, q = _profile(model, theta, deltas, values[owner])
+    grad, jtj = _normal_equations(model, theta, deltas, alpha, resid, q)
     del resid, q
     stop = np.full(n_rows, _CAP)
     iterations = np.zeros(n_rows, dtype=int)
     active = np.isfinite(ssr)
     stop[~active] = _NON_FINITE
     ssr = np.where(active, ssr, np.inf)
-    lam = np.full(n_rows, cfg.initial_damping)
+    lam = np.full(n_rows, _INITIAL_DAMPING)
     grad_tol = 1e-12 * np.maximum(1.0, np.max(np.square(values), axis=1))[owner]
     tiny = np.finfo(float).tiny
 
@@ -388,8 +388,7 @@ def _lm_run_batch(
             t_trial = ta[both] + _damped_step(h[both], diag[both], g[both], lam_trial)
             if model is ModelKind.ATS:
                 np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, values[owner[idx[both]]])
+            alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, values[owner[idx[both]]])
             ok = np.isfinite(ssr_t) & (ssr_t <= ssr_old[both])
             ok[p.size :] &= lam_trial[p.size :] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
             ok = ok.reshape(2, p.size)
@@ -402,13 +401,12 @@ def _lm_run_batch(
             ssr[ga] = ssr_t[j]
             lam[ga] = np.maximum(lam_trial[j] / 10.0, _DAMPING_MIN)
             pending[a] = False
-            done = ssr_old[a] - ssr[ga] <= cfg.relative_tolerance * np.maximum(ssr[ga], tiny)
+            done = ssr_old[a] - ssr[ga] <= _RELATIVE_TOLERANCE * np.maximum(ssr[ga], tiny)
             stop[ga[done]] = _TOLERANCE
             active[ga[done]] = False
             j, ga = j[~done], ga[~done]
             if ga.size:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_t[j], q_t[j])
+                grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_t[j], q_t[j])
             del resid_t, q_t
             rej = p[~took]
             lam_local[rej] = lam_trial[p.size :][~took] * 10.0

@@ -15,15 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .fitter import (
-    DegenerateDataError,
-    FitConfig,
-    FitConvergenceError,
-    FitResult,
-    fit,
-    fit_many,
-    variance_floor,
-)
+from .fitter import FitConfig, FitConvergenceError, FitResult, fit_many, variance_floor
+# Not called here.  The benchmark's tracer (perfbench/spans.py) patches
+# eitats.selection.fit, and its smoke test reads the name.
+from .fitter import fit  # noqa: F401
 from .lineshape import Spectrum
 from .models import ModelKind
 
@@ -202,17 +197,10 @@ def discriminate(
     The verdict is Inconclusive when the per-point weights differ by less
     than ``margin``; otherwise it names the model with the larger weight.
     If exactly one model fails to fit, the survivor wins by default and
-    the failure is recorded.
+    the failure is recorded; if both fail, :class:`FitConvergenceError`
+    is raised.  This is :func:`discriminate_many` on one spectrum.
     """
-    _check_margin(margin)
-    cfg = cfg or FitConfig()
-    outcomes: dict[str, FitResult | Exception] = {}
-    for kind in _MODEL_ORDER:
-        try:
-            outcomes[kind.value] = fit(kind, data, cfg)
-        except (FitConvergenceError, DegenerateDataError, ValueError) as exc:
-            outcomes[kind.value] = exc
-    return _report(data, outcomes, margin)
+    return discriminate_many([data], cfg, margin)[0]
 
 
 def discriminate_many(
@@ -223,13 +211,12 @@ def discriminate_many(
     """:func:`discriminate` on each of many spectra sharing one detuning grid.
 
     Each model is fitted to all spectra in one :func:`eitats.fitter.fit_many`
-    call, so every report equals the one :func:`discriminate` gives for
-    that spectrum alone.  Raises :class:`FitConvergenceError` for the first
-    spectrum on which both fits fail, as :func:`discriminate` would, and
-    ValueError if the spectra do not share one detuning grid.
+    call, which returns a failed fit as its exception, so every report
+    equals the one this gives for that spectrum alone.  Raises
+    :class:`FitConvergenceError` for the first spectrum on which both fits
+    fail, and ValueError if the spectra do not share one detuning grid.
     """
     _check_margin(margin)
-    cfg = cfg or FitConfig()
     per_model = {kind.value: fit_many(kind, spectra, cfg) for kind in _MODEL_ORDER}
     return [
         _report(data, {name: outcomes[i] for name, outcomes in per_model.items()}, margin)

@@ -156,6 +156,13 @@ class TestCommands:
             direct.per_point_weights["eit"], rel=1e-9
         )
 
+    def test_noiseless_generate_writes_the_profile_without_a_sigma_column(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert cli("generate", "--omega", "0.4", "--sigma", "0", "--replicate", "3", "--output", str(out))[0] == 0
+        profile = absorption_profile(TlaParams(omega=0.4, gamma_ab=1.0, gamma_bc=0.1), default_grid())
+        assert out.read_bytes() == Path(write_spectrum(profile, tmp_path / "p.csv")).read_bytes()
+        assert out.read_text().startswith("delta,value\n")
+
     def test_fit_command_recovers_parameters(self, tmp_path):
         spec_path = tmp_path / "doublet.csv"
         cli("generate", "--omega", "3", "--output", str(spec_path))
@@ -291,13 +298,19 @@ class TestCommands:
             (["fit", "--input", str(FIXTURE), "--max-iterations", "0"], "--max-iterations must be >= 1, got 0"),
             (["sweep", "--starts", "0"], "--starts must be >= 1, got 0"),
             (["sweep", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["generate", "--sigma", "-0.1"], "--sigma must lie in [0, 0.5), got -0.1"),
+            (["sweep", "--sigma", "0.7"], "--sigma must lie in [0, 0.5), got 0.7"),
+            (["boundary", "--sigma", "0.5"], "--sigma must lie in [0, 0.5), got 0.5"),
+            (["circuit", "--margin", "1.5"], "--margin must lie in [0, 1), got 1.5"),
+            (["discriminate", "--input", str(FIXTURE), "--margin", "-0.2"], "--margin must lie in [0, 1), got -0.2"),
         ],
     )
     def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started")
 
-        for name in ("transmission_profile", "ingest_spectrum", "sweep_omega"):
+        work = ("absorption_profile", "transmission_profile", "ingest_spectrum", "sweep_omega", "sweep_gbc_boundary")
+        for name in work:
             monkeypatch.setattr(eitats.cli, name, must_not_run)
         out = tmp_path / "out"
         extra = ["--write-spectrum", str(tmp_path / "spectrum.csv")] if argv[0] == "circuit" else []

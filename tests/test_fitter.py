@@ -15,6 +15,7 @@ from eitats.fitter import (
     DegenerateDataError,
     STOP_REASONS,
     FitConfig,
+    FitConvergenceError,
     _damped_step,
     _lm_run_batch,
     _profile,
@@ -428,8 +429,21 @@ class TestErrors:
             FitConfig(n_starts=0)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            FitConfig(relative_tolerance=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_data_near_the_float_limit_stop_without_a_warning(self):
+        # Scaled by 1e152 the damped systems of the EIT fit overflow; by
+        # 1e154 the data's squares do.  Each fit still ends as before.
+        data = ats_spectrum(AtsParams(1.0, 0.5, 1.5))
+
+        def fit_scaled(model, factor):
+            return fit(model, Spectrum(deltas=data.deltas, values=factor * data.values))
+
+        eit, ats = fit_scaled(ModelKind.EIT, 1e152), fit_scaled(ModelKind.ATS, 1e152)
+        assert (eit.stop, eit.iterations, ats.stop, ats.iterations) == ("tolerance", 21, "gradient", 10)
+        assert fit_scaled(ModelKind.ATS, 1e154).stop == "non-finite"
+        with pytest.raises(FitConvergenceError, match="no usable minimum"):
+            fit_scaled(ModelKind.EIT, 1e154)
 
 
 def test_variance_floor_scales_with_data():
