@@ -42,8 +42,8 @@ from .lineshape import (
     transmission_profile,
 )
 from .models import EitParams, ModelKind
-from .selection import DEFAULT_MARGIN, SelectionReport, _check_margin, discriminate
-from .simulation import NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
+from .selection import DEFAULT_MARGIN, MAX_MARGIN, SelectionReport, discriminate
+from .simulation import MAX_SIGMA, NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
 
 __all__ = ["RunConfig", "Report", "SpectrumParseError", "ingest_spectrum", "write_spectrum", "run", "main"]
 
@@ -387,6 +387,9 @@ _FLAGS: dict[str, dict[str, Any]] = {
 
 # Lower bound of each integer flag, checked before any work starts.
 _AT_LEAST = {"seed": 0, "replicate": 0, "replicates": 1, "starts": 1, "max_iterations": 1}
+# Upper bound of each fractional flag, which lies in [0, bound): the
+# library's own bounds, checked here too so a bad value fails by its flag.
+_BELOW = {"sigma": MAX_SIGMA, "margin": MAX_MARGIN}
 
 
 class _Command(NamedTuple):
@@ -449,17 +452,15 @@ def run(config: RunConfig) -> Report:
     for name, low in _AT_LEAST.items():
         if name in command.flags and getattr(config, name) < low:
             raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {getattr(config, name)}")
+    for name, high in _BELOW.items():
+        if name in command.flags and not 0 <= getattr(config, name) < high:
+            raise ValueError(f"--{name} must lie in [0, {high:g}), got {getattr(config, name)}")
     cfg = noise = None
     if "starts" in command.flags:
         cfg = FitConfig(max_iterations=config.max_iterations, n_starts=config.starts, seed=config.seed)
-    try:
-        if "margin" in command.flags:
-            _check_margin(config.margin)
-        if "sigma" in command.flags:
-            n_replicates = config.replicates if "replicates" in command.flags else config.replicate + 1
-            noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=n_replicates)
-    except ValueError as exc:  # each message starts with the flag's field name, e.g. "sigma must ..."
-        raise ValueError(f"--{exc}") from None
+    if "sigma" in command.flags:
+        n_replicates = config.replicates if "replicates" in command.flags else config.replicate + 1
+        noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=n_replicates)
     report = command.handler(config, cfg, noise)
     if config.command in ("fit", "discriminate", "circuit") and config.output:
         report = replace(report, outputs=(*report.outputs, config.output))

@@ -345,7 +345,10 @@ def _lm_run_batch(
     stop[~active] = _NON_FINITE
     ssr = np.where(active, ssr, np.inf)
     lam = np.full(n_rows, _INITIAL_DAMPING)
-    grad_tol = 1e-12 * np.maximum(1.0, np.max(np.square(values), axis=1))[owner]
+    # The SSR's gradient scales as the data squared; the scale is clamped
+    # where its square would overflow, so the tolerance stays finite.
+    scale = np.clip(np.max(np.abs(values), axis=1), 1.0, np.sqrt(np.finfo(float).max))
+    grad_tol = 1e-12 * np.square(scale)[owner]
     tiny = np.finfo(float).tiny
 
     for _ in range(cfg.max_iterations):

@@ -33,9 +33,11 @@ __all__ = [
     "discriminate",
     "discriminate_many",
     "DEFAULT_MARGIN",
+    "MAX_MARGIN",
 ]
 
 DEFAULT_MARGIN = 0.1
+MAX_MARGIN = 1.0  # margins lie in [0, MAX_MARGIN)
 
 
 class Verdict(Enum):
@@ -120,11 +122,6 @@ def noise_threshold(gamma_ab: float, gamma_bc: float, sigma: float) -> float:
 
 
 _MODEL_ORDER = (ModelKind.EIT, ModelKind.ATS)
-
-
-def _check_margin(margin: float) -> None:
-    if not 0 <= margin < 1:
-        raise ValueError(f"margin must lie in [0, 1), got {margin}")
 
 
 def _report(data: Spectrum, outcomes: dict[str, FitResult | Exception], margin: float) -> SelectionReport:
@@ -214,9 +211,11 @@ def discriminate_many(
     call, which returns a failed fit as its exception, so every report
     equals the one this gives for that spectrum alone.  Raises
     :class:`FitConvergenceError` for the first spectrum on which both fits
-    fail, and ValueError if the spectra do not share one detuning grid.
+    fail, and ValueError if the spectra do not share one detuning grid or
+    ``margin`` lies outside [0, MAX_MARGIN).
     """
-    _check_margin(margin)
+    if not 0 <= margin < MAX_MARGIN:
+        raise ValueError(f"margin must lie in [0, {MAX_MARGIN:g}), got {margin}")
     per_model = {kind.value: fit_many(kind, spectra, cfg) for kind in _MODEL_ORDER}
     return [
         _report(data, {name: outcomes[i] for name, outcomes in per_model.items()}, margin)

@@ -9,21 +9,20 @@ order.
 A sweep builds all of its spectra before fitting any, then hands them to
 the fitter together: spectra on one grid share every solver iteration,
 and each still gets exactly the result it would get alone.  A dephasing
-boundary does the same with the pump sweeps of all its dephasing values,
-in one batch, and reads each sweep's table off its slice of the reports.
+boundary runs one such sweep per dephasing value.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fitter import FitConfig
 from .lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transparency_depth
-from .selection import DEFAULT_MARGIN, SelectionReport, discriminate_many
+from .selection import DEFAULT_MARGIN, discriminate_many
 
 __all__ = [
+    "MAX_SIGMA",
     "NoiseSpec",
     "SweepResult",
     "BoundaryResult",
@@ -31,6 +30,9 @@ __all__ = [
     "sweep_omega",
     "sweep_gbc_boundary",
 ]
+
+
+MAX_SIGMA = 0.5  # relative noise levels lie in [0, MAX_SIGMA)
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class NoiseSpec:
     n_replicates: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma < 0.5:
-            raise ValueError(f"sigma must lie in [0, 0.5), got {self.sigma}")
+        if not 0 <= self.sigma < MAX_SIGMA:
+            raise ValueError(f"sigma must lie in [0, {MAX_SIGMA:g}), got {self.sigma}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.n_replicates < 1:
@@ -125,38 +127,6 @@ def _increasing(values, name: str) -> np.ndarray:
     return values
 
 
-def _sweep_spectra(gamma_ab: float, gamma_bc: float, noise: NoiseSpec, omegas: np.ndarray, grid) -> list[Spectrum]:
-    """A pump sweep's spectra at resonant drive: per pump value, its profile or its noise replicates."""
-    spectra = []
-    for omega in omegas:
-        p = TlaParams(omega=float(omega), delta1=0.0, gamma_ab=gamma_ab, gamma_bc=gamma_bc)
-        base = absorption_profile(p, grid)
-        if noise.sigma == 0.0:
-            spectra.append(base)
-        else:
-            spectra.extend(add_noise(base, noise, r) for r in range(noise.n_replicates))
-    return spectra
-
-
-def _tabulate(omegas: np.ndarray, reports: Sequence[SelectionReport]) -> SweepResult:
-    """The table of a sweep from its reports, in :func:`_sweep_spectra`'s order.
-
-    Weights are averaged over each pump value's replicates, a failed model's as 0.
-    """
-    n_rep = len(reports) // omegas.size
-    pp = np.zeros((omegas.size, 2))
-    aw = np.zeros((omegas.size, 2))
-    failures = np.zeros(omegas.size, dtype=int)
-    for i, report in enumerate(reports):
-        failures[i // n_rep] += len(report.fit_failures)
-        pp[i // n_rep] += [report.per_point_weights["eit"] or 0.0, report.per_point_weights["ats"] or 0.0]
-        aw[i // n_rep] += [report.akaike_weights["eit"] or 0.0, report.akaike_weights["ats"] or 0.0]
-    pp /= n_rep
-    aw /= n_rep
-    crossover = _interp_crossover(omegas, pp[:, 0] - pp[:, 1])
-    return SweepResult(axis=omegas, per_point_weights=pp, akaike_weights=aw, crossover=crossover, fit_failures=failures)
-
-
 def sweep_omega(
     gamma_ab: float,
     gamma_bc: float,
@@ -181,8 +151,40 @@ def sweep_omega(
     """
     omegas = _increasing(omegas, "omegas")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    spectra = _sweep_spectra(gamma_ab, gamma_bc, noise, omegas, grid)
-    return _tabulate(omegas, discriminate_many(spectra, cfg, margin))
+
+    n_omega = omegas.size
+    n_rep = 1 if noise.sigma == 0.0 else noise.n_replicates
+    spectra = []
+    for omega in omegas:
+        p = TlaParams(omega=float(omega), delta1=0.0, gamma_ab=gamma_ab, gamma_bc=gamma_bc)
+        base = absorption_profile(p, grid)
+        if noise.sigma == 0.0:
+            spectra.append(base)
+        else:
+            spectra.extend(add_noise(base, noise, r) for r in range(n_rep))
+    reports = discriminate_many(spectra, cfg, margin)
+
+    pp = np.empty((n_omega, 2))
+    aw = np.empty((n_omega, 2))
+    failures = np.zeros(n_omega, dtype=int)
+    for i in range(n_omega):
+        pp_acc = np.zeros(2)
+        aw_acc = np.zeros(2)
+        for report in reports[i * n_rep : (i + 1) * n_rep]:
+            failures[i] += len(report.fit_failures)
+            pp_acc += [report.per_point_weights["eit"] or 0.0, report.per_point_weights["ats"] or 0.0]
+            aw_acc += [report.akaike_weights["eit"] or 0.0, report.akaike_weights["ats"] or 0.0]
+        pp[i] = pp_acc / n_rep
+        aw[i] = aw_acc / n_rep
+
+    crossover = _interp_crossover(omegas, pp[:, 0] - pp[:, 1])
+    return SweepResult(
+        axis=omegas,
+        per_point_weights=pp,
+        akaike_weights=aw,
+        crossover=crossover,
+        fit_failures=failures,
+    )
 
 
 def sweep_gbc_boundary(
@@ -195,27 +197,21 @@ def sweep_gbc_boundary(
 ) -> BoundaryResult:
     """Locate the weight-crossing pump strength as the two-photon dephasing varies.
 
-    Builds the pump sweep of every dephasing value on the default
-    detuning grid (``omegas`` defaulting to 0.05:1.5:0.01) and
-    discriminates all of their spectra in one
-    :func:`eitats.selection.discriminate_many` call.  Each dephasing
-    value's slice of the reports is tabulated as :func:`sweep_omega` would
-    tabulate it, so its crossover is the one :func:`sweep_omega` finds;
-    the induced-transparency depth is evaluated at that crossover.
+    Runs a pump sweep on the default detuning grid at each dephasing value
+    (``omegas`` defaulting to 0.05:1.5:0.01; each sweep's fits share
+    lockstep batches, see :func:`sweep_omega`), extracts its crossover, and
+    records the induced-transparency depth evaluated there.  One sweep is
+    held at a time, so memory grows with the pump axis, not the whole grid.
     """
     gbc_values = _increasing(gbc_values, "gbc_values")
     if np.any(gbc_values >= gamma_ab):
         raise ValueError("each gamma_bc must be below gamma_ab")
-    omegas = _increasing(default_grid(0.05, 1.5, 0.01) if omegas is None else omegas, "omegas")
-    grid = default_grid()
-    spectra = [s for gbc in gbc_values for s in _sweep_spectra(gamma_ab, float(gbc), noise, omegas, grid)]
-    reports = discriminate_many(spectra, cfg, margin)
-
-    per_sweep = len(reports) // gbc_values.size
+    if omegas is None:
+        omegas = default_grid(0.05, 1.5, 0.01)
     boundary = np.full(gbc_values.size, np.nan)
     depth = np.full(gbc_values.size, np.nan)
     for i, gbc in enumerate(gbc_values):
-        crossover = _tabulate(omegas, reports[i * per_sweep : (i + 1) * per_sweep]).crossover
+        crossover = sweep_omega(gamma_ab, float(gbc), noise, omegas, cfg, margin).crossover
         if crossover is not None:
             boundary[i] = crossover
             depth[i] = transparency_depth(TlaParams(omega=crossover, gamma_ab=gamma_ab, gamma_bc=float(gbc)))

@@ -4,7 +4,7 @@ import pytest
 
 import eitats.simulation
 from eitats.fitter import FitConfig
-from eitats.lineshape import TlaParams, absorption_profile, default_grid, transparency_depth
+from eitats.lineshape import TlaParams, absorption_profile, default_grid
 from eitats.selection import discriminate, discriminate_many
 from eitats.simulation import (
     BoundaryResult,
@@ -165,32 +165,3 @@ class TestBoundarySweep:
         monkeypatch.setattr(eitats.simulation, "discriminate_many", None)
         with pytest.raises(ValueError, match="omegas must be"):
             sweep_gbc_boundary(1.0, [0.1, 0.2], NoiseSpec(), [0.5, 0.3], FAST)
-
-    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(sigma=0.05, seed=4, n_replicates=2)])
-    def test_one_batch_matches_a_sweep_per_dephasing_value(self, monkeypatch, noise):
-        # Reference: one sweep_omega per dephasing value and its crossover,
-        # as the boundary ran before it batched every sweep together.
-        cfg = FitConfig(max_iterations=60, n_starts=4)
-        gbc_values = np.array([0.05, 0.1, 0.2])
-        omegas = default_grid(0.6, 1.2, 0.1)
-        boundary = np.full(3, np.nan)
-        depth = np.full(3, np.nan)
-        for i, gbc in enumerate(gbc_values):
-            crossover = sweep_omega(1.0, float(gbc), noise, omegas, cfg).crossover
-            if crossover is not None:
-                boundary[i] = crossover
-                depth[i] = transparency_depth(TlaParams(omega=crossover, gamma_ab=1.0, gamma_bc=float(gbc)))
-        assert np.isfinite(boundary).sum() >= 2
-
-        batches = []
-
-        def counted(spectra, *args):
-            batches.append(len(spectra))
-            return discriminate_many(spectra, *args)
-
-        monkeypatch.setattr(eitats.simulation, "discriminate_many", counted)
-        result = sweep_gbc_boundary(1.0, gbc_values, noise, omegas, cfg)
-        n_rep = noise.n_replicates if noise.sigma > 0 else 1
-        assert batches == [gbc_values.size * omegas.size * n_rep]
-        assert np.array_equal(result.boundary_omega, boundary, equal_nan=True)
-        assert np.array_equal(result.transparency, depth, equal_nan=True)
