@@ -9,11 +9,13 @@ sweep         weights vs pump strength, written as a CSV table
 boundary      weight-crossing pump strength vs two-photon dephasing
 circuit       preset: driven-circuit transmission case study
 
-Each subcommand takes only the flags its handler reads (``_COMMANDS``);
-argparse rejects any other.  Spectrum files are CSV with header
-``delta,value`` or ``delta,value,sigma``.  Reports are JSON and echo the
-command and every one of its flags, so re-running a report's config
-reproduces it exactly.  All file writes are atomic (temp file + rename);
+Each flag is declared once, on its ``RunConfig`` field.  Each subcommand
+takes only the flags its handler reads (``_COMMANDS``); argparse rejects
+any other.  Spectrum files are CSV with header ``delta,value`` or
+``delta,value,sigma``.  Reports are JSON and echo the command and every
+one of its flags, so re-running a report's config reproduces it exactly;
+their ``fits`` and ``selection`` are the fields of ``FitResult`` and
+``SelectionReport``.  All file writes are atomic (temp file + rename);
 the exit status is 0 exactly when every requested artifact was written.
 """
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -41,8 +43,8 @@ from .lineshape import (
     default_grid,
     transmission_profile,
 )
-from .models import EitParams, ModelKind
-from .selection import DEFAULT_MARGIN, MAX_MARGIN, SelectionReport, discriminate
+from .models import ModelKind
+from .selection import DEFAULT_MARGIN, MAX_MARGIN, discriminate
 from .simulation import MAX_SIGMA, NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
 
 __all__ = ["RunConfig", "Report", "SpectrumParseError", "ingest_spectrum", "write_spectrum", "run", "main"]
@@ -57,34 +59,56 @@ class SpectrumParseError(ValueError):
     """A spectrum file could not be parsed."""
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: reports must stay strict JSON, which has no nan or inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _flag(default: Any, help: str, *, at_least: int | None = None, below: float | None = None, **argparse_kw: Any):
+    """A ``RunConfig`` field that is also a flag: ``argparse_kw`` (type or
+    choices) and ``help`` go to argparse; a value below ``at_least``, or
+    outside ``[0, below)``, is rejected by ``run`` before any work."""
+    metadata = {"argparse": {**argparse_kw, "help": help}, "at_least": at_least, "below": below}
+    return field(default=default, metadata=metadata)
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation.
+    """Fully resolved invocation; every field but ``command`` is a flag.
 
     Each command reads only its own flags (``_COMMANDS``); the other
-    fields keep their defaults and are neither used nor echoed.
+    fields keep their defaults and are neither used nor echoed.  The
+    upper bounds are the library's own, checked here too so that a bad
+    value fails by its flag.
     """
 
     command: str
-    gamma_ab: float = 1.0
-    gamma_bc: float = 0.1
-    omega: float = 0.0
-    delta1: float = 0.0
-    alpha: float = 1.0
-    sigma: float = 0.0
-    seed: int = 0
-    replicate: int = 0
-    replicates: int = 1
-    starts: int = FitConfig.n_starts
-    max_iterations: int = FitConfig.max_iterations
-    margin: float = DEFAULT_MARGIN
-    grid: str = "-5:5:0.05"
-    omegas: str = "0.05:1.5:0.01"
-    gbc: str = "0.02:0.3:0.02"
-    model: str = "both"
-    input: str | None = None
-    output: str | None = None
-    write_spectrum: str | None = None
+    gamma_ab: float = _flag(1.0, "probed-transition dephasing rate", type=_finite_float)
+    gamma_bc: float = _flag(0.1, "two-photon dephasing rate", type=_finite_float)
+    omega: float = _flag(0.0, "pump Rabi frequency", type=_finite_float)
+    delta1: float = _flag(0.0, "one-photon detuning", type=_finite_float)
+    alpha: float = _flag(1.0, "probe Rabi frequency (amplitude)", type=_finite_float)
+    sigma: float = _flag(0.0, "relative noise level", type=_finite_float, below=MAX_SIGMA)
+    seed: int = _flag(0, "seed for noise and fit starts", type=int, at_least=0)
+    replicate: int = _flag(0, "noise replicate index", type=int, at_least=0)
+    replicates: int = _flag(1, "replicates to average in sweeps", type=int, at_least=1)
+    starts: int = _flag(FitConfig.n_starts, "multi-start count for the fitter", type=int, at_least=1)
+    max_iterations: int = _flag(FitConfig.max_iterations, "fitter iteration cap", type=int, at_least=1)
+    margin: float = _flag(DEFAULT_MARGIN, "inconclusive margin on weight gap", type=_finite_float, below=MAX_MARGIN)
+    grid: str = _flag("-5:5:0.05", "detuning grid lo:hi:step")
+    omegas: str = _flag("0.05:1.5:0.01", "pump sweep lo:hi:step")
+    gbc: str = _flag("0.02:0.3:0.02", "dephasing sweep lo:hi:step")
+    model: str = _flag("both", "model(s) to fit", choices=("eit", "ats", "both"))
+    input: str | None = _flag(None, "input spectrum CSV")
+    output: str | None = _flag(None, "output artifact path (the JSON report for fit, discriminate and circuit)")
+    write_spectrum: str | None = _flag(None, "also dump the generated spectrum CSV")
 
 
 @dataclass(frozen=True)
@@ -92,7 +116,6 @@ class Report:
     """Self-contained record of one run."""
 
     config: RunConfig
-    version: str
     fits: dict[str, Any] | None = None
     selection: dict[str, Any] | None = None
     summary: dict[str, Any] | None = None
@@ -104,7 +127,10 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"{name} must be lo:hi:step, got {text!r}") from exc
-    return default_grid(lo, hi, step)
+    try:
+        return default_grid(lo, hi, step)
+    except ValueError as exc:
+        raise ValueError(f"{name} {text}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -195,49 +221,16 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
     return Spectrum(deltas=deltas, values=values, sigma_exp=sigma_exp, meta={"source": str(path)})
 
 
-def _fit_result_dict(res: FitResult | None) -> dict[str, Any] | None:
-    if res is None:
-        return None
-    p = res.params
-    if isinstance(p, EitParams):
-        params = {"c_plus": p.c_plus, "c_minus": p.c_minus, "g_plus": p.g_plus, "g_minus": p.g_minus}
-    else:
-        params = {"c": p.c, "g": p.g, "d0": p.d0}
-    return {
-        "model": "eit" if isinstance(p, EitParams) else "ats",
-        "params": params,
-        "ssr": res.ssr,
-        "sigma_hat_sq": res.sigma_hat_sq,
-        "n_points": res.n_points,
-        "converged": res.converged,
-        "n_starts_agreeing": res.n_starts_agreeing,
-        "iterations": res.iterations,
-        "stop": res.stop,
-    }
-
-
-def _selection_dict(report: SelectionReport) -> dict[str, Any]:
-    return {
-        "aic": report.aic,
-        "akaike_weights": report.akaike_weights,
-        "per_point_aic": report.per_point_aic,
-        "per_point_weights": report.per_point_weights,
-        "verdict": report.verdict.value,
-        "inconclusive_margin": report.inconclusive_margin,
-        "fit_failures": report.fit_failures,
-    }
-
-
 def _config_dict(config: RunConfig) -> dict[str, Any]:
     """The command and the flags it reads, in ``RunConfig`` field order."""
     flags = _COMMANDS[config.command].flags
-    return {"command": config.command, **{name: getattr(config, name) for name in flags}}
+    return {"command": config.command, **{f.name: getattr(config, f.name) for f in fields(config) if f.name in flags}}
 
 
 def _report_json(report: Report) -> str:
     out: dict[str, Any] = {
         "config": _config_dict(report.config),
-        "version": report.version,
+        "version": __version__,
         "outputs": list(report.outputs),
     }
     if report.fits is not None:
@@ -249,14 +242,14 @@ def _report_json(report: Report) -> str:
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
-def _require(config: RunConfig, field: str) -> str:
-    value = getattr(config, field)
+def _require(config: RunConfig, name: str) -> str:
+    value = getattr(config, name)
     if not value:
-        raise ValueError(f"command '{config.command}' requires --{field}")
+        raise ValueError(f"command '{config.command}' requires {_option(name)}")
     return value
 
 
-def _run_generate(config: RunConfig, _: None, noise: NoiseSpec) -> Report:
+def _run_generate(config: RunConfig, _: None, noise: NoiseSpec) -> dict[str, Any]:
     out_path = _require(config, "output")
     grid = _parse_range(config.grid, "--grid")
     params = TlaParams(
@@ -271,31 +264,33 @@ def _run_generate(config: RunConfig, _: None, noise: NoiseSpec) -> Report:
         "value_min": float(np.min(data.values)),
         "value_max": float(np.max(data.values)),
     }
-    return Report(config=config, version=__version__, summary=summary, outputs=(written,))
+    return {"summary": summary, "outputs": (written,)}
 
 
-def _run_fit(config: RunConfig, cfg: FitConfig, _: None) -> Report:
+def _fits_dict(fits: dict[str, FitResult | None]) -> dict[str, Any]:
+    return {name: None if res is None else {"model": name, **asdict(res)} for name, res in fits.items()}
+
+
+def _run_fit(config: RunConfig, cfg: FitConfig, _: None) -> dict[str, Any]:
     data = ingest_spectrum(_require(config, "input"))
     kinds = list(ModelKind) if config.model == "both" else [ModelKind(config.model)]
-    fits = {kind.value: _fit_result_dict(fit(kind, data, cfg)) for kind in kinds}
-    return Report(config=config, version=__version__, fits=fits)
+    return {"fits": _fits_dict({kind.value: fit(kind, data, cfg) for kind in kinds})}
 
 
 def _selection_fields(config: RunConfig, cfg: FitConfig, data: Spectrum) -> dict[str, Any]:
     """The ``fits`` and ``selection`` of a report discriminating ``data``."""
     report = discriminate(data, cfg, config.margin)
-    return {
-        "fits": {name: _fit_result_dict(res) for name, res in report.fits.items()},
-        "selection": _selection_dict(report),
-    }
+    selection = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "fits"}
+    selection["verdict"] = report.verdict.value  # keeps its place in field order
+    return {"fits": _fits_dict(report.fits), "selection": selection}
 
 
-def _run_discriminate(config: RunConfig, cfg: FitConfig, _: None) -> Report:
+def _run_discriminate(config: RunConfig, cfg: FitConfig, _: None) -> dict[str, Any]:
     data = ingest_spectrum(_require(config, "input"))
-    return Report(config=config, version=__version__, **_selection_fields(config, cfg, data))
+    return _selection_fields(config, cfg, data)
 
 
-def _run_sweep(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> Report:
+def _run_sweep(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> dict[str, Any]:
     out_path = _require(config, "output")
     omegas = _parse_range(config.omegas, "--omegas")
     grid = _parse_range(config.grid, "--grid")
@@ -309,10 +304,10 @@ def _run_sweep(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> Report:
         result.fit_failures,
     )
     summary = {"crossover": result.crossover, "n_axis_points": int(result.axis.size)}
-    return Report(config=config, version=__version__, summary=summary, outputs=(written,))
+    return {"summary": summary, "outputs": (written,)}
 
 
-def _run_boundary(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> Report:
+def _run_boundary(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> dict[str, Any]:
     out_path = _require(config, "output")
     gbc_values = _parse_range(config.gbc, "--gbc")
     omegas = _parse_range(config.omegas, "--omegas")
@@ -326,142 +321,108 @@ def _run_boundary(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> Report
         "boundary_min": float(crossed.min()) if crossed.size else None,
         "boundary_max": float(crossed.max()) if crossed.size else None,
     }
-    return Report(config=config, version=__version__, summary=summary, outputs=(written,))
+    return {"summary": summary, "outputs": (written,)}
 
 
-def _run_circuit(config: RunConfig, cfg: FitConfig, _: None) -> Report:
-    grid = default_grid(*CIRCUIT_GRID)
-    data = transmission_profile(CIRCUIT_PRESET, grid)
-    outputs: tuple[str, ...] = ()
-    if config.write_spectrum:
-        outputs = (write_spectrum(data, config.write_spectrum),)
-    preset = {
-        "gamma_rel": CIRCUIT_PRESET.gamma_rel,
-        "gamma_ab": CIRCUIT_PRESET.gamma_ab,
-        "gamma_bc": CIRCUIT_PRESET.gamma_bc,
-        "omega": CIRCUIT_PRESET.omega,
-        "grid": f"{CIRCUIT_GRID[0]}:{CIRCUIT_GRID[1]}:{CIRCUIT_GRID[2]}",
-        "units": "MHz (rates over 2*pi)",
-    }
-    return Report(
-        config=config,
-        version=__version__,
-        summary={"preset": preset, "n_points": data.n_points},
-        outputs=outputs,
-        **_selection_fields(config, cfg, data),
-    )
-
-
-def _finite_float(text: str) -> float:
-    """argparse type for real-valued flags: reports must stay strict JSON, which has no nan or inf."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-# Every flag once, as argparse keywords; its default is the RunConfig
-# field of the same name, and ``--max-iterations`` sets ``max_iterations``.
-_FLAGS: dict[str, dict[str, Any]] = {
-    "gamma_ab": {"type": _finite_float, "help": "probed-transition dephasing rate"},
-    "gamma_bc": {"type": _finite_float, "help": "two-photon dephasing rate"},
-    "omega": {"type": _finite_float, "help": "pump Rabi frequency"},
-    "delta1": {"type": _finite_float, "help": "one-photon detuning"},
-    "alpha": {"type": _finite_float, "help": "probe Rabi frequency (amplitude)"},
-    "sigma": {"type": _finite_float, "help": "relative noise level"},
-    "seed": {"type": int, "help": "seed for noise and fit starts"},
-    "replicate": {"type": int, "help": "noise replicate index"},
-    "replicates": {"type": int, "help": "replicates to average in sweeps"},
-    "starts": {"type": int, "help": "multi-start count for the fitter"},
-    "max_iterations": {"type": int, "help": "fitter iteration cap"},
-    "margin": {"type": _finite_float, "help": "inconclusive margin on weight gap"},
-    "grid": {"help": "detuning grid lo:hi:step"},
-    "omegas": {"help": "pump sweep lo:hi:step"},
-    "gbc": {"help": "dephasing sweep lo:hi:step"},
-    "model": {"choices": ("eit", "ats", "both"), "help": "model(s) to fit"},
-    "input": {"help": "input spectrum CSV"},
-    "output": {"help": "output artifact path (the JSON report for fit, discriminate and circuit)"},
-    "write_spectrum": {"help": "also dump the generated spectrum CSV"},
-}
-
-
-# Lower bound of each integer flag, checked before any work starts.
-_AT_LEAST = {"seed": 0, "replicate": 0, "replicates": 1, "starts": 1, "max_iterations": 1}
-# Upper bound of each fractional flag, which lies in [0, bound): the
-# library's own bounds, checked here too so a bad value fails by its flag.
-_BELOW = {"sigma": MAX_SIGMA, "margin": MAX_MARGIN}
+def _run_circuit(config: RunConfig, cfg: FitConfig, _: None) -> dict[str, Any]:
+    data = transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
+    outputs = (write_spectrum(data, config.write_spectrum),) if config.write_spectrum else ()
+    preset = {**asdict(CIRCUIT_PRESET), "grid": ":".join(map(str, CIRCUIT_GRID)), "units": "MHz (rates over 2*pi)"}
+    summary = {"preset": preset, "n_points": data.n_points}
+    return {"summary": summary, "outputs": outputs, **_selection_fields(config, cfg, data)}
 
 
 class _Command(NamedTuple):
     # Called with the config, its FitConfig if the command fits and its
-    # NoiseSpec if it makes noise (else None), both built before any work.
-    handler: Callable[[RunConfig, FitConfig | None, NoiseSpec | None], Report]
+    # NoiseSpec if it makes noise (else None), both built before any work;
+    # returns the report's payload (fits, selection, summary, outputs).
+    handler: Callable[[RunConfig, FitConfig | None, NoiseSpec | None], dict[str, Any]]
     help: str
-    flags: tuple[str, ...]  # in RunConfig field order, the order they are echoed in
+    flags: frozenset[str]
 
 
 _COMMANDS = {
     "generate": _Command(
         _run_generate,
         "write a synthetic absorption spectrum",
-        ("gamma_ab", "gamma_bc", "omega", "delta1", "alpha", "sigma", "seed", "replicate", "grid", "output"),
+        frozenset({"gamma_ab", "gamma_bc", "omega", "delta1", "alpha", "sigma", "seed", "replicate", "grid", "output"}),
     ),
     "fit": _Command(
-        _run_fit, "fit model(s) to a spectrum file", ("seed", "starts", "max_iterations", "model", "input", "output")
+        _run_fit,
+        "fit model(s) to a spectrum file",
+        frozenset({"seed", "starts", "max_iterations", "model", "input", "output"}),
     ),
     "discriminate": _Command(
         _run_discriminate,
         "model-selection report for a spectrum file",
-        ("seed", "starts", "max_iterations", "margin", "input", "output"),
+        frozenset({"seed", "starts", "max_iterations", "margin", "input", "output"}),
     ),
     "sweep": _Command(
         _run_sweep,
         "weights vs pump strength (CSV table)",
-        ("gamma_ab", "gamma_bc", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "grid",
-         "omegas", "output"),
+        frozenset({"gamma_ab", "gamma_bc", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "grid",
+                   "omegas", "output"}),
     ),
     "boundary": _Command(
         _run_boundary,
         "crossover pump strength vs two-photon dephasing (CSV table)",
-        ("gamma_ab", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "omegas", "gbc",
-         "output"),
+        frozenset({"gamma_ab", "sigma", "seed", "replicates", "starts", "max_iterations", "margin", "omegas", "gbc",
+                   "output"}),
     ),
     "circuit": _Command(
         _run_circuit,
         "driven-circuit transmission case study",
-        ("seed", "starts", "max_iterations", "margin", "output", "write_spectrum"),
+        frozenset({"seed", "starts", "max_iterations", "margin", "output", "write_spectrum"}),
     ),
 }
+
+
+def _check_paths(config: RunConfig, flags: frozenset[str]) -> None:
+    """Reject a path to write that is a directory, lies in a directory that
+    does not exist, or names the same file as another path flag."""
+    paths = {name: getattr(config, name) for name in ("input", "output", "write_spectrum")}
+    paths = {name: text for name, text in paths.items() if name in flags and text}
+    for name, text in paths.items():
+        if name == "input":
+            continue
+        path = Path(text)
+        if path.is_dir():
+            raise ValueError(f"{_option(name)} {text}: is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{_option(name)} {text}: directory {path.parent} does not exist")
+        for other, other_text in paths.items():
+            if other != name and Path(other_text).resolve() == path.resolve():
+                raise ValueError(f"{_option(name)} {text}: same file as {_option(other)}")
 
 
 def run(config: RunConfig) -> Report:
     """Execute one resolved command; writes artifacts, returns the report.
 
-    A flag value out of range, or a path to write whose directory does not
-    exist, is rejected by its flag before any work starts.  For ``fit``,
-    ``discriminate`` and ``circuit``, ``output`` receives the JSON report,
-    which lists it among its outputs.
+    A flag value out of range, or a path to write that is a directory, lies
+    in a directory that does not exist or names the same file as another
+    path flag, is rejected by its flag before any work starts.  For
+    ``fit``, ``discriminate`` and ``circuit``, ``output`` receives the JSON
+    report, which lists it among its outputs.
     """
     command = _COMMANDS.get(config.command)
     if command is None:
         raise ValueError(f"unknown command {config.command!r}")
-    for name in ("output", "write_spectrum"):
-        path = getattr(config, name)
-        if name in command.flags and path and not Path(path).parent.is_dir():
-            raise ValueError(f"--{name.replace('_', '-')} {path}: directory {Path(path).parent} does not exist")
-    for name, low in _AT_LEAST.items():
-        if name in command.flags and getattr(config, name) < low:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {getattr(config, name)}")
-    for name, high in _BELOW.items():
-        if name in command.flags and not 0 <= getattr(config, name) < high:
-            raise ValueError(f"--{name} must lie in [0, {high:g}), got {getattr(config, name)}")
+    _check_paths(config, command.flags)
+    for f in fields(RunConfig):
+        if f.name not in command.flags:
+            continue
+        value, low, high = getattr(config, f.name), f.metadata["at_least"], f.metadata["below"]
+        if low is not None and value < low:
+            raise ValueError(f"{_option(f.name)} must be >= {low}, got {value}")
+        if high is not None and not 0 <= value < high:
+            raise ValueError(f"{_option(f.name)} must lie in [0, {high:g}), got {value}")
     cfg = noise = None
     if "starts" in command.flags:
         cfg = FitConfig(max_iterations=config.max_iterations, n_starts=config.starts, seed=config.seed)
     if "sigma" in command.flags:
         n_replicates = config.replicates if "replicates" in command.flags else config.replicate + 1
         noise = NoiseSpec(sigma=config.sigma, seed=config.seed, n_replicates=n_replicates)
-    report = command.handler(config, cfg, noise)
+    report = Report(config=config, **command.handler(config, cfg, noise))
     if config.command in ("fit", "discriminate", "circuit") and config.output:
         report = replace(report, outputs=(*report.outputs, config.output))
         _atomic_write(config.output, _report_json(report))
@@ -474,11 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Objective EIT-vs-ATS discrimination for absorption/transmission spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig(command="_")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flag in command.flags:
-            p.add_argument("--" + flag.replace("_", "-"), default=getattr(defaults, flag), **_FLAGS[flag])
+        for f in fields(RunConfig):
+            if f.name in command.flags:
+                p.add_argument(_option(f.name), default=f.default, **f.metadata["argparse"])
     return parser
 
 

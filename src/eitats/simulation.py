@@ -191,23 +191,21 @@ def sweep_gbc_boundary(
     gamma_ab: float,
     gbc_values,
     noise: NoiseSpec,
-    omegas=None,
+    omegas,
     cfg: FitConfig | None = None,
     margin: float = DEFAULT_MARGIN,
 ) -> BoundaryResult:
     """Locate the weight-crossing pump strength as the two-photon dephasing varies.
 
-    Runs a pump sweep on the default detuning grid at each dephasing value
-    (``omegas`` defaulting to 0.05:1.5:0.01; each sweep's fits share
-    lockstep batches, see :func:`sweep_omega`), extracts its crossover, and
-    records the induced-transparency depth evaluated there.  One sweep is
-    held at a time, so memory grows with the pump axis, not the whole grid.
+    Runs a pump sweep over ``omegas`` on the default detuning grid at each
+    dephasing value (each sweep's fits share lockstep batches, see
+    :func:`sweep_omega`), extracts its crossover, and records the
+    induced-transparency depth evaluated there.  One sweep is held at a
+    time, so memory grows with the pump axis, not the whole grid.
     """
     gbc_values = _increasing(gbc_values, "gbc_values")
     if np.any(gbc_values >= gamma_ab):
         raise ValueError("each gamma_bc must be below gamma_ab")
-    if omegas is None:
-        omegas = default_grid(0.05, 1.5, 0.01)
     boundary = np.full(gbc_values.size, np.nan)
     depth = np.full(gbc_values.size, np.nan)
     for i, gbc in enumerate(gbc_values):

@@ -1,9 +1,12 @@
 """CLI commands, spectrum file round trips, and report reproducibility."""
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ import eitats.cli
 from eitats.cli import (
     RunConfig,
     SpectrumParseError,
+    _atomic_write,
     _build_parser,
     _report_json,
     ingest_spectrum,
@@ -56,9 +60,6 @@ def strict_json(text):
 
 def cli(*args):
     """Invoke the CLI in-process; returns (exit code, stdout json or None)."""
-    import io
-    from contextlib import redirect_stdout
-
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(args))
@@ -303,6 +304,10 @@ class TestCommands:
             (["boundary", "--sigma", "0.5"], "--sigma must lie in [0, 0.5), got 0.5"),
             (["circuit", "--margin", "1.5"], "--margin must lie in [0, 1), got 1.5"),
             (["discriminate", "--input", str(FIXTURE), "--margin", "-0.2"], "--margin must lie in [0, 1), got -0.2"),
+            (["sweep", "--omegas", "0:1:0"], "--omegas 0:1:0: grid requires hi > lo and step > 0"),
+            (["generate", "--grid", "1:-1:0.1"], "--grid 1:-1:0.1: grid requires hi > lo and step > 0"),
+            (["boundary", "--gbc", "0.1:0.05:0.01"], "--gbc 0.1:0.05:0.01: grid requires hi > lo and step > 0"),
+            (["sweep", "--omegas", "nan:1:0.1"], "--omegas nan:1:0.1: grid bounds and step must be finite"),
         ],
     )
     def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
@@ -349,8 +354,40 @@ class TestCommands:
         code = main(["circuit", "--starts", "2", "--max-iterations", "20", "--output", str(target)])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "IsADirectoryError"
+        assert err["error"] == {"type": "ValueError", "message": f"--output {target}: is a directory"}
+        # A write that fails anyway leaves no temp file behind.
+        with pytest.raises(IsADirectoryError):
+            _atomic_write(target, "{}\n")
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["sweep", "--output", "adir"], "--output adir: is a directory"),
+            (["generate", "--output", "adir"], "--output adir: is a directory"),
+            (["circuit", "--write-spectrum", "adir"], "--write-spectrum adir: is a directory"),
+            (["discriminate", "--input", "d.csv", "--output", "d.csv"], "--output d.csv: same file as --input"),
+            (
+                ["fit", "--input", "d.csv", "--output", "./sub/../d.csv"],
+                "--output ./sub/../d.csv: same file as --input",
+            ),
+            (["circuit", "--output", "x", "--write-spectrum", "x"], "--output x: same file as --write-spectrum"),
+        ],
+    )
+    def test_bad_paths_fail_by_flag_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("absorption_profile", "transmission_profile", "ingest_spectrum", "sweep_omega"):
+            monkeypatch.setattr(eitats.cli, name, must_not_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "d.csv").write_text("delta,value\n")
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "ValueError", "message": message}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "d.csv", "sub"]
+        assert (tmp_path / "d.csv").read_text() == "delta,value\n" and not list((tmp_path / "adir").iterdir())
 
     def test_missing_output_directory_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -416,3 +453,73 @@ class TestCircuitPreset:
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError, match="unknown command"):
         run(RunConfig(command="nonsense"))
+
+
+# Invocations whose exit code, stdout, stderr and written files are frozen
+# in data/cli_reports.json (rewrite it with tools/freeze_cli_reports.py).
+# They run in this order in one fresh directory holding a copy of FIXTURE,
+# with relative paths, so the reports' ``outputs`` do not depend on where.
+_CAPS = ["--starts", "4", "--max-iterations", "100"]
+GOLDEN_ARGVS = [
+    ["generate", "--omega", "0.3", "--output", "weak.csv"],
+    ["generate", "--omega", "0.8", "--sigma", "0.05", "--seed", "3", "--replicate", "1", "--output", "noisy.csv"],
+    [
+        "generate", "--omega", "2", "--gamma-bc", "0.05", "--delta1", "0.1", "--alpha", "0.5", "--grid=-4:4:0.1",
+        "--output", "doublet.csv",
+    ],
+    ["fit", "--input", "weak.csv", *_CAPS],
+    ["fit", "--input", "doublet.csv", "--model", "ats", "--output", "fit.json"],
+    ["discriminate", "--input", "noisy.csv", "--seed", "2", *_CAPS],
+    ["discriminate", "--input", "circuit_noisy.csv", "--margin", "0.2", "--output", "verdict.json"],
+    ["sweep", "--omegas", "0.2:1.2:0.2", "--starts", "6", "--max-iterations", "150", "--output", "sweep.csv"],
+    [
+        "sweep", "--gamma-bc", "0.05", "--omegas", "0.6:1.0:0.2", "--sigma", "0.05", "--replicates", "2",
+        "--grid=-3:3:0.1", *_CAPS, "--output", "noisy_sweep.csv",
+    ],
+    ["boundary", "--gbc", "0.1:0.2:0.1", "--omegas", "0.5:1.1:0.1", *_CAPS, "--output", "boundary.csv"],
+    ["boundary", "--gbc", "0.1:0.2:0.1", "--omegas", "0.1:0.3:0.1", "--starts", "4", "--max-iterations", "50",
+     "--output", "no_crossing.csv"],
+    ["circuit"],
+    ["circuit", "--margin", "0.2", "--output", "circuit.json", "--write-spectrum", "circuit.csv"],
+    ["discriminate"],
+    ["fit", "--input", "missing.csv"],
+    ["circuit", "--starts", "0"],
+    ["sweep", "--output", "missing/sweep.csv"],
+    ["circuit", "--omega", "3"],
+    ["--help"],
+    *([command, "--help"] for command in FLAGS),
+]
+GOLDEN = Path(__file__).parent / "data" / "cli_reports.json"
+
+
+def golden_transcript():
+    """Run GOLDEN_ARGVS in the current directory: per invocation, its exit
+    code, stdout, stderr and the text of each file it wrote."""
+    shutil.copy(FIXTURE, "circuit_noisy.csv")
+    records = []
+    for argv in GOLDEN_ARGVS:
+        before = {path: path.read_bytes() for path in Path().iterdir() if path.is_file()}
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: --help and usage errors
+                code = exc.code
+        written = {
+            path.name: path.read_text(encoding="utf-8")
+            for path in sorted(Path().iterdir())
+            if path.is_file() and before.get(path) != path.read_bytes()
+        }
+        record = {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}
+        records.append(record)
+    return records
+
+
+def test_cli_output_is_byte_identical_to_the_frozen_transcript(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    frozen = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    records = golden_transcript()
+    assert [record["argv"] for record in records] == [record["argv"] for record in frozen]
+    for record, want in zip(records, frozen):
+        assert record == want
