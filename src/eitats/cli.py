@@ -166,9 +166,9 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum CSV (``delta,value[,sigma]`` with header).
 
     Rows are sorted by detuning; duplicate detunings are rejected, and so
-    is a non-finite number (``nan``, ``inf``), naming its line.  A
-    per-point sigma column is collapsed to its RMS, since the reported
-    noise scale is a single number.
+    is a non-finite number (``nan``, ``inf``) or a negative sigma, naming
+    its line.  A per-point sigma column is collapsed to its RMS, since the
+    reported noise scale is a single number.
     """
     path = Path(path)
     try:
@@ -201,6 +201,8 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         for name, number in zip(cols, numbers):
             if not math.isfinite(number):
                 raise SpectrumParseError(f"{path}: line {lineno}: {name} must be finite, got {number}")
+            if name == "sigma" and number < 0:
+                raise SpectrumParseError(f"{path}: line {lineno}: sigma must be >= 0, got {number}")
         rows.append(numbers)
 
     if len(rows) < 5:

@@ -21,6 +21,10 @@ Every start of every spectrum handed to :func:`fit_many` advances in
 lockstep through one vectorized loop, so the per-iteration interpreter
 cost is paid once per batch, not once per spectrum.  Each row reads only
 its own data, so a result never depends on what it was batched with.
+A batch's passes reuse one workspace (:class:`_Workspace`), so a pass
+allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
+make the C allocator hand its heap back to the kernel and fault it in
+again: 18k minor page faults per 6-spectrum sweep, 280k per 146-point one.
 
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
@@ -33,6 +37,7 @@ returned in canonical nonnegative form.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -59,10 +64,14 @@ _INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 _RELATIVE_TOLERANCE = 1e-12
-# Rows (starts x spectra) advanced together by fit_many.  Past a few
-# hundred rows the per-iteration interpreter cost is amortised and larger
-# batches only add memory traffic; 512 is 32 spectra of 16 starts.
-_MAX_BATCH_ROWS = 512
+# Rows (starts x spectra) advanced together by fit_many: 12 spectra of 16
+# starts.  A batch's workspace is 5.6 MiB at 192 rows on the default grid.
+# The default 146-point sweep (cap 300) peaked at 48.8 MiB RSS with 192
+# rows and 52.5 with 256, against 51.5 for fresh arrays at 512 rows.  Fewer
+# rows per batch cost passes: 256 rows ran that sweep about 4% faster than
+# 192, and the criterion-5 sweep (cap 1000) profiles 5527 times at 192
+# rows against 3478 at 512.
+_MAX_BATCH_ROWS = 192
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
 # falling by the relative tolerance, the gradient fell below its
 # tolerance, no step at any damping up to the ceiling lowered the SSR, the
@@ -222,7 +231,7 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
 _COLLINEAR_SIN = 1e-8
 
 
-def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray):
+def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, empty=np.empty):
     """Profile the squared amplitudes out at the nonlinear parameters ``theta`` (s, 2).
 
     Each row's amplitudes ``alpha >= 0`` minimise ``|y - Phi alpha|``: the
@@ -230,6 +239,8 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     column.  Returns ``(alpha, ssr, resid, q)``, ``q`` (s, p, n) being an
     orthonormal basis of the columns in use with the unused ones zeroed:
     with ``resid`` it is what :func:`_normal_equations` needs at this point.
+    Arrays of s rows come from ``empty`` (see :func:`_basis`); ``resid`` and
+    ``q`` are two of them.
 
     The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
     ``-L(g_minus)`` turn parallel and the amplitudes grow like
@@ -246,10 +257,15 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     ``_COLLINEAR_SIN`` of ``L(g_plus)`` (equal widths, or both far wider
     than the grid), the pair counts as one column.
     """
-    phi = _basis(model, theta, deltas)
+    s, n = theta.shape[0], deltas.size
+    phi = _basis(model, theta, deltas, empty=empty)
+    resid = empty((s, n))  # scratch until it holds the residual
     if model is ModelKind.EIT:
         gp, gm = theta[:, 0:1], theta[:, 1:2]
-        e = (gp - gm) * (gp + gm) * phi[:, 0] * -phi[:, 1]
+        # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus).
+        e = empty((s, n))
+        np.multiply((gm - gp) * (gp + gm), phi[:, 0], out=e)
+        e *= phi[:, 1]
     norm = np.sqrt(np.einsum("spn,spn->sp", phi, phi))
     q = phi
     q /= norm[:, :, None]  # unit columns; below, the basis of the columns in use
@@ -261,38 +277,67 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     else:
         e_norm = np.sqrt(np.einsum("sn,sn->s", e, e))
         r01 = np.einsum("sn,sn->s", q[:, 0], e)
-        e -= r01[:, None] * q[:, 0]
+        e -= np.multiply(r01[:, None], q[:, 0], out=resid)
         r11 = np.sqrt(np.einsum("sn,sn->s", e, e))
         e /= r11[:, None]
         z_e = np.einsum("sn,sn->s", e, y)
         # Model = b0 L(g_plus) + b1 E, so alpha = (b0 - b1, -b1).
         alpha_minus = -z_e / r11
         alpha_pair = np.column_stack(((z[:, 0] - r01 * z_e / r11) / norm[:, 0] + alpha_minus, alpha_minus))
-        pair = (r11 > _COLLINEAR_SIN * e_norm) & np.all(alpha_pair >= 0.0, axis=1)
+        pair = (r11 > _COLLINEAR_SIN * e_norm) & (alpha_pair >= 0.0).all(axis=1)
         first = np.maximum(z[:, 0], 0.0) >= np.maximum(z[:, 1], 0.0)
         single = np.column_stack((np.where(first, np.maximum(z[:, 0], 0.0), 0.0), np.where(first, 0.0, z[:, 1])))
-        q[pair, 1] = e[pair]
+        np.copyto(q[:, 1], e, where=pair[:, None])
         z = np.where(pair[:, None], np.column_stack((z[:, 0], z_e)), single)
         alpha = np.where(pair[:, None], alpha_pair, single / norm)
         in_use = pair[:, None] | (z > 0.0)
-    resid = y - np.einsum("sp,spn->sn", z, q)
+    np.subtract(y, np.einsum("sp,spn->sn", z, q, out=resid), out=resid)
     ssr = np.einsum("sn,sn->s", resid, resid)
     q *= in_use[:, :, None]
     return alpha, ssr, resid, q
 
 
 def _normal_equations(
-    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, alpha: np.ndarray, resid: np.ndarray, q: np.ndarray
+    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, alpha: np.ndarray, resid: np.ndarray, q: np.ndarray, empty
 ) -> tuple[np.ndarray, np.ndarray]:
     """``J^T r`` (s, 2) and ``J^T J`` (s, 2, 2) at a point :func:`_profile` returned.
 
     ``J`` (s, 2, n) is Kaufman's Jacobian ``P (dPhi/dtheta alpha)``, ``P``
-    the projector onto the complement of ``q``'s columns.
+    the projector onto the complement of ``q``'s columns.  Arrays of s
+    rows come from ``empty`` (see :func:`_basis`).
     """
-    _, jac = _basis(model, theta, deltas, derivatives=True)
+    _, jac = _basis(model, theta, deltas, derivatives=True, empty=empty)
     jac *= alpha[:, list(_COLUMN_OF[model])][:, :, None]
-    jac -= (q.transpose(0, 2, 1) @ (q @ jac.transpose(0, 2, 1))).transpose(0, 2, 1)
+    along_q = empty((theta.shape[0], deltas.size, 2))
+    jac -= np.matmul(q.transpose(0, 2, 1), q @ jac.transpose(0, 2, 1), out=along_q).transpose(0, 2, 1)
     return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
+
+
+# Floats per solver row and grid point that a pass takes from the
+# workspace, for either model: 5 in _profile for each of the row's two
+# trial rows, and 9 for its normal equations.
+_WORKSPACE_PER_ROW = 2 * 5 + 9
+
+
+class _Workspace:
+    """The row buffers of one :func:`_lm_run_batch` call, reused by every pass.
+
+    One flat float64 arena, sized for the first pass (the largest: it
+    profiles two damping levels of every row), is handed out front to
+    back: :meth:`empty` returns the next contiguous block of a shape and
+    :meth:`rewind` starts the next pass at the front.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._arena = np.empty(size)
+        self._top = 0
+
+    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
+        start, self._top = self._top, self._top + math.prod(shape)
+        return self._arena[start : self._top].reshape(shape)
+
+    def rewind(self) -> None:
+        self._top = 0
 
 
 # Overflow far out or near the float limit gives non-finite values, which
@@ -336,9 +381,12 @@ def _lm_run_batch(
         raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
     owner = np.arange(n_rows) // group
     theta, _ = _split(model, np.array(x0, dtype=float))
-    alpha, ssr, resid, q = _profile(model, theta, deltas, values[owner])
-    grad, jtj = _normal_equations(model, theta, deltas, alpha, resid, q)
-    del resid, q
+    n = deltas.size
+    ws = _Workspace(_WORKSPACE_PER_ROW * n_rows * n)
+    # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
+    y = values.take(owner, axis=0, out=ws.empty((n_rows, n)), mode="clip")
+    alpha, ssr, resid, q = _profile(model, theta, deltas, y, ws.empty)
+    grad, jtj = _normal_equations(model, theta, deltas, alpha, resid, q, ws.empty)
     stop = np.full(n_rows, _CAP)
     iterations = np.zeros(n_rows, dtype=int)
     active = np.isfinite(ssr)
@@ -354,7 +402,7 @@ def _lm_run_batch(
     for _ in range(cfg.max_iterations):
         if not active.any():
             break
-        idx = np.flatnonzero(active)
+        idx = active.nonzero()[0]
         iterations[idx] += 1
         g, h = grad[idx], jtj[idx]
         if model is ModelKind.ATS:
@@ -364,8 +412,8 @@ def _lm_run_batch(
             bound = (theta[idx, 1] == 0.0) & (g[:, 1] <= 0.0)
             g[bound, 1] = 0.0
             h[bound, 0, 1] = h[bound, 1, 0] = 0.0
-        bad = ~np.all(np.isfinite(g), axis=1) | ~np.all(np.isfinite(h), axis=(1, 2))
-        flat = ~bad & (np.max(np.abs(g), axis=1) < grad_tol[idx])
+        bad = ~np.isfinite(g).all(axis=1) | ~np.isfinite(h).all(axis=(1, 2))
+        flat = ~bad & (np.abs(g).max(axis=1) < grad_tol[idx])
         stop[idx[bad]] = _NON_FINITE
         stop[idx[flat]] = _GRADIENT
         active[idx[bad | flat]] = False
@@ -385,18 +433,20 @@ def _lm_run_batch(
         ssr_old = ssr[idx]
         lam_local = lam[idx]
         while pending.any():
-            p = np.flatnonzero(pending)
+            p = pending.nonzero()[0]
             both = np.concatenate((p, p))  # the ladder's two levels, lower first
             lam_trial = np.concatenate((lam_local[p], lam_local[p] * 10.0))
             t_trial = ta[both] + _damped_step(h[both], diag[both], g[both], lam_trial)
             if model is ModelKind.ATS:
                 np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
-            alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, values[owner[idx[both]]])
+            ws.rewind()
+            y = values.take(owner[idx[both]], axis=0, out=ws.empty((both.size, n)), mode="clip")
+            alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty)
             ok = np.isfinite(ssr_t) & (ssr_t <= ssr_old[both])
             ok[p.size :] &= lam_trial[p.size :] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
             ok = ok.reshape(2, p.size)
             took = ok.any(axis=0)
-            j = np.argmax(ok, axis=0)[took] * p.size + np.flatnonzero(took)  # trial row taken
+            j = ok.argmax(axis=0)[took] * p.size + took.nonzero()[0]  # trial row taken
             a = p[took]
             ga = idx[a]
             theta[ga] = t_trial[j]
@@ -409,8 +459,9 @@ def _lm_run_batch(
             active[ga[done]] = False
             j, ga = j[~done], ga[~done]
             if ga.size:
-                grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_t[j], q_t[j])
-            del resid_t, q_t
+                resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
+                q_j = q_t.take(j, axis=0, out=ws.empty((j.size,) + q_t.shape[1:]), mode="clip")
+                grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, ws.empty)
             rej = p[~took]
             lam_local[rej] = lam_trial[p.size :][~took] * 10.0
             dead = rej[lam_local[rej] > _DAMPING_MAX]

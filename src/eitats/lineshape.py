@@ -162,13 +162,22 @@ class Spectrum:
 
 
 def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.05) -> np.ndarray:
-    """Uniform detuning grid from lo to hi inclusive (default 201 points)."""
+    """Uniform detuning grid from lo to hi inclusive (default 201 points).
+
+    ``step`` must divide ``hi - lo`` up to rounding; a step that does not
+    is rejected rather than silently replaced by the nearest one that does.
+    """
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0 or hi <= lo:
         raise ValueError("grid requires hi > lo and step > 0")
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+    steps = (hi - lo) / step
+    n = round(steps)
+    # Decimal bounds and steps are inexact in binary: 0.05:1.5:0.01 is
+    # 144.99999999999997 steps, so a relative slack of 1e-9 per step.
+    if abs(steps - n) > 1e-9 * n:
+        raise ValueError(f"step {step:g} does not divide hi - lo = {hi - lo:g}")
+    return np.linspace(lo, hi, n + 1)
 
 
 def susceptibility(p: TlaParams, delta):

@@ -124,7 +124,7 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
 _COLUMN_OF = {ModelKind.EIT: (0, 1), ModelKind.ATS: (0, 0)}
 
 
-def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False):
+def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False, empty=np.empty):
     """Model columns at the nonlinear parameters ``theta`` of shape (s, 2).
 
     EIT: ``theta = (g_plus, g_minus)``, columns ``L(g_plus)`` and
@@ -135,38 +135,67 @@ def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives:
     ``dphi`` of shape (s, 2, n): ``dphi[:, j]`` is the derivative with
     respect to ``theta_j`` of column ``_COLUMN_OF[model][j]``, the only
     column ``theta_j`` moves.
+
+    Both are stored column by column, as a (p, s, n) block seen through a
+    transpose, so that ``phi[:, j]`` is a contiguous (s, n) array: numpy
+    runs elementwise work on a strided column several times slower.  Each
+    block of s rows, the doublet's scratch rows included, comes from
+    ``empty(shape)`` and is filled in place, so a caller that passes
+    reused buffers allocates none here.
     """
     s, n = theta.shape[0], deltas.size
     g = theta[:, 0:1]
     if model is ModelKind.EIT:
         d2 = deltas * deltas
         gm = theta[:, 1:2]
-        phi = np.empty((s, 2, n))
-        np.divide(1.0, g * g + d2, out=phi[:, 0])
-        np.divide(-1.0, gm * gm + d2, out=phi[:, 1])
+        phi = empty((2, s, n))
+        for col, width, sign in ((phi[0], g, 1.0), (phi[1], gm, -1.0)):
+            np.add(width * width, d2, out=col)
+            np.divide(sign, col, out=col)
         if not derivatives:
-            return phi
-        dphi = np.empty((s, 2, n))
-        np.multiply(-2.0 * g * phi[:, 0], phi[:, 0], out=dphi[:, 0])
-        np.multiply(2.0 * gm * phi[:, 1], phi[:, 1], out=dphi[:, 1])
-        return phi, dphi
+            return phi.transpose(1, 0, 2)
+        dphi = empty((2, s, n))
+        for col, dcol, scale in ((phi[0], dphi[0], -2.0 * g), (phi[1], dphi[1], 2.0 * gm)):
+            np.multiply(scale, col, out=dcol)
+            dcol *= col
+        return phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2)
     # The doublet is even in the detuning, so |d| is used: then d0 >= 0
     # makes L(|d| + d0) the smaller Lorentzian, and du below has no
     # cancellation at either peak (d = +-d0).
     a = np.abs(deltas)
     gg = g * g
     d0 = np.sqrt(theta[:, 1:2])
-    lm = 1.0 / (gg + np.square(a - d0))
-    lp = 1.0 / (gg + np.square(a + d0))
-    phi = (lm + lp)[:, None, :]
+    lm, lp = empty((2, s, n))
+    np.subtract(a, d0, out=lm)
+    np.add(a, d0, out=lp)
+    for lor in (lm, lp):  # 1 / (g**2 + (|d| -+ d0)**2)
+        np.square(lor, out=lor)
+        np.add(gg, lor, out=lor)
+        np.divide(1.0, lor, out=lor)
+    phi = empty((1, s, n))
+    np.add(lm, lp, out=phi[0])
     if not derivatives:
-        return phi
-    dphi = np.empty((s, 2, n))
-    np.multiply(-2.0 * g, lm * lm + lp * lp, out=dphi[:, 0])
+        return phi.transpose(1, 0, 2)
+    dphi = empty((2, s, n))
+    dg, du = dphi
     # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
-    # stays finite at d0 = 0 where the doublet merges.
-    np.subtract(4.0 * a * (a - d0) * lm * lp * (lm + lp), 2.0 * lp * lp, out=dphi[:, 1])
-    return phi, dphi
+    # stays finite at d0 = 0 where the doublet merges:
+    # du = 4 |d| (|d| - d0) lm lp (lm + lp) - 2 lp**2, factors applied left
+    # to right (lm + lp is phi).
+    np.subtract(a, d0, out=du)
+    np.multiply(4.0 * a, du, out=du)
+    du *= lm
+    du *= lp
+    du *= phi[0]
+    np.multiply(2.0, lp, out=dg)
+    dg *= lp
+    du -= dg
+    # dg = -2 g (lm**2 + lp**2)
+    lm *= lm
+    lp *= lp
+    np.add(lm, lp, out=dg)
+    np.multiply(-2.0 * g, dg, out=dg)
+    return phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2)
 
 
 def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -121,6 +121,13 @@ class TestSpectrumFiles:
         with pytest.raises(SpectrumParseError, match=f"nonfinite.csv: line 4: value must be finite, got {bad}"):
             ingest_spectrum(path)
 
+    def test_negative_sigma_rejected_with_line_number(self, tmp_path):
+        # The RMS of the column hid the sign: all -0.1 used to read as 0.1.
+        path = tmp_path / "negsigma.csv"
+        path.write_text("delta,value,sigma\n" + "".join(f"{d}.0,0.1,-0.1\n" for d in range(6)))
+        with pytest.raises(SpectrumParseError, match="negsigma.csv: line 2: sigma must be >= 0, got -0.1"):
+            ingest_spectrum(path)
+
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("delta,value\n0.0,0.1\n1.0,0.2\n")
@@ -308,6 +315,8 @@ class TestCommands:
             (["generate", "--grid", "1:-1:0.1"], "--grid 1:-1:0.1: grid requires hi > lo and step > 0"),
             (["boundary", "--gbc", "0.1:0.05:0.01"], "--gbc 0.1:0.05:0.01: grid requires hi > lo and step > 0"),
             (["sweep", "--omegas", "nan:1:0.1"], "--omegas nan:1:0.1: grid bounds and step must be finite"),
+            (["sweep", "--omegas", "0:1:0.7"], "--omegas 0:1:0.7: step 0.7 does not divide hi - lo = 1"),
+            (["generate", "--grid", "0:2:0.3"], "--grid 0:2:0.3: step 0.3 does not divide hi - lo = 2"),
         ],
     )
     def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):

@@ -297,6 +297,88 @@ class TestProfile:
             assert np.all(alpha > 0.0)
 
 
+# Data a profiled row may be drawn against, on the default grid: EIT-like
+# and ATS-like profiles, a noisy replicate, and an inverted profile whose
+# amplitudes all clip to zero.
+PROFILE_DATA = np.stack(
+    [absorption_profile(TlaParams(omega=w), default_grid()).values for w in (0.2, 0.9, 2.0)]
+    + [noisy_replicate(0.6, 3, 1).values, -absorption_profile(TlaParams(omega=0.5), default_grid()).values]
+)
+WIDTH = st.floats(0.01, 100.0)
+PROFILE_THETA = {
+    ModelKind.EIT: st.one_of(
+        st.tuples(WIDTH, WIDTH),
+        WIDTH.map(lambda g: (g, g)),  # equal widths: the pair counts as one column
+        st.tuples(st.floats(1e6, 1e8), st.floats(1e6, 1e8)),  # both far wider than the grid: one column
+    ),
+    ModelKind.ATS: st.one_of(st.tuples(WIDTH, st.floats(0.0, 100.0)), WIDTH.map(lambda g: (g, 0.0))),  # u = 0
+}
+
+
+def profile_stack(model):
+    """Rows of (theta, index into PROFILE_DATA)."""
+    return st.lists(st.tuples(PROFILE_THETA[model], st.integers(0, len(PROFILE_DATA) - 1)), min_size=1, max_size=40)
+
+
+def profiled_rows(model, rows, empty=np.empty):
+    """Each row's (alpha, ssr, resid, q) as bytes, profiling the rows as one stack."""
+    theta = np.array([t for t, _ in rows], dtype=float)
+    y = empty((len(rows), PROFILE_DATA.shape[1]))
+    y[:] = PROFILE_DATA[[k for _, k in rows]]
+    with np.errstate(all="ignore"):  # equal widths divide zero by zero in the unused direction
+        outputs = _profile(model, theta, default_grid(), y, empty)
+    return [tuple(out[i].tobytes() for out in outputs) for i in range(len(rows))]
+
+
+class TestWorkspace:
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(list(ModelKind)), data=st.data())
+    def test_profile_rows_do_not_depend_on_the_stack_or_the_workspace_history(self, model, data):
+        rows = data.draw(profile_stack(model))
+        order = data.draw(st.permutations(range(len(rows))))
+        others = data.draw(profile_stack(model)) + rows[::-1]
+        alone = [profiled_rows(model, [row])[0] for row in rows]
+        shuffled = profiled_rows(model, [rows[i] for i in order])
+        assert shuffled == [alone[i] for i in order]
+        # A larger call with other data dirties every block of the workspace first.
+        ws = fitter._Workspace(fitter._WORKSPACE_PER_ROW * len(others) * PROFILE_DATA.shape[1])
+        theta = np.array([t for t, _ in others], dtype=float)
+        with np.errstate(all="ignore"):
+            alpha, _, resid, q = _profile(model, theta, default_grid(), PROFILE_DATA[[k for _, k in others]], ws.empty)
+            fitter._normal_equations(model, theta, default_grid(), alpha, resid, q, ws.empty)
+        ws.rewind()
+        assert profiled_rows(model, [rows[i] for i in order], ws.empty) == [alone[i] for i in order]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_a_batch_repeats_exactly_after_another_batch(self, model):
+        a = absorption_profile(TlaParams(omega=0.9), default_grid())
+        b = noisy_replicate(0.3, 5, 2)
+        x0_a = np.stack(initial_guesses(model, a, 4, 0))
+        x0_b = np.stack(initial_guesses(model, b, 12, 1))
+        cfg = FitConfig(max_iterations=40)
+        first = _lm_run_batch(model, x0_a, a.deltas, a.values, cfg)
+        _lm_run_batch(model, x0_b, b.deltas, b.values, cfg)
+        again = _lm_run_batch(model, x0_a, a.deltas, a.values, cfg)
+        for x, y in zip(first, again):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name", ["circuit_eit", "offset_bound_ats"])
+    def test_the_workspace_is_sized_for_the_first_pass(self, name):
+        # Too small, and taking a block past its end fails; too large, and
+        # every batch holds memory it never touches.
+        model, data, x0, _ = frozen_problem(name)
+        tops = []
+
+        class Spy(fitter._Workspace):
+            def rewind(self):
+                tops.append(self._top)
+                super().rewind()
+
+        with mock.patch.object(fitter, "_Workspace", Spy):
+            _lm_run_batch(model, x0, data.deltas, data.values, FitConfig(max_iterations=20))
+        assert max(tops) == fitter._WORKSPACE_PER_ROW * x0.shape[0] * data.n_points
+
+
 # Few starts and a short cap keep the property test fast; some starts
 # still stop at the cap, where rounding differences would show.
 BATCH_CFG = FitConfig(max_iterations=60, n_starts=3, seed=2)

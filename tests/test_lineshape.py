@@ -137,6 +137,20 @@ class TestAbsorptionProfile:
         assert grid[-1] == 5.0
         assert np.allclose(np.diff(grid), 0.05)
 
+    @pytest.mark.parametrize(
+        ("lo", "hi", "step", "size"), [(0.05, 1.5, 0.01, 146), (0.7, 0.95, 0.05, 6), (0.0, 0.1, 0.1, 2)]
+    )
+    def test_a_step_that_divides_the_span_up_to_rounding_is_kept(self, lo, hi, step, size):
+        # 0.05:1.5:0.01 is 144.99999999999997 steps in binary.
+        grid = default_grid(lo, hi, step)
+        assert grid.size == size and grid[0] == lo and grid[-1] == hi
+
+    @pytest.mark.parametrize(("step", "text"), [(0.7, "0.7"), (0.3, "0.3"), (3.0, "3")])
+    def test_a_step_that_does_not_divide_the_span_is_rejected(self, step, text):
+        # These used to sweep [0, 1] and steps of 1/3 and 1 instead.
+        with pytest.raises(ValueError, match=f"^step {text} does not divide hi - lo = 1$"):
+            default_grid(0.0, 1.0, step)
+
     def test_resonant_profile_is_even(self):
         data = absorption_profile(TlaParams(omega=0.8, delta1=0.0), default_grid())
         assert np.max(np.abs(data.values - data.values[::-1])) <= 1e-12

@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Count the solver's work and its kernel-side memory cost on fixed fit shapes.
+
+Runs one pass of each of the benchmark's shapes and the default
+criterion-2 sweep, all with fit seed 1:
+
+- ``verdict``: the circuit curve and the noisy circuit fixture, cap 1000;
+- ``sweep``: the noiseless 6-spectrum sweep 0.7:0.95:0.05, cap 300;
+- ``noisy``: 2 pump values x 2 replicates at 10% noise (noise seed 1), cap 300;
+- ``default-sweep``: the 146-point sweep 0.05:1.5:0.01, cap 300.
+
+For each it prints the ``_profile`` calls, the rows they profiled and the
+iterations summed over every solver row, counted on a first (warm-up)
+pass, and then the minor page faults and system seconds per pass from
+``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
+repeat exactly from run to run; the faults show how much of a pass goes
+to the allocator handing memory back to the kernel and faulting it in
+again, which wall time on a shared machine cannot resolve.
+
+The functions are wrapped in this process only; nothing on disk changes.
+
+Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep]
+"""
+import argparse
+import resource
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from eitats import cli, fitter  # noqa: E402
+from eitats.fitter import FitConfig  # noqa: E402
+from eitats.lineshape import default_grid, transmission_profile  # noqa: E402
+from eitats.selection import discriminate  # noqa: E402
+from eitats.simulation import NoiseSpec, sweep_omega  # noqa: E402
+
+SEED = 1
+FIXTURE = ROOT / "tests" / "data" / "circuit_noisy.csv"
+
+
+def verdict():
+    circuit = transmission_profile(cli.CIRCUIT_PRESET, default_grid(*cli.CIRCUIT_GRID))
+    for data in (circuit, cli.ingest_spectrum(FIXTURE)):
+        discriminate(data, FitConfig(seed=SEED))
+
+
+def _sweep(omegas, noise=NoiseSpec()):
+    sweep_omega(1.0, 0.1, noise, default_grid(*omegas), FitConfig(max_iterations=300, seed=SEED))
+
+
+SHAPES = {
+    "verdict": verdict,
+    "sweep": lambda: _sweep((0.7, 0.95, 0.05)),
+    "noisy": lambda: _sweep((0.0, 0.1, 0.1), NoiseSpec(sigma=0.1, seed=SEED, n_replicates=2)),
+    "default-sweep": lambda: _sweep((0.05, 1.5, 0.01)),
+}
+
+
+class Counter:
+    """Wraps ``fitter._profile`` and ``fitter._lm_run_batch`` to count their work."""
+
+    def __init__(self):
+        self.profile_calls = self.profiled_rows = self.iterations = 0
+        self._profile, self._run = fitter._profile, fitter._lm_run_batch
+
+    def profile(self, model, theta, *args, **kwargs):
+        self.profile_calls += 1
+        self.profiled_rows += theta.shape[0]
+        return self._profile(model, theta, *args, **kwargs)
+
+    def run(self, *args, **kwargs):
+        out = self._run(*args, **kwargs)
+        self.iterations += int(np.sum(out[3]))
+        return out
+
+    def __enter__(self):
+        fitter._profile, fitter._lm_run_batch = self.profile, self.run
+        return self
+
+    def __exit__(self, *exc):
+        fitter._profile, fitter._lm_run_batch = self._profile, self._run
+
+
+def measure(shape, repeats: int) -> dict:
+    with Counter() as counter:
+        shape()
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    for _ in range(repeats):
+        shape()
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "profile_calls": counter.profile_calls,
+        "profiled_rows": counter.profiled_rows,
+        "iterations": counter.iterations,
+        "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
+        "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3, help="timed passes after the warm-up (default 3)")
+    parser.add_argument("--only", choices=SHAPES, action="append", help="run only this shape (repeatable)")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    names = args.only or list(SHAPES)
+    columns = ("profile_calls", "profiled_rows", "iterations", "minflt/pass", "sys_s/pass")
+    print(f"{'shape':<14}", *(f"{c:>13}" for c in columns))
+    for name in names:
+        m = measure(SHAPES[name], args.repeats)
+        print(f"{name:<14}", *(f"{v:>13}" for v in m.values()))
+
+
+if __name__ == "__main__":
+    main()
