@@ -220,7 +220,7 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         sigmas = np.array([r[2] for r in rows])
         scale = float(np.max(np.abs(sigmas)))
         sigma_exp = scale * math.sqrt(np.mean(np.square(sigmas / scale))) if scale > 0 else 0.0
-    return Spectrum(deltas=deltas, values=values, sigma_exp=sigma_exp, meta={"source": str(path)})
+    return Spectrum(deltas=deltas, values=values, sigma_exp=sigma_exp)
 
 
 def _config_dict(config: RunConfig) -> dict[str, Any]:

@@ -13,8 +13,7 @@ functions are unit-agnostic.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +34,18 @@ __all__ = [
 
 class DegeneratePoleError(ValueError):
     """Both resonances coincide (exceptional point); no decomposition exists."""
+
+
+def _check_rates(params, positive: tuple[str, ...], nonnegative: tuple[str, ...]) -> None:
+    """Reject the first field, in field order, that is out of its range or not finite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.name in positive and not value > 0:
+            raise ValueError(f"{f.name} must be > 0, got {value}")
+        if f.name in nonnegative and value < 0:
+            raise ValueError(f"{f.name} must be >= 0, got {value}")
+        if not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,17 +73,7 @@ class TlaParams:
     gamma_bc: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if not self.gamma_ab > 0:
-            raise ValueError(f"gamma_ab must be > 0, got {self.gamma_ab}")
-        if self.gamma_bc < 0:
-            raise ValueError(f"gamma_bc must be >= 0, got {self.gamma_bc}")
-        for name in ("alpha", "omega", "delta1", "gamma_ab", "gamma_bc"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_rates(self, positive=("alpha", "gamma_ab"), nonnegative=("omega", "gamma_bc"))
 
 
 @dataclass(frozen=True)
@@ -90,17 +91,7 @@ class CircuitParams:
     omega: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.gamma_rel > 0:
-            raise ValueError(f"gamma_rel must be > 0, got {self.gamma_rel}")
-        if not self.gamma_ab > 0:
-            raise ValueError(f"gamma_ab must be > 0, got {self.gamma_ab}")
-        if self.gamma_bc < 0:
-            raise ValueError(f"gamma_bc must be >= 0, got {self.gamma_bc}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        for name in ("gamma_rel", "gamma_ab", "gamma_bc", "omega"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_rates(self, positive=("gamma_rel", "gamma_ab"), nonnegative=("gamma_bc", "omega"))
 
 
 @dataclass(frozen=True)
@@ -124,14 +115,12 @@ class Spectrum:
 
     The grid must be strictly increasing and the same length as the
     values, and every value must be finite.  ``sigma_exp``, if given, is a
-    finite nonnegative relative noise scale carried for reporting only;
-    ``meta`` holds free-form provenance tags.
+    finite nonnegative relative noise scale carried for reporting only.
     """
 
     deltas: np.ndarray
     values: np.ndarray
     sigma_exp: float | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         deltas = np.asarray(self.deltas, dtype=float)
@@ -253,15 +242,7 @@ def absorption_profile(p: TlaParams, grid) -> Spectrum:
     """Absorption profile Im(susceptibility) sampled on ``grid``."""
     grid = np.asarray(grid, dtype=float)
     values = np.imag(susceptibility(p, grid))
-    meta = {
-        "source": "tla_absorption",
-        "alpha": p.alpha,
-        "omega": p.omega,
-        "delta1": p.delta1,
-        "gamma_ab": p.gamma_ab,
-        "gamma_bc": p.gamma_bc,
-    }
-    return Spectrum(deltas=grid, values=values, meta=meta)
+    return Spectrum(deltas=grid, values=values)
 
 
 def transmission_profile(c: CircuitParams, grid) -> Spectrum:
@@ -271,11 +252,10 @@ def transmission_profile(c: CircuitParams, grid) -> Spectrum:
     ``t = 1 - (gamma_rel/2) / [gamma_ab + i*delta
     + omega**2 / (gamma_bc + i*delta)]``.  Returning ``1 - Re(t)``
     orients the curve as a positive peak with a central dip, so it can be
-    fitted exactly like an absorption profile.
+    fitted exactly like an absorption profile.  The grid is checked by
+    :class:`Spectrum`.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must be one-dimensional and strictly increasing")
     d = grid
     if c.omega > 0:
         # Rationalized form; finite for all real detunings when the pump is on.
@@ -284,14 +264,7 @@ def transmission_profile(c: CircuitParams, grid) -> Spectrum:
         values = np.real(num / den)
     else:
         values = np.real((c.gamma_rel / 2.0) / (c.gamma_ab + 1j * d))
-    meta = {
-        "source": "circuit_transmission",
-        "gamma_rel": c.gamma_rel,
-        "gamma_ab": c.gamma_ab,
-        "gamma_bc": c.gamma_bc,
-        "omega": c.omega,
-    }
-    return Spectrum(deltas=grid, values=values, meta=meta)
+    return Spectrum(deltas=grid, values=values)
 
 
 def transparency_depth(p: TlaParams) -> float:

@@ -13,7 +13,8 @@ the nonlinear parameters ``theta`` are fixed: the model is
 holds the Lorentzian formulas: it returns the columns ``Phi`` and their
 derivatives with respect to ``theta``.  The fitter profiles the amplitudes
 out through it, and evaluation and analytic Jacobians in the raw
-parameters (which accept scalar or array detunings) are built from it.
+parameters (which accept scalar or array detunings, and reject a raw
+vector of the wrong length) are built from it.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "jacobian",
     "canonicalize",
     "as_array",
-    "params_from_array",
 ]
 
 
@@ -94,14 +94,12 @@ def as_array(params: EitParams | AtsParams) -> np.ndarray:
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 
-def params_from_array(model: ModelKind, x) -> EitParams | AtsParams:
-    """Inverse of :func:`as_array`; validates widths."""
-    x = np.asarray(x, dtype=float)
+def _raw(model: ModelKind, params) -> np.ndarray:
+    """The raw vector of a dataclass or sequence, checked to hold ``model.k`` entries."""
+    x = as_array(params) if isinstance(params, (EitParams, AtsParams)) else np.asarray(params, dtype=float)
     if x.shape != (model.k,):
         raise ValueError(f"expected {model.k} parameters for {model.value}, got {x.shape}")
-    if model is ModelKind.EIT:
-        return EitParams(*(float(v) for v in x))
-    return AtsParams(*(float(v) for v in x))
+    return x
 
 
 def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
@@ -114,8 +112,9 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
     fits to absorption-like data land on the broad-positive ordering on
     their own.
     """
-    x = np.abs(np.asarray(x, dtype=float))
-    return params_from_array(model, x)
+    x = np.abs(_raw(model, x))
+    cls = EitParams if model is ModelKind.EIT else AtsParams
+    return cls(*(float(v) for v in x))
 
 
 # For each nonlinear parameter, the one column it moves: EIT's g_plus and
@@ -212,36 +211,12 @@ def _join(model: ModelKind, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.column_stack((np.sqrt(alpha[:, 0]), theta[:, 0], np.sqrt(theta[:, 1])))
 
 
-def _eval_array(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Model values for a stack of raw vectors ``x`` of shape (s, k); shape (s, n)."""
-    theta, alpha = _split(model, x)
-    return np.einsum("sp,spn->sn", alpha, _basis(model, theta, deltas))
-
-
-def _jacobian_array(model: ModelKind, x: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Analytic d(model)/d(raw params) for a stack of raw vectors; shape (s, k, n).
-
-    Amplitude rows are ``2 c Phi``; width and offset rows are the squared
-    amplitude times the column derivative, times ``du/dd0 = 2 d0`` for the
-    doublet's offset.
-    """
-    theta, alpha = _split(model, x)
-    phi, dphi = _basis(model, theta, deltas, derivatives=True)
-    p = phi.shape[1]
-    jac = np.empty((x.shape[0], model.k, deltas.size))
-    np.multiply(2.0 * x[:, :p, None], phi, out=jac[:, :p])
-    scale = alpha[:, list(_COLUMN_OF[model])]
-    if model is ModelKind.ATS:
-        scale[:, 1] *= 2.0 * x[:, 2]
-    np.multiply(scale[:, :, None], dphi, out=jac[:, p:])
-    return jac
-
-
 def evaluate(model: ModelKind, params, delta):
-    """Evaluate either model from a dataclass or a raw parameter vector."""
-    x = as_array(params) if isinstance(params, (EitParams, AtsParams)) else np.asarray(params, dtype=float)
+    """Evaluate either model from a dataclass or a raw parameter vector of ``model.k`` entries."""
+    x = _raw(model, params)[None, :]
     d = np.asarray(delta, dtype=float)
-    out = _eval_array(model, x[None, :], d.reshape(-1))[0]
+    theta, alpha = _split(model, x)
+    out = np.einsum("sp,spn->sn", alpha, _basis(model, theta, d.reshape(-1)))[0]
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
@@ -249,10 +224,19 @@ def jacobian(model: ModelKind, params, delta) -> np.ndarray:
     """Gradient of the model value with respect to each parameter.
 
     Returns shape (k,) for scalar ``delta`` and (n, k) for an array.
+    Amplitude rows are ``2 c Phi``; width and offset rows are the squared
+    amplitude times the column derivative, times ``du/dd0 = 2 d0`` for the
+    doublet's offset.
     """
-    x = as_array(params) if isinstance(params, (EitParams, AtsParams)) else np.asarray(params, dtype=float)
-    if x.shape != (model.k,):
-        raise ValueError(f"expected {model.k} parameters for {model.value}, got {x.shape}")
+    x = _raw(model, params)[None, :]
     d = np.asarray(delta, dtype=float)
-    jac = _jacobian_array(model, x[None, :], d.reshape(-1))[0].T
-    return jac[0] if d.ndim == 0 else jac
+    theta, alpha = _split(model, x)
+    phi, dphi = _basis(model, theta, d.reshape(-1), derivatives=True)
+    p = phi.shape[1]
+    jac = np.empty((1, model.k, d.size))
+    np.multiply(2.0 * x[:, :p, None], phi, out=jac[:, :p])
+    scale = alpha[:, list(_COLUMN_OF[model])]
+    if model is ModelKind.ATS:
+        scale[:, 1] *= 2.0 * x[:, 2]
+    np.multiply(scale[:, :, None], dphi, out=jac[:, p:])
+    return jac[0, :, 0] if d.ndim == 0 else jac[0].T

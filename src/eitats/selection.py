@@ -34,10 +34,12 @@ __all__ = [
     "discriminate_many",
     "DEFAULT_MARGIN",
     "MAX_MARGIN",
+    "MAX_SIGMA",
 ]
 
 DEFAULT_MARGIN = 0.1
 MAX_MARGIN = 1.0  # margins lie in [0, MAX_MARGIN)
+MAX_SIGMA = 0.5  # relative noise levels lie in [0, MAX_SIGMA)
 
 
 class Verdict(Enum):
@@ -114,8 +116,8 @@ def eit_threshold(gamma_ab: float, gamma_bc: float) -> float:
 def noise_threshold(gamma_ab: float, gamma_bc: float, sigma: float) -> float:
     """Pump strength below which the induced dip hides under relative noise
     of scale sigma: sqrt(2*sigma*gamma_ab*gamma_bc / (1 - 2*sigma))."""
-    if not 0 <= sigma < 0.5:
-        raise ValueError(f"sigma must lie in [0, 0.5), got {sigma}")
+    if not 0 <= sigma < MAX_SIGMA:
+        raise ValueError(f"sigma must lie in [0, {MAX_SIGMA:g}), got {sigma}")
     if gamma_ab < 0 or gamma_bc < 0:
         raise ValueError("rates must be nonnegative")
     return math.sqrt(2.0 * sigma * gamma_ab * gamma_bc / (1.0 - 2.0 * sigma))
@@ -130,41 +132,26 @@ def _report(data: Spectrum, outcomes: dict[str, FitResult | Exception], margin: 
     A fit that raised is recorded as a failure; if both did, the spectrum
     has no verdict and :class:`FitConvergenceError` is raised.
     """
-    fits: dict[str, FitResult | None] = {}
-    failures: dict[str, str] = {}
-    for name, outcome in outcomes.items():
-        if isinstance(outcome, FitResult):
-            fits[name] = outcome
-        else:
-            fits[name] = None
-            failures[name] = str(outcome)
+    fits = {name: o if isinstance(o, FitResult) else None for name, o in outcomes.items()}
+    failures = {name: str(o) for name, o in outcomes.items() if fits[name] is None}
     if all(f is None for f in fits.values()):
         raise FitConvergenceError(f"both model fits failed: {failures}")
 
-    names = [k.value for k in _MODEL_ORDER]
     n = data.n_points
     floor = variance_floor(data.values) * n
+    fitted = [kind for kind in _MODEL_ORDER if fits[kind.value] is not None]
+    info = np.array([aic_least_squares(max(fits[kind.value].ssr, floor), n, kind.k) for kind in fitted])
 
-    aic: dict[str, float | None] = {name: None for name in names}
-    for kind in _MODEL_ORDER:
-        res = fits[kind.value]
-        if res is not None:
-            aic[kind.value] = aic_least_squares(max(res.ssr, floor), n, kind.k)
+    def table(values: np.ndarray) -> dict[str, float | None]:
+        """``{eit, ats}``: the fitted models' ``values`` in order, None for a failed model."""
+        by_name = {kind.value: float(v) for kind, v in zip(fitted, values)}
+        return {kind.value: by_name.get(kind.value) for kind in _MODEL_ORDER}
 
-    fitted = [name for name in names if aic[name] is not None]
-    info = np.array([aic[name] for name in fitted])
-    w = akaike_weights(info)
-    wbar = per_point_weights(info, n)
-    weights: dict[str, float | None] = {name: None for name in names}
-    pp_aic: dict[str, float | None] = {name: None for name in names}
-    pp_weights: dict[str, float | None] = {name: None for name in names}
-    for i, name in enumerate(fitted):
-        weights[name] = float(w[i])
-        pp_aic[name] = float(info[i]) / n
-        pp_weights[name] = float(wbar[i])
+    aic, pp_aic = table(info), table(info / n)
+    weights, pp_weights = table(akaike_weights(info)), table(per_point_weights(info, n))
 
     if len(fitted) == 1:
-        verdict = Verdict.EIT if fitted[0] == "eit" else Verdict.ATS
+        verdict = Verdict.EIT if fitted[0] is ModelKind.EIT else Verdict.ATS
     else:
         diff = pp_weights["eit"] - pp_weights["ats"]
         if abs(diff) < margin:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fitter import FitConfig
 from .lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transparency_depth
-from .selection import DEFAULT_MARGIN, discriminate_many
+from .selection import DEFAULT_MARGIN, MAX_SIGMA, discriminate_many
 
 __all__ = [
     "MAX_SIGMA",
@@ -30,9 +30,6 @@ __all__ = [
     "sweep_omega",
     "sweep_gbc_boundary",
 ]
-
-
-MAX_SIGMA = 0.5  # relative noise levels lie in [0, MAX_SIGMA)
 
 
 @dataclass(frozen=True)
@@ -99,17 +96,13 @@ def add_noise(data: Spectrum, spec: NoiseSpec, replicate: int = 0) -> Spectrum:
         rng = np.random.Generator(np.random.Philox(key=key))
         xi = rng.normal(0.0, spec.sigma, size=data.n_points)
         values = data.values * (1.0 + xi)
-    meta = dict(data.meta)
-    meta.update({"noise_sigma": spec.sigma, "noise_seed": spec.seed, "replicate": replicate})
-    return Spectrum(deltas=data.deltas.copy(), values=values, sigma_exp=spec.sigma, meta=meta)
+    return Spectrum(deltas=data.deltas.copy(), values=values, sigma_exp=spec.sigma)
 
 
 def _interp_crossover(axis: np.ndarray, diff: np.ndarray) -> float | None:
     """First sign change of diff along axis, linearly interpolated."""
     for i in range(diff.size - 1):
         a, b = diff[i], diff[i + 1]
-        if np.isnan(a) or np.isnan(b):
-            continue
         if a == 0.0:
             return float(axis[i])
         if a * b < 0:
@@ -164,18 +157,13 @@ def sweep_omega(
             spectra.extend(add_noise(base, noise, r) for r in range(n_rep))
     reports = discriminate_many(spectra, cfg, margin)
 
-    pp = np.empty((n_omega, 2))
-    aw = np.empty((n_omega, 2))
-    failures = np.zeros(n_omega, dtype=int)
-    for i in range(n_omega):
-        pp_acc = np.zeros(2)
-        aw_acc = np.zeros(2)
-        for report in reports[i * n_rep : (i + 1) * n_rep]:
-            failures[i] += len(report.fit_failures)
-            pp_acc += [report.per_point_weights["eit"] or 0.0, report.per_point_weights["ats"] or 0.0]
-            aw_acc += [report.akaike_weights["eit"] or 0.0, report.akaike_weights["ats"] or 0.0]
-        pp[i] = pp_acc / n_rep
-        aw[i] = aw_acc / n_rep
+    # numpy sums a non-innermost axis in index order: replicates add first to last.
+    def replicate_mean(table: str) -> np.ndarray:
+        w = [[getattr(report, table)[name] or 0.0 for name in ("eit", "ats")] for report in reports]
+        return np.reshape(w, (n_omega, n_rep, 2)).sum(axis=1) / n_rep
+
+    pp, aw = replicate_mean("per_point_weights"), replicate_mean("akaike_weights")
+    failures = np.reshape([len(report.fit_failures) for report in reports], (n_omega, n_rep)).sum(axis=1)
 
     crossover = _interp_crossover(omegas, pp[:, 0] - pp[:, 1])
     return SweepResult(

@@ -134,6 +134,26 @@ class TestSpectrumFiles:
         with pytest.raises(SpectrumParseError, match="at least 5"):
             ingest_spectrum(path)
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("", "bad.csv: empty file"),
+            ("delta,value\n0.0,0.1\n1.0,0.2,0.3\n", "bad.csv: line 3: expected 2 columns, got 3"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(SpectrumParseError, match=message):
+            ingest_spectrum(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("delta,value\n0.0,0.1\n\n1.0,0.2\n  \n2.0,0.3\n3.0,0.1\n4.0,0.2\n")
+        data = ingest_spectrum(path)
+        assert np.array_equal(data.deltas, [0.0, 1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(data.values, [0.1, 0.2, 0.3, 0.1, 0.2])
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("x,y\n0.0,0.1\n")
@@ -317,6 +337,7 @@ class TestCommands:
             (["sweep", "--omegas", "nan:1:0.1"], "--omegas nan:1:0.1: grid bounds and step must be finite"),
             (["sweep", "--omegas", "0:1:0.7"], "--omegas 0:1:0.7: step 0.7 does not divide hi - lo = 1"),
             (["generate", "--grid", "0:2:0.3"], "--grid 0:2:0.3: step 0.3 does not divide hi - lo = 2"),
+            (["generate", "--grid", "abc"], "--grid must be lo:hi:step, got 'abc'"),
         ],
     )
     def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
@@ -484,6 +505,14 @@ GOLDEN_ARGVS = [
     [
         "sweep", "--gamma-bc", "0.05", "--omegas", "0.6:1.0:0.2", "--sigma", "0.05", "--replicates", "2",
         "--grid=-3:3:0.1", *_CAPS, "--output", "noisy_sweep.csv",
+    ],
+    # 4 grid points: every EIT fit fails, so ATS wins by default at each pump value.
+    ["sweep", "--grid=-1.5:1.5:1", "--omegas", "0.2:0.4:0.2", "--starts", "4", "--max-iterations", "50",
+     "--output", "survivor.csv"],
+    # 5 replicates per pump value pin the order of the replicate average.
+    [
+        "sweep", "--omegas", "0.3:0.9:0.3", "--sigma", "0.1", "--seed", "5", "--replicates", "5", "--grid=-3:3:0.2",
+        *_CAPS, "--output", "replicates.csv",
     ],
     ["boundary", "--gbc", "0.1:0.2:0.1", "--omegas", "0.5:1.1:0.1", *_CAPS, "--output", "boundary.csv"],
     ["boundary", "--gbc", "0.1:0.2:0.1", "--omegas", "0.1:0.3:0.1", "--starts", "4", "--max-iterations", "50",

@@ -171,12 +171,6 @@ class TestAbsorptionProfile:
             rel = np.abs(direct - resummed) / np.abs(direct)
             assert np.max(rel) <= 1e-10
 
-    def test_meta_records_parameters(self):
-        p = TlaParams(omega=0.3, gamma_bc=0.2)
-        data = absorption_profile(p, default_grid())
-        assert data.meta["omega"] == 0.3
-        assert data.meta["gamma_bc"] == 0.2
-
     def test_error_carries_grid_index(self):
         p = TlaParams(omega=0.5, gamma_bc=0.0)
         with pytest.raises(ValueError, match="grid index 100"):
@@ -205,6 +199,15 @@ class TestTransmissionProfile:
         data = transmission_profile(c, default_grid(-2000, 2000, 100))
         assert abs(data.values[0]) < 1e-3
         assert abs(data.values[-1]) < 1e-3
+
+    @pytest.mark.parametrize(
+        ("grid", "message"),
+        [([0.0, 1.0, 0.5], "deltas must be strictly increasing"), ([[0.0, 1.0]], "must be one-dimensional")],
+    )
+    def test_grid_is_checked_by_spectrum(self, grid, message):
+        c = CircuitParams(gamma_rel=11.0, gamma_ab=7.2, gamma_bc=0.96 * 7.2, omega=6.0)
+        with pytest.raises(ValueError, match=message):
+            transmission_profile(c, grid)
 
     def test_ideal_two_photon_coherence_is_fully_transparent_at_centre(self):
         c = CircuitParams(gamma_rel=11.0, gamma_ab=7.2, gamma_bc=0.0, omega=6.0)
@@ -276,6 +279,42 @@ class TestValidation:
             TlaParams(alpha=0.0)
         with pytest.raises(ValueError):
             TlaParams(omega=-1.0)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"alpha": 0.0}, "alpha must be > 0, got 0.0"),
+            ({"alpha": float("nan")}, "alpha must be > 0, got nan"),
+            ({"alpha": float("inf")}, "alpha must be finite"),
+            ({"omega": -1.0}, "omega must be >= 0, got -1.0"),
+            ({"omega": float("nan")}, "omega must be finite"),
+            ({"delta1": float("-inf")}, "delta1 must be finite"),
+            ({"gamma_ab": -1.0}, "gamma_ab must be > 0, got -1.0"),
+            ({"gamma_bc": float("inf")}, "gamma_bc must be finite"),
+            # Several bad fields: the first in field order is reported.
+            ({"gamma_bc": -0.1, "omega": float("inf")}, "omega must be finite"),
+        ],
+    )
+    def test_tla_params_name_the_first_bad_field(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            TlaParams(**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"gamma_rel": 0.0}, "gamma_rel must be > 0, got 0.0"),
+            ({"gamma_ab": float("nan")}, "gamma_ab must be > 0, got nan"),
+            ({"gamma_bc": -0.1}, "gamma_bc must be >= 0, got -0.1"),
+            ({"omega": float("inf")}, "omega must be finite"),
+            ({"gamma_rel": float("inf"), "gamma_ab": 0.0}, "gamma_rel must be finite"),
+        ],
+    )
+    def test_circuit_params_name_the_first_bad_field(self, kwargs, message):
+        rates = {"gamma_rel": 1.0, "gamma_ab": 1.0, "gamma_bc": 0.1, **kwargs}
+        with pytest.raises(ValueError) as info:
+            CircuitParams(**rates)
+        assert str(info.value) == message
 
     def test_circuit_params_reject_bad_rates(self):
         with pytest.raises(ValueError):

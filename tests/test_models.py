@@ -131,6 +131,22 @@ class TestJacobian:
         with pytest.raises(ValueError, match="expected 4"):
             jacobian(ModelKind.EIT, [1.0, 2.0, 3.0], 0.0)
 
+    @pytest.mark.parametrize("function", [evaluate, jacobian])
+    @pytest.mark.parametrize(
+        ("model", "params", "shape"),
+        [
+            (ModelKind.ATS, [0.5, 1.0, 2.0, 3.0], "(4,)"),
+            (ModelKind.EIT, [1.0, 2.0, 3.0, 4.0, 5.0], "(5,)"),
+            (ModelKind.EIT, AtsParams(0.5, 1.0, 2.0), "(3,)"),
+            (ModelKind.ATS, EitParams(1.0, 2.0, 3.0, 4.0), "(4,)"),
+        ],
+    )
+    def test_raw_vector_length_checked(self, function, model, params, shape):
+        message = f"expected {model.k} parameters for {model.value}, got {shape}"
+        with pytest.raises(ValueError) as info:
+            function(model, params, np.linspace(-1.0, 1.0, 5))
+        assert str(info.value) == message
+
 
 class TestParameterHandling:
     def test_kind_parameter_counts(self):

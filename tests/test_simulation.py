@@ -60,7 +60,6 @@ class TestAddNoise:
     def test_noise_scale_recorded(self):
         noisy = add_noise(base_profile(), NoiseSpec(sigma=0.05, seed=3), 0)
         assert noisy.sigma_exp == 0.05
-        assert noisy.meta["replicate"] == 0
 
     def test_replicate_bounds_enforced(self):
         with pytest.raises(ValueError, match="replicate"):
@@ -141,6 +140,18 @@ class TestSweepOmega:
         assert np.array_equal(result.akaike_weights, aw)
         assert np.array_equal(result.fit_failures, failures)
         assert result.crossover == _interp_crossover(omegas, pp[:, 0] - pp[:, 1])
+
+    @pytest.mark.parametrize(
+        ("diff", "crossover"),
+        [
+            ([0.4, 0.0, -0.2, -0.3], 1.0),  # exact zero at an interior point
+            ([0.4, 0.2, 0.1, 0.0], 3.0),  # exact zero at the last point
+            ([0.4, 0.2, -0.2, -0.3], 1.5),
+            ([0.4, 0.2, 0.1, 0.05], None),
+        ],
+    )
+    def test_interp_crossover(self, diff, crossover):
+        assert _interp_crossover(np.arange(4.0), np.array(diff)) == crossover
 
     def test_rejects_unsorted_omegas(self):
         with pytest.raises(ValueError, match="increasing"):
