@@ -14,13 +14,14 @@ projected steps.  The information criterion still counts every amplitude
 Steps follow a plain Levenberg-Marquardt schedule (x10 damping on a
 rejected step, /10 on an accepted one) from several starts: a
 deterministic, data-driven guess and seeded log-uniform perturbations of
-it.  The rejections are taken two damping levels at a time, and each
-accepted point's normal equations come from the profile that accepted it
-(see :func:`_lm_run_batch`), so an iteration usually profiles once.
-Every start of every spectrum handed to :func:`fit_many` advances in
-lockstep through one vectorized loop, so the per-iteration interpreter
-cost is paid once per batch, not once per spectrum.  Each row reads only
-its own data, so a result never depends on what it was batched with.
+it.  Each pass tries two damping levels of every start at once, and
+each accepted point's normal equations come from the profile that
+accepted it (see :func:`_lm_run_batch`), so an iteration usually profiles
+once.  Every start of every spectrum handed to :func:`fit_many` advances
+through one vectorized loop, one trial per start per pass, so the
+per-pass interpreter cost is paid once per batch, not once per spectrum,
+and no start waits while another climbs the damping.  Each row reads
+only its own data, so a result never depends on what it was batched with.
 A batch's passes reuse one workspace (:class:`_Workspace`), so a pass
 allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
 make the C allocator hand its heap back to the kernel and fault it in
@@ -69,8 +70,8 @@ _RELATIVE_TOLERANCE = 1e-12
 # The default 146-point sweep (cap 300) peaked at 48.8 MiB RSS with 192
 # rows and 52.5 with 256, against 51.5 for fresh arrays at 512 rows.  Fewer
 # rows per batch cost passes: 256 rows ran that sweep about 4% faster than
-# 192, and the criterion-5 sweep (cap 1000) profiles 5527 times at 192
-# rows against 3478 at 512.
+# 192, and the criterion-5 sweep (cap 1000) profiles 4403 times at 192
+# rows against 2716 at 512.
 _MAX_BATCH_ROWS = 192
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
 # falling by the relative tolerance, the gradient fell below its
@@ -358,15 +359,17 @@ def _lm_run_batch(
     copy of it); a one-dimensional ``values`` is shared by every row.
     Only the widths and offset of a start are used (see :func:`_profile`).
 
-    Each row carries the normal equations of its current point.  An
-    iteration tries damped steps on a ladder, two damping levels ``lam``
-    and ``10 lam`` per pass, both profiled in one call, and takes the
-    lower level whose SSR does not rise; a row whose two levels both rise
-    climbs to ``100 lam`` for the next pass.  This is the sequence of
-    trials the plain x10 schedule makes one level at a time, so it reaches
-    the same points.  The accepted trial's profile already holds the
-    residual and basis there, so the next normal equations are formed from
-    it and no point is profiled twice.
+    Each row carries the normal equations of its current point.  Every
+    pass gives each active row one trial at two damping levels, ``lam``
+    and ``10 lam``, all rows' levels profiled in one call; a row takes the
+    lower level whose SSR does not rise and starts its next iteration on
+    the next pass, and a row whose two levels both rise tries ``100 lam``
+    on the next pass.  This is the sequence of trials the plain x10
+    schedule makes one level at a time, so it reaches the same points; a
+    batch makes as many passes as its slowest row would alone.  The
+    accepted trial's profile already holds the residual and basis there,
+    so the next normal equations are formed from it and no point is
+    profiled twice.
 
     Returns (params, ssr, converged, iterations, stop) per row, the
     parameters as canonical raw vectors and ``stop`` indexing
@@ -399,11 +402,18 @@ def _lm_run_batch(
     grad_tol = 1e-12 * np.square(scale)[owner]
     tiny = np.finfo(float).tiny
 
-    for _ in range(cfg.max_iterations):
+    climbing = np.zeros(n_rows, dtype=bool)  # rows whose last trial was rejected at both levels
+    while True:
+        # A row that is not climbing starts an iteration: it is counted, and
+        # one that has used the cap stops there (its stop is already _CAP).
+        fresh = active & ~climbing
+        active[fresh & (iterations == cfg.max_iterations)] = False
         if not active.any():
             break
+        iterations[fresh & active] += 1
         idx = active.nonzero()[0]
-        iterations[idx] += 1
+        # theta and grad do not change while a row climbs, so neither does
+        # anything below up to the trial; a climbing row passes the tests again.
         g, h = grad[idx], jtj[idx]
         if model is ModelKind.ATS:
             # At u = 0 with descent pointing to u < 0 the bound is active:
@@ -422,53 +432,47 @@ def _lm_run_batch(
             idx, g, h = idx[keep], g[keep], h[keep]
             if idx.size == 0:
                 continue
-        ta = theta[idx]
         diag = np.diagonal(h, axis1=1, axis2=2).copy()
         # Flat directions (e.g. the width of a lobe whose amplitude is
         # zero) get a floor so the damped system stays solvable.
         floor = 1e-12 * np.maximum(diag.max(axis=1), tiny)
         diag = np.maximum(diag, floor[:, None])
 
-        pending = np.ones(idx.size, dtype=bool)
-        ssr_old = ssr[idx]
-        lam_local = lam[idx]
-        while pending.any():
-            p = pending.nonzero()[0]
-            both = np.concatenate((p, p))  # the ladder's two levels, lower first
-            lam_trial = np.concatenate((lam_local[p], lam_local[p] * 10.0))
-            t_trial = ta[both] + _damped_step(h[both], diag[both], g[both], lam_trial)
-            if model is ModelKind.ATS:
-                np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
-            ws.rewind()
-            y = values.take(owner[idx[both]], axis=0, out=ws.empty((both.size, n)), mode="clip")
-            alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty)
-            ok = np.isfinite(ssr_t) & (ssr_t <= ssr_old[both])
-            ok[p.size :] &= lam_trial[p.size :] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
-            ok = ok.reshape(2, p.size)
-            took = ok.any(axis=0)
-            j = ok.argmax(axis=0)[took] * p.size + took.nonzero()[0]  # trial row taken
-            a = p[took]
-            ga = idx[a]
-            theta[ga] = t_trial[j]
-            alpha[ga] = alpha_t[j]
-            ssr[ga] = ssr_t[j]
-            lam[ga] = np.maximum(lam_trial[j] / 10.0, _DAMPING_MIN)
-            pending[a] = False
-            done = ssr_old[a] - ssr[ga] <= _RELATIVE_TOLERANCE * np.maximum(ssr[ga], tiny)
-            stop[ga[done]] = _TOLERANCE
-            active[ga[done]] = False
-            j, ga = j[~done], ga[~done]
-            if ga.size:
-                resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
-                q_j = q_t.take(j, axis=0, out=ws.empty((j.size,) + q_t.shape[1:]), mode="clip")
-                grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, ws.empty)
-            rej = p[~took]
-            lam_local[rej] = lam_trial[p.size :][~took] * 10.0
-            dead = rej[lam_local[rej] > _DAMPING_MAX]
-            # No descent direction at any damping: numerically stationary.
-            stop[idx[dead]] = _DAMPING
-            active[idx[dead]] = False
-            pending[dead] = False
+        k = idx.size
+        both = np.tile(np.arange(k), 2)  # each row's two levels, lower first
+        lam_trial = np.concatenate((lam[idx], lam[idx] * 10.0))
+        t_trial = theta[idx[both]] + _damped_step(h[both], diag[both], g[both], lam_trial)
+        if model is ModelKind.ATS:
+            np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
+        ws.rewind()
+        y = values.take(owner[idx[both]], axis=0, out=ws.empty((2 * k, n)), mode="clip")
+        alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty)
+        ok = np.isfinite(ssr_t) & (ssr_t <= ssr[idx[both]])
+        ok[k:] &= lam_trial[k:] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
+        ok = ok.reshape(2, k)
+        took = ok.any(axis=0)
+        j = ok.argmax(axis=0)[took] * k + took.nonzero()[0]  # trial row taken
+        ga = idx[took]
+        done = ssr[ga] - ssr_t[j] <= _RELATIVE_TOLERANCE * np.maximum(ssr_t[j], tiny)
+        theta[ga] = t_trial[j]
+        alpha[ga] = alpha_t[j]
+        ssr[ga] = ssr_t[j]
+        lam[ga] = np.maximum(lam_trial[j] / 10.0, _DAMPING_MIN)
+        climbing[idx] = ~took
+        stop[ga[done]] = _TOLERANCE
+        active[ga[done]] = False
+        j, ga = j[~done], ga[~done]
+        if ga.size:
+            resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
+            q_j = q_t.take(j, axis=0, out=ws.empty((j.size,) + q_t.shape[1:]), mode="clip")
+            grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, ws.empty)
+        # A row that rejects both levels tries 100 lam on the next pass.
+        rej = idx[~took]
+        lam[rej] = lam_trial[k:][~took] * 10.0
+        dead = rej[lam[rej] > _DAMPING_MAX]
+        # No descent direction at any damping: numerically stationary.
+        stop[dead] = _DAMPING
+        active[dead] = False
 
     converged = np.isin(stop, (_TOLERANCE, _GRADIENT, _DAMPING))
     return _join(model, theta, alpha), ssr, converged, iterations, stop
@@ -509,7 +513,7 @@ def fit_many(
 
     Every start of every spectrum becomes one row of a lockstep batch.  A
     batch holds whole spectra, as many as fit in ``_MAX_BATCH_ROWS`` rows
-    (at least one), so the per-iteration interpreter cost is paid once per
+    (at least one), so the per-pass interpreter cost is paid once per
     batch rather than once per spectrum.  A row reads only its own data,
     which makes each result identical to :func:`fit` on that spectrum
     alone, whatever the batch holds.

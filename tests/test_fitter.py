@@ -225,6 +225,34 @@ class TestFrozenRows:
         assert best["params"][2] == "0x0.0p+0"
 
 
+class TestScheduling:
+    def test_a_batch_makes_as_many_passes_as_its_slowest_row_alone(self, monkeypatch):
+        """Start 7 of the frozen damping problem climbs to the damping ceiling.
+
+        A pass gives every active row one trial, so a row that accepts
+        never waits while another climbs: the batch profiles 51 times, as
+        start 7 does alone.  A nested loop that ran each iteration's damping
+        ladder until every row had accepted or died profiled 56 times here.
+        """
+        model, data, x0, cfg = frozen_problem("damping_eit")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return _profile(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "_profile", counted)
+
+        def passes(rows):
+            calls.clear()
+            _lm_run_batch(model, rows, data.deltas, data.values, cfg)
+            return len(calls)
+
+        batch = passes(x0)
+        alone = [passes(x0[i : i + 1]) for i in range(x0.shape[0])]
+        assert batch == max(alone) == alone[7] == 51
+
+
 class TestStopReasons:
     @pytest.mark.parametrize("reason", STOP_REASONS)
     def test_the_winner_reports_why_it_stopped(self, reason):

@@ -9,9 +9,11 @@ criterion-2 sweep, all with fit seed 1:
 - ``noisy``: 2 pump values x 2 replicates at 10% noise (noise seed 1), cap 300;
 - ``default-sweep``: the 146-point sweep 0.05:1.5:0.01, cap 300.
 
-For each it prints the ``_profile`` calls, the rows they profiled and the
-iterations summed over every solver row, counted on a first (warm-up)
-pass, and then the minor page faults and system seconds per pass from
+For each it prints the ``_profile`` calls, the rows they profiled, their
+ratio (``rows/call``: how full the solver's passes are, two trial rows
+per active start) and the iterations summed over every solver row, counted
+on a first (warm-up) pass, and then the minor page faults and system
+seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
@@ -94,6 +96,7 @@ def measure(shape, repeats: int) -> dict:
     return {
         "profile_calls": counter.profile_calls,
         "profiled_rows": counter.profiled_rows,
+        "rows/call": round(counter.profiled_rows / counter.profile_calls, 1),
         "iterations": counter.iterations,
         "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
         "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
@@ -108,7 +111,7 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     names = args.only or list(SHAPES)
-    columns = ("profile_calls", "profiled_rows", "iterations", "minflt/pass", "sys_s/pass")
+    columns = ("profile_calls", "profiled_rows", "rows/call", "iterations", "minflt/pass", "sys_s/pass")
     print(f"{'shape':<14}", *(f"{c:>13}" for c in columns))
     for name in names:
         m = measure(SHAPES[name], args.repeats)
