@@ -396,9 +396,10 @@ def _lm_run_batch(
     stop[~active] = _NON_FINITE
     ssr = np.where(active, ssr, np.inf)
     lam = np.full(n_rows, _INITIAL_DAMPING)
-    # The SSR's gradient scales as the data squared; the scale is clamped
-    # where its square would overflow, so the tolerance stays finite.
-    scale = np.clip(np.max(np.abs(values), axis=1), 1.0, np.sqrt(np.finfo(float).max))
+    # g * theta, the gradient in the log of each parameter, scales as the
+    # data squared in any units of data and detuning (cf. MINPACK's gtol);
+    # the scale is clamped where its square would overflow.
+    scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
     grad_tol = 1e-12 * np.square(scale)[owner]
     tiny = np.finfo(float).tiny
 
@@ -423,7 +424,7 @@ def _lm_run_batch(
             g[bound, 1] = 0.0
             h[bound, 0, 1] = h[bound, 1, 0] = 0.0
         bad = ~np.isfinite(g).all(axis=1) | ~np.isfinite(h).all(axis=(1, 2))
-        flat = ~bad & (np.abs(g).max(axis=1) < grad_tol[idx])
+        flat = ~bad & (np.abs(g * theta[idx]).max(axis=1) < grad_tol[idx])
         stop[idx[bad]] = _NON_FINITE
         stop[idx[flat]] = _GRADIENT
         active[idx[bad | flat]] = False
