@@ -11,10 +11,10 @@ criterion-2 sweep, all with fit seed 1:
 
 For each it prints the ``_profile`` calls, the rows they profiled, their
 ratio (``rows/call``: how full the solver's passes are, two trial rows
-per active start) and the iterations summed over every solver row, counted
-on a first (warm-up) pass, and then the minor page faults and system
-seconds per pass from
-``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
+per active start) and the iterations summed over every solver row,
+counted on a first (warm-up) pass, and then the minor page faults and
+system seconds per pass from ``getrusage(RUSAGE_SELF)`` over
+``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
 again, which wall time on a shared machine cannot resolve.
