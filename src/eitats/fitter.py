@@ -17,15 +17,16 @@ deterministic, data-driven guess and seeded log-uniform perturbations of
 it.  Each pass tries two damping levels of every start at once, and
 each accepted point's normal equations come from the profile that
 accepted it (see :func:`_lm_run_batch`), so an iteration usually profiles
-once.  Every start of every spectrum handed to :func:`fit_many` advances
-through one vectorized loop, one trial per start per pass, so the
-per-pass interpreter cost is paid once per batch, not once per spectrum,
-and no start waits while another climbs the damping.  Each row reads
-only its own data, so a result never depends on what it was batched with.
-A batch's passes reuse one workspace (:class:`_Workspace`), so a pass
-allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
-make the C allocator hand its heap back to the kernel and fault it in
-again: 18k minor page faults per 6-spectrum sweep, 280k per 146-point one.
+once.  Every start of every spectrum handed to :func:`fit_many` runs in
+one vectorized loop, one trial per start per pass, up to
+``_MAX_BATCH_ROWS`` at once with the rest entering free slots as others
+stop: many spectra share each pass's interpreter cost, and no start
+waits while another climbs the damping.  A row reads only its own data,
+so its result depends neither on what else runs nor on its slot.  The
+passes reuse one workspace (:class:`_Workspace`), so a pass allocates no
+row-sized array.  Fresh arrays of a few hundred KB per pass make the C
+allocator hand its heap back to the kernel and fault it in again: 18k
+minor page faults per 6-spectrum sweep, 280k per 146-point one.
 
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
@@ -65,14 +66,14 @@ _INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 _RELATIVE_TOLERANCE = 1e-12
-# Rows (starts x spectra) advanced together by fit_many: 12 spectra of 16
-# starts.  A batch's workspace is 5.6 MiB at 192 rows on the default grid.
-# The default 146-point sweep (cap 300) peaked at 48.8 MiB RSS with 192
-# rows and 52.5 with 256, against 51.5 for fresh arrays at 512 rows.  Fewer
-# rows per batch cost passes: 256 rows ran that sweep about 4% faster than
-# 192, and the criterion-5 sweep (cap 1000) profiles 4403 times at 192
-# rows against 2716 at 512.
-_MAX_BATCH_ROWS = 192
+# Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
+# active at once, so its workspace is at most 7.5 MiB on the default grid
+# whatever the number of spectra and starts.  At 128, 192 and 256 slots
+# the default 146-point sweep (cap 300, fit seed 1) makes 1138, 902 and
+# 786 passes and peaks at 42.3, 44.5 and 46.8 MiB RSS, against 48.6 for
+# the fixed 192-row batches the pool replaced; the criterion-5 sweep (cap
+# 1000) makes 1233, 1060 and 1014 passes (tools/solver_counts.py).
+_MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
 # falling by the relative tolerance, the gradient fell below its
 # tolerance, no step at any damping up to the ceiling lowered the SSR, the
@@ -323,9 +324,9 @@ _WORKSPACE_PER_ROW = 2 * 5 + 9
 class _Workspace:
     """The row buffers of one :func:`_lm_run_batch` call, reused by every pass.
 
-    One flat float64 arena, sized for the first pass (the largest: it
-    profiles two damping levels of every row), is handed out front to
-    back: :meth:`empty` returns the next contiguous block of a shape and
+    One flat float64 arena, sized for the largest pass (two damping
+    levels in every slot of the row pool), is handed out front to back:
+    :meth:`empty` returns the next contiguous block of a shape and
     :meth:`rewind` starts the next pass at the front.
     """
 
@@ -351,50 +352,46 @@ def _lm_run_batch(
     values: np.ndarray,
     cfg: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Advance every row of ``x0`` (shape (s, k)) through the damped descent in lockstep.
+    """Advance every row of ``x0`` (shape (s, k)) through the damped descent.
 
-    ``values`` holds the data: shape (m, n) with m dividing s splits the
-    rows into m consecutive groups of s/m, group j fitting ``values[j]``
-    (m = s gives every row its own data, and a spectrum's starts share one
-    copy of it); a one-dimensional ``values`` is shared by every row.
-    Only the widths and offset of a start are used (see :func:`_profile`).
+    ``values`` (m, n), m dividing s, holds the data: the rows split into m
+    consecutive groups of s/m, group j fitting ``values[j]``.  Only the
+    widths and offset of a start are used (see :func:`_profile`).
 
-    Each row carries the normal equations of its current point.  Every
-    pass gives each active row one trial at two damping levels, ``lam``
-    and ``10 lam``, all rows' levels profiled in one call; a row takes the
-    lower level whose SSR does not rise and starts its next iteration on
-    the next pass, and a row whose two levels both rise tries ``100 lam``
-    on the next pass.  This is the sequence of trials the plain x10
-    schedule makes one level at a time, so it reaches the same points; a
-    batch makes as many passes as its slowest row would alone.  The
-    accepted trial's profile already holds the residual and basis there,
-    so the next normal equations are formed from it and no point is
-    profiled twice.
+    At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
+    pending rows fill the free slots in row order, each with its start's
+    profile and normal equations, and a row leaves its slot when it stops.
+    Every pass gives each active row one trial at two damping levels,
+    ``lam`` and ``10 lam``, all rows' levels profiled in one call; a row
+    takes the lower level whose SSR does not rise and starts its next
+    iteration on the next pass, and a row whose two levels both rise tries
+    ``100 lam`` on the next pass.  This is the sequence of trials the plain
+    x10 schedule makes one level at a time, so it reaches the same points;
+    when every row fits in the pool, the run makes as many trial passes as
+    its slowest row would alone.  The accepted trial's profile holds the
+    residual and basis there, so the next normal equations are formed from
+    it and no point is profiled twice.
 
     Returns (params, ssr, converged, iterations, stop) per row, the
     parameters as canonical raw vectors and ``stop`` indexing
     ``STOP_REASONS``.  A row reads nothing of the other rows, so its
-    outcome does not depend on what it is batched with; rows that stop
-    simply drop out of the active set.
+    outcome depends neither on what else runs nor on when it enters a slot.
     """
     n_rows = x0.shape[0]
-    values = np.atleast_2d(values)
     group = n_rows // values.shape[0]
     if group * values.shape[0] != n_rows:
         raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
     owner = np.arange(n_rows) // group
-    theta, _ = _split(model, np.array(x0, dtype=float))
+    theta, alpha = _split(model, np.array(x0, dtype=float))
     n = deltas.size
-    ws = _Workspace(_WORKSPACE_PER_ROW * n_rows * n)
-    # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
-    y = values.take(owner, axis=0, out=ws.empty((n_rows, n)), mode="clip")
-    alpha, ssr, resid, q = _profile(model, theta, deltas, y, ws.empty)
-    grad, jtj = _normal_equations(model, theta, deltas, alpha, resid, q, ws.empty)
+    slots = min(n_rows, _MAX_BATCH_ROWS)
+    ws = _Workspace(_WORKSPACE_PER_ROW * slots * n)
+    ssr, grad, jtj = np.empty(n_rows), np.empty((n_rows, 2)), np.empty((n_rows, 2, 2))
     stop = np.full(n_rows, _CAP)
     iterations = np.zeros(n_rows, dtype=int)
-    active = np.isfinite(ssr)
-    stop[~active] = _NON_FINITE
-    ssr = np.where(active, ssr, np.inf)
+    active = np.zeros(n_rows, dtype=bool)
+    climbing = np.zeros(n_rows, dtype=bool)  # rows whose last trial was rejected at both levels
+    admitted = 0  # rows [0, admitted) have entered a slot
     lam = np.full(n_rows, _INITIAL_DAMPING)
     # g * theta, the gradient in the log of each parameter, scales as the
     # data squared in any units of data and detuning (cf. MINPACK's gtol);
@@ -403,14 +400,23 @@ def _lm_run_batch(
     grad_tol = 1e-12 * np.square(scale)[owner]
     tiny = np.finfo(float).tiny
 
-    climbing = np.zeros(n_rows, dtype=bool)  # rows whose last trial was rejected at both levels
-    while True:
+    while admitted < n_rows or active.any():
+        # Pending rows fill the free slots, in row order.
+        new = np.arange(admitted, min(n_rows, admitted + slots - np.count_nonzero(active)))
+        if new.size:
+            admitted += new.size
+            ws.rewind()
+            # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
+            y = values.take(owner[new], axis=0, out=ws.empty((new.size, n)), mode="clip")
+            alpha[new], ssr_new, resid, q = _profile(model, theta[new], deltas, y, ws.empty)
+            grad[new], jtj[new] = _normal_equations(model, theta[new], deltas, alpha[new], resid, q, ws.empty)
+            active[new] = np.isfinite(ssr_new)
+            ssr[new] = np.where(active[new], ssr_new, np.inf)
+            stop[new[~active[new]]] = _NON_FINITE
         # A row that is not climbing starts an iteration: it is counted, and
         # one that has used the cap stops there (its stop is already _CAP).
         fresh = active & ~climbing
         active[fresh & (iterations == cfg.max_iterations)] = False
-        if not active.any():
-            break
         iterations[fresh & active] += 1
         idx = active.nonzero()[0]
         # theta and grad do not change while a row climbs, so neither does
@@ -431,8 +437,8 @@ def _lm_run_batch(
         keep = ~(bad | flat)
         if not keep.all():
             idx, g, h = idx[keep], g[keep], h[keep]
-            if idx.size == 0:
-                continue
+        if idx.size == 0:
+            continue
         diag = np.diagonal(h, axis1=1, axis2=2).copy()
         # Flat directions (e.g. the width of a lobe whose amplitude is
         # zero) get a floor so the damped system stays solvable.
@@ -510,14 +516,15 @@ def _best_of(
 def fit_many(
     model: ModelKind, spectra: Sequence[Spectrum], cfg: FitConfig | None = None
 ) -> list[FitResult | Exception]:
-    """Fit one model to many spectra on one detuning grid, in lockstep.
+    """Fit one model to many spectra on one detuning grid, in one solver run.
 
-    Every start of every spectrum becomes one row of a lockstep batch.  A
-    batch holds whole spectra, as many as fit in ``_MAX_BATCH_ROWS`` rows
-    (at least one), so the per-pass interpreter cost is paid once per
-    batch rather than once per spectrum.  A row reads only its own data,
-    which makes each result identical to :func:`fit` on that spectrum
-    alone, whatever the batch holds.
+    Every start of every spectrum becomes one row of a single
+    :func:`_lm_run_batch` call, whose pool of ``_MAX_BATCH_ROWS`` slots
+    takes in rows as others stop, so the per-pass interpreter cost is
+    shared by many spectra and memory stays bounded for any number of
+    spectra or starts.  A row reads only its own data, which makes each
+    result identical to :func:`fit` on that spectrum alone, whatever else
+    is in the pool and whichever slot the row had.
 
     Returns one entry per spectrum, in order: its :class:`FitResult`, or
     the exception :func:`fit` would raise for it.
@@ -536,26 +543,19 @@ def fit_many(
     n = deltas.size
     if n <= model.k:
         return [ValueError(f"need more than {model.k} points to fit {model.value}, got {n}") for _ in spectra]
-    out: list[FitResult | Exception] = [None] * len(spectra)  # type: ignore[list-item]
-    todo = []
-    for i, data in enumerate(spectra):
-        if np.all(data.values == data.values[0]):
-            out[i] = DegenerateDataError("all data values are equal; nothing to fit")
-        else:
-            todo.append(i)
-
-    per_batch = max(1, _MAX_BATCH_ROWS // cfg.n_starts)
-    for lo in range(0, len(todo), per_batch):
-        batch = todo[lo : lo + per_batch]
-        x0 = np.concatenate([np.stack(initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed)) for i in batch])
-        values = np.stack([spectra[i].values for i in batch])
+    degenerate = [bool(np.all(s.values == s.values[0])) for s in spectra]
+    out: list = [DegenerateDataError("all data values are equal; nothing to fit") if d else None for d in degenerate]
+    todo = [i for i, d in enumerate(degenerate) if not d]
+    if todo:
+        x0 = np.concatenate([initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed) for i in todo])
+        values = np.stack([spectra[i].values for i in todo])
         x, ssr, converged, iterations, stop = _lm_run_batch(model, x0, deltas, values, cfg)
-        for j, i in enumerate(batch):
-            rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
-            try:
-                out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], iterations[rows], stop[rows], n)
-            except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
-                out[i] = exc
+    for j, i in enumerate(todo):
+        rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
+        try:
+            out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], iterations[rows], stop[rows], n)
+        except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
+            out[i] = exc
     return out
 
 

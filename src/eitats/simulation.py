@@ -186,8 +186,8 @@ def sweep_gbc_boundary(
     """Locate the weight-crossing pump strength as the two-photon dephasing varies.
 
     Runs a pump sweep over ``omegas`` on the default detuning grid at each
-    dephasing value (each sweep's fits share lockstep batches, see
-    :func:`sweep_omega`), extracts its crossover, and records the
+    dephasing value (each sweep's fits of a model share one solver run,
+    see :func:`sweep_omega`), extracts its crossover, and records the
     induced-transparency depth evaluated there.  One sweep is held at a
     time, so memory grows with the pump axis, not the whole grid.
     """

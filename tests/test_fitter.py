@@ -117,7 +117,7 @@ def rounding_floor(values):
 def ssr_by_cap(model, data, x0, caps):
     """Each row's SSR after ``cap`` iterations, one row of the result per cap."""
     return np.stack(
-        [_lm_run_batch(model, x0, data.deltas, data.values, FitConfig(max_iterations=cap))[1] for cap in caps]
+        [_lm_run_batch(model, x0, data.deltas, data.values[None], FitConfig(max_iterations=cap))[1] for cap in caps]
     )
 
 
@@ -148,7 +148,8 @@ class TestDescentBehaviour:
         data = absorption_profile(TlaParams(omega=omega), default_grid())
         for model in (ModelKind.EIT, ModelKind.ATS):
             x0 = np.stack(initial_guesses(model, data, 5, 1))
-            _, ssr, converged, *_ = _lm_run_batch(model, x0, data.deltas, data.values, FitConfig(max_iterations=cap))
+            cfg = FitConfig(max_iterations=cap)
+            _, ssr, converged, *_ = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
             bound = np.maximum(np.array(FROZEN_SSR[omega, cap][model]) * (1.0 + 1e-9), rounding_floor(data.values))
             assert np.all(ssr <= bound), (model, ssr, bound)
             assert converged.all()
@@ -196,7 +197,7 @@ def frozen_problem(name):
 def solver_rows(name):
     """Every row _lm_run_batch returns on a frozen problem, floats as float.hex."""
     model, data, x0, cfg = frozen_problem(name)
-    x, ssr, converged, iterations, stop = _lm_run_batch(model, x0, data.deltas, data.values, cfg)
+    x, ssr, converged, iterations, stop = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
     return [
         {
             "params": [float(v).hex() for v in x[i]],
@@ -245,7 +246,7 @@ class TestScheduling:
 
         def passes(rows):
             calls.clear()
-            _lm_run_batch(model, rows, data.deltas, data.values, cfg)
+            _lm_run_batch(model, rows, data.deltas, data.values[None], cfg)
             return len(calls)
 
         batch = passes(x0)
@@ -358,6 +359,21 @@ def profiled_rows(model, rows, empty=np.empty):
     return [tuple(out[i].tobytes() for out in outputs) for i in range(len(rows))]
 
 
+def workspace_tops(run):
+    """Call ``run()`` with each ``_Workspace`` recording its top after every block it hands out."""
+    tops = []
+
+    class Spy(fitter._Workspace):
+        def empty(self, shape):
+            block = super().empty(shape)
+            tops.append(self._top)
+            return block
+
+    with mock.patch.object(fitter, "_Workspace", Spy):
+        run()
+    return tops
+
+
 class TestWorkspace:
     @settings(max_examples=60, deadline=None)
     @given(model=st.sampled_from(list(ModelKind)), data=st.data())
@@ -384,9 +400,9 @@ class TestWorkspace:
         x0_a = np.stack(initial_guesses(model, a, 4, 0))
         x0_b = np.stack(initial_guesses(model, b, 12, 1))
         cfg = FitConfig(max_iterations=40)
-        first = _lm_run_batch(model, x0_a, a.deltas, a.values, cfg)
-        _lm_run_batch(model, x0_b, b.deltas, b.values, cfg)
-        again = _lm_run_batch(model, x0_a, a.deltas, a.values, cfg)
+        first = _lm_run_batch(model, x0_a, a.deltas, a.values[None], cfg)
+        _lm_run_batch(model, x0_b, b.deltas, b.values[None], cfg)
+        again = _lm_run_batch(model, x0_a, a.deltas, a.values[None], cfg)
         for x, y in zip(first, again):
             assert x.tobytes() == y.tobytes()
 
@@ -395,16 +411,19 @@ class TestWorkspace:
         # Too small, and taking a block past its end fails; too large, and
         # every batch holds memory it never touches.
         model, data, x0, _ = frozen_problem(name)
-        tops = []
-
-        class Spy(fitter._Workspace):
-            def rewind(self):
-                tops.append(self._top)
-                super().rewind()
-
-        with mock.patch.object(fitter, "_Workspace", Spy):
-            _lm_run_batch(model, x0, data.deltas, data.values, FitConfig(max_iterations=20))
+        cfg = FitConfig(max_iterations=20)
+        tops = workspace_tops(lambda: _lm_run_batch(model, x0, data.deltas, data.values[None], cfg))
         assert max(tops) == fitter._WORKSPACE_PER_ROW * x0.shape[0] * data.n_points
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_the_pool_bounds_the_workspace_for_any_number_of_starts(self, model):
+        # 12 starts of one spectrum share a pool of 8 rows: the workspace
+        # never holds more than 8 rows' worth, whatever the start count.
+        data = noisy_replicate(0.3, 5, 2)
+        cfg = FitConfig(max_iterations=20, n_starts=12)
+        with mock.patch.object(fitter, "_MAX_BATCH_ROWS", 8):
+            tops = workspace_tops(lambda: fit_many(model, [data], cfg))
+        assert max(tops) <= fitter._WORKSPACE_PER_ROW * 8 * data.n_points
 
 
 # Few starts and a short cap keep the property test fast; some starts
@@ -480,7 +499,7 @@ class TestBatchInvariance:
     def test_one_dimensional_values_broadcast_to_every_row(self, pool):
         data = pool[2]
         x0 = np.stack(initial_guesses(ModelKind.ATS, data, 4, 0))
-        shared = _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values, BATCH_CFG)
+        shared = _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values[None], BATCH_CFG)
         per_row = _lm_run_batch(ModelKind.ATS, x0, data.deltas, np.tile(data.values, (4, 1)), BATCH_CFG)
         for a, b in zip(shared, per_row):
             assert np.array_equal(a, b)

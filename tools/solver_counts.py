@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Count the solver's work and its kernel-side memory cost on fixed fit shapes.
 
-Runs one pass of each of the benchmark's shapes and the default
-criterion-2 sweep, all with fit seed 1:
+Runs one pass of each of the benchmark's shapes and of the criterion-2
+and criterion-5 sweeps, all with fit seed 1:
 
 - ``verdict``: the circuit curve and the noisy circuit fixture, cap 1000;
 - ``sweep``: the noiseless 6-spectrum sweep 0.7:0.95:0.05, cap 300;
 - ``noisy``: 2 pump values x 2 replicates at 10% noise (noise seed 1), cap 300;
-- ``default-sweep``: the 146-point sweep 0.05:1.5:0.01, cap 300.
+- ``default-sweep``: the 146-point sweep 0.05:1.5:0.01, cap 300;
+- ``criterion-5``: pump 0 and 0.1 x 100 replicates at 10% noise (noise
+  seed 42), cap 1000.
 
-For each it prints the ``_profile`` calls, the rows they profiled, their
-ratio (``rows/call``: how full the solver's passes are, two trial rows
-per active start) and the iterations summed over every solver row,
-counted on a first (warm-up) pass, and then the minor page faults and
-system seconds per pass from ``getrusage(RUSAGE_SELF)`` over
-``--repeats`` more passes.  The counts
+For each it prints the solver passes that try a step (``_damped_step``
+calls), the ``_profile`` calls (those passes plus the passes that admit
+new rows), the rows they profiled, their ratio (``rows/call``: how full
+the solver's passes are, two trial rows per active start) and the
+iterations summed over every solver row, counted on a first (warm-up)
+pass, and then the minor page faults and system seconds per pass from
+``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
 again, which wall time on a shared machine cannot resolve.
@@ -49,8 +52,8 @@ def verdict():
         discriminate(data, FitConfig(seed=SEED))
 
 
-def _sweep(omegas, noise=NoiseSpec()):
-    sweep_omega(1.0, 0.1, noise, default_grid(*omegas), FitConfig(max_iterations=300, seed=SEED))
+def _sweep(omegas, noise=NoiseSpec(), cap=300):
+    sweep_omega(1.0, 0.1, noise, default_grid(*omegas), FitConfig(max_iterations=cap, seed=SEED))
 
 
 SHAPES = {
@@ -58,15 +61,20 @@ SHAPES = {
     "sweep": lambda: _sweep((0.7, 0.95, 0.05)),
     "noisy": lambda: _sweep((0.0, 0.1, 0.1), NoiseSpec(sigma=0.1, seed=SEED, n_replicates=2)),
     "default-sweep": lambda: _sweep((0.05, 1.5, 0.01)),
+    "criterion-5": lambda: _sweep((0.0, 0.1, 0.1), NoiseSpec(sigma=0.1, seed=42, n_replicates=100), 1000),
 }
 
 
 class Counter:
-    """Wraps ``fitter._profile`` and ``fitter._lm_run_batch`` to count their work."""
+    """Wraps ``fitter._damped_step``, ``fitter._profile`` and ``fitter._lm_run_batch`` to count their work."""
 
     def __init__(self):
-        self.profile_calls = self.profiled_rows = self.iterations = 0
-        self._profile, self._run = fitter._profile, fitter._lm_run_batch
+        self.passes = self.profile_calls = self.profiled_rows = self.iterations = 0
+        self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
+
+    def step(self, *args):
+        self.passes += 1
+        return self._step(*args)
 
     def profile(self, model, theta, *args, **kwargs):
         self.profile_calls += 1
@@ -79,11 +87,11 @@ class Counter:
         return out
 
     def __enter__(self):
-        fitter._profile, fitter._lm_run_batch = self.profile, self.run
+        fitter._damped_step, fitter._profile, fitter._lm_run_batch = self.step, self.profile, self.run
         return self
 
     def __exit__(self, *exc):
-        fitter._profile, fitter._lm_run_batch = self._profile, self._run
+        fitter._damped_step, fitter._profile, fitter._lm_run_batch = self._step, self._profile, self._run
 
 
 def measure(shape, repeats: int) -> dict:
@@ -94,6 +102,7 @@ def measure(shape, repeats: int) -> dict:
         shape()
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {
+        "passes": counter.passes,
         "profile_calls": counter.profile_calls,
         "profiled_rows": counter.profiled_rows,
         "rows/call": round(counter.profiled_rows / counter.profile_calls, 1),
@@ -111,7 +120,7 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     names = args.only or list(SHAPES)
-    columns = ("profile_calls", "profiled_rows", "rows/call", "iterations", "minflt/pass", "sys_s/pass")
+    columns = ("passes", "profile_calls", "profiled_rows", "rows/call", "iterations", "minflt/pass", "sys_s/pass")
     print(f"{'shape':<14}", *(f"{c:>13}" for c in columns))
     for name in names:
         m = measure(SHAPES[name], args.repeats)
