@@ -24,7 +24,7 @@ from eitats.fitter import (
     initial_guesses,
     variance_floor,
 )
-from eitats.cli import CIRCUIT_GRID, CIRCUIT_PRESET
+from eitats.cli import CIRCUIT_GRID, CIRCUIT_PRESET, ingest_spectrum
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
 from eitats.models import AtsParams, EitParams, ModelKind, as_array, eval_ats, eval_eit
 from eitats.simulation import NoiseSpec, add_noise
@@ -167,8 +167,11 @@ class TestDescentBehaviour:
 
 # Problems whose every row of _lm_run_batch output is frozen in
 # data/solver_rows.json, from 16 starts of fit seed 0: (model, pump omega,
-# noise seed, replicate, cap); omega None is the circuit curve, noise seed
+# noise seed, replicate, cap); omega None is the circuit curve, omega
+# SHIFTED the noisy circuit fixture with every detuning moved by +0.1 (a
+# two-sided grid on which no two points mirror each other), noise seed
 # None a noiseless spectrum.
+SHIFTED = "shifted fixture"
 FROZEN_PROBLEMS = {
     "circuit_eit": (ModelKind.EIT, None, None, 0, 1000),
     "circuit_ats": (ModelKind.ATS, None, None, 0, 1000),
@@ -178,6 +181,8 @@ FROZEN_PROBLEMS = {
     "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 300),
     # Start 7 stops at the damping ceiling.
     "damping_eit": (ModelKind.EIT, 1.35, None, 0, 300),
+    "unmirrored_eit": (ModelKind.EIT, SHIFTED, None, 0, 1000),
+    "unmirrored_ats": (ModelKind.ATS, SHIFTED, None, 0, 1000),
 }
 FROZEN_ROWS = json.loads((Path(__file__).parent / "data" / "solver_rows.json").read_text(encoding="utf-8"))
 
@@ -187,6 +192,9 @@ def frozen_problem(name):
     model, omega, seed, replicate, cap = FROZEN_PROBLEMS[name]
     if omega is None:
         data = transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
+    elif omega == SHIFTED:
+        fixture = ingest_spectrum(Path(__file__).parent / "data" / "circuit_noisy.csv")
+        data = Spectrum(deltas=fixture.deltas + 0.1, values=fixture.values)
     elif seed is None:
         data = absorption_profile(TlaParams(omega=omega), default_grid())
     else:
