@@ -22,11 +22,21 @@ one vectorized loop, one trial per start per pass, up to
 ``_MAX_BATCH_ROWS`` at once with the rest entering free slots as others
 stop: many spectra share each pass's interpreter cost, and no start
 waits while another climbs the damping.  A row reads only its own data,
-so its result depends neither on what else runs nor on its slot.  The
-passes reuse one workspace (:class:`_Workspace`), so a pass allocates no
-row-sized array.  Fresh arrays of a few hundred KB per pass make the C
-allocator hand its heap back to the kernel and fault it in again: 18k
-minor page faults per 6-spectrum sweep, 280k per 146-point one.
+so its result depends neither on what else runs nor on its slot.
+
+Both models are even in the detuning, so the loop runs on the folded
+grid (:func:`_fold`): each distinct ``|delta|`` once, weighted by the
+number of samples that share it, against their mean, with the data's odd
+part added back to every SSR.  On a mirror-symmetric grid that halves
+the points every pass profiles and differentiates, while every SSR it
+compares, stops on or reports is still the full grid's; on a grid with
+no mirrored pair the arithmetic is unchanged.
+
+The passes reuse one workspace (:class:`_Workspace`), so a pass
+allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
+make the C allocator hand its heap back to the kernel and fault it in
+again: 18k minor page faults per 6-spectrum sweep, 280k per 146-point
+one.
 
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
@@ -67,12 +77,12 @@ _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
-# active at once, so its workspace is at most 7.5 MiB on the default grid
-# whatever the number of spectra and starts.  At 128, 192 and 256 slots
-# the default 146-point sweep (cap 300, fit seed 1) makes 1138, 902 and
-# 786 passes and peaks at 42.3, 44.5 and 46.8 MiB RSS, against 48.6 for
-# the fixed 192-row batches the pool replaced; the criterion-5 sweep (cap
-# 1000) makes 1233, 1060 and 1014 passes (tools/solver_counts.py).
+# active at once, so its workspace is at most 3.7 MiB on the default grid
+# (101 folded points) whatever the number of spectra and starts.  At 128,
+# 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
+# makes 1131, 897 and 782 passes and peaks at 40.8, 41.9 and 43.0 MiB
+# RSS; the criterion-5 sweep (cap 1000) makes 1233, 1059 and 1014 passes
+# (tools/solver_counts.py; RSS from getrusage in a fresh process).
 _MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
 # falling by the relative tolerance, the gradient fell below its
@@ -233,7 +243,7 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
 _COLLINEAR_SIN = 1e-8
 
 
-def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, empty=np.empty):
+def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, empty=np.empty, weight=1.0):
     """Profile the squared amplitudes out at the nonlinear parameters ``theta`` (s, 2).
 
     Each row's amplitudes ``alpha >= 0`` minimise ``|y - Phi alpha|``: the
@@ -242,7 +252,8 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     orthonormal basis of the columns in use with the unused ones zeroed:
     with ``resid`` it is what :func:`_normal_equations` needs at this point.
     Arrays of s rows come from ``empty`` (see :func:`_basis`); ``resid`` and
-    ``q`` are two of them.
+    ``q`` are two of them.  ``Phi`` is weighted by ``weight`` (see
+    :func:`_basis`), and ``y`` must carry the same weight.
 
     The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
     ``-L(g_minus)`` turn parallel and the amplitudes grow like
@@ -260,14 +271,16 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     than the grid), the pair counts as one column.
     """
     s, n = theta.shape[0], deltas.size
-    phi = _basis(model, theta, deltas, empty=empty)
+    phi = _basis(model, theta, deltas, empty=empty, weight=weight)
     resid = empty((s, n))  # scratch until it holds the residual
     if model is ModelKind.EIT:
         gp, gm = theta[:, 0:1], theta[:, 1:2]
-        # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus).
+        # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus),
+        # divided back from the two columns' weights to one.
         e = empty((s, n))
         np.multiply((gm - gp) * (gp + gm), phi[:, 0], out=e)
         e *= phi[:, 1]
+        e /= weight
     norm = np.sqrt(np.einsum("spn,spn->sp", phi, phi))
     q = phi
     q /= norm[:, :, None]  # unit columns; below, the basis of the columns in use
@@ -300,22 +313,30 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
 
 
 def _normal_equations(
-    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, alpha: np.ndarray, resid: np.ndarray, q: np.ndarray, empty
+    model: ModelKind,
+    theta: np.ndarray,
+    deltas: np.ndarray,
+    alpha: np.ndarray,
+    resid: np.ndarray,
+    q: np.ndarray,
+    empty,
+    weight=1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``J^T r`` (s, 2) and ``J^T J`` (s, 2, 2) at a point :func:`_profile` returned.
 
     ``J`` (s, 2, n) is Kaufman's Jacobian ``P (dPhi/dtheta alpha)``, ``P``
-    the projector onto the complement of ``q``'s columns.  Arrays of s
-    rows come from ``empty`` (see :func:`_basis`).
+    the projector onto the complement of ``q``'s columns, with ``dPhi``
+    weighted as :func:`_profile` weighted ``Phi``.  Arrays of s rows come
+    from ``empty`` (see :func:`_basis`).
     """
-    _, jac = _basis(model, theta, deltas, derivatives=True, empty=empty)
+    _, jac = _basis(model, theta, deltas, derivatives=True, empty=empty, weight=weight)
     jac *= alpha[:, list(_COLUMN_OF[model])][:, :, None]
     along_q = empty((theta.shape[0], deltas.size, 2))
     jac -= np.matmul(q.transpose(0, 2, 1), q @ jac.transpose(0, 2, 1), out=along_q).transpose(0, 2, 1)
     return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
 
 
-# Floats per solver row and grid point that a pass takes from the
+# Floats per solver row and folded grid point that a pass takes from the
 # workspace, for either model: 5 in _profile for each of the row's two
 # trial rows, and 9 for its normal equations.
 _WORKSPACE_PER_ROW = 2 * 5 + 9
@@ -342,6 +363,33 @@ class _Workspace:
         self._top = 0
 
 
+def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold the detuning axis onto ``|delta|``, where both models are evaluated.
+
+    Returns the distinct values of ``|delta|`` in the order they first
+    occur on the grid, the square root ``sqrt(w)`` of each one's
+    multiplicity, every spectrum of ``values`` (m, n) as ``sqrt(w)`` times
+    its mean over the samples that share a value (m, n_folded), and each
+    spectrum's squared distance to those means (m,), its part odd in the
+    detuning.  Any even model's SSR on the full grid is that distance plus
+    its SSR against the folded data with its columns weighted by
+    ``sqrt(w)``.  On a grid with no mirrored pair every ``w`` is 1, the
+    folded grid is the grid, and the distance is 0.
+    """
+    a = np.abs(deltas)
+    _, first, inverse = np.unique(a, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    inverse = rank[inverse]  # folded index of each sample, the folded points in grid order
+    count = np.bincount(inverse).astype(float)
+    total = np.zeros((values.shape[0], count.size))
+    np.add.at(total, (slice(None), inverse), values)
+    odd = values - (total / count)[:, inverse]
+    weight = np.sqrt(count)
+    return a[first[order]], weight, total / weight, np.einsum("mn,mn->m", odd, odd)
+
+
 # Overflow far out or near the float limit gives non-finite values, which
 # the rows' checks stop on; the warnings are silenced once, for the body.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -357,6 +405,13 @@ def _lm_run_batch(
     ``values`` (m, n), m dividing s, holds the data: the rows split into m
     consecutive groups of s/m, group j fitting ``values[j]``.  Only the
     widths and offset of a start are used (see :func:`_profile`).
+
+    Both models are even in the detuning, so the descent runs on the
+    folded grid of :func:`_fold`: each distinct ``|delta|`` is profiled
+    once, weighted by its multiplicity, and each SSR gets its spectrum's
+    odd part added back.  Acceptance, the tolerance stop and the returned
+    SSR therefore use the full grid's SSR, and the gradient stop the full
+    data's scale, on half the points of a mirror-symmetric grid.
 
     At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
     pending rows fill the free slots in row order, each with its start's
@@ -382,7 +437,13 @@ def _lm_run_batch(
     if group * values.shape[0] != n_rows:
         raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
     owner = np.arange(n_rows) // group
+    # g * theta, the gradient in the log of each parameter, scales as the
+    # data squared in any units of data and detuning (cf. MINPACK's gtol);
+    # the scale, the full data's, is clamped where its square would overflow.
+    scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
+    grad_tol = 1e-12 * np.square(scale)[owner]
     theta, alpha = _split(model, np.array(x0, dtype=float))
+    deltas, weight, values, odd = _fold(deltas, values)
     n = deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
     ws = _Workspace(_WORKSPACE_PER_ROW * slots * n)
@@ -393,11 +454,6 @@ def _lm_run_batch(
     climbing = np.zeros(n_rows, dtype=bool)  # rows whose last trial was rejected at both levels
     admitted = 0  # rows [0, admitted) have entered a slot
     lam = np.full(n_rows, _INITIAL_DAMPING)
-    # g * theta, the gradient in the log of each parameter, scales as the
-    # data squared in any units of data and detuning (cf. MINPACK's gtol);
-    # the scale is clamped where its square would overflow.
-    scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
-    grad_tol = 1e-12 * np.square(scale)[owner]
     tiny = np.finfo(float).tiny
 
     while admitted < n_rows or active.any():
@@ -408,8 +464,9 @@ def _lm_run_batch(
             ws.rewind()
             # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
             y = values.take(owner[new], axis=0, out=ws.empty((new.size, n)), mode="clip")
-            alpha[new], ssr_new, resid, q = _profile(model, theta[new], deltas, y, ws.empty)
-            grad[new], jtj[new] = _normal_equations(model, theta[new], deltas, alpha[new], resid, q, ws.empty)
+            alpha[new], ssr_new, resid, q = _profile(model, theta[new], deltas, y, ws.empty, weight)
+            ssr_new += odd[owner[new]]
+            grad[new], jtj[new] = _normal_equations(model, theta[new], deltas, alpha[new], resid, q, ws.empty, weight)
             active[new] = np.isfinite(ssr_new)
             ssr[new] = np.where(active[new], ssr_new, np.inf)
             stop[new[~active[new]]] = _NON_FINITE
@@ -453,7 +510,8 @@ def _lm_run_batch(
             np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
         ws.rewind()
         y = values.take(owner[idx[both]], axis=0, out=ws.empty((2 * k, n)), mode="clip")
-        alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty)
+        alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
+        ssr_t += odd[owner[idx[both]]]
         ok = np.isfinite(ssr_t) & (ssr_t <= ssr[idx[both]])
         ok[k:] &= lam_trial[k:] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
         ok = ok.reshape(2, k)
@@ -472,7 +530,9 @@ def _lm_run_batch(
         if ga.size:
             resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
             q_j = q_t.take(j, axis=0, out=ws.empty((j.size,) + q_t.shape[1:]), mode="clip")
-            grad[ga], jtj[ga] = _normal_equations(model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, ws.empty)
+            grad[ga], jtj[ga] = _normal_equations(
+                model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, ws.empty, weight
+            )
         # A row that rejects both levels tries 100 lam on the next pass.
         rej = idx[~took]
         lam[rej] = lam_trial[k:][~took] * 10.0

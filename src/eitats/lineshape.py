@@ -155,6 +155,9 @@ def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.05) -> np.nd
 
     ``step`` must divide ``hi - lo`` up to rounding; a step that does not
     is rejected rather than silently replaced by the nearest one that does.
+    A grid with ``lo == -hi`` is exactly mirror-symmetric, ``g == -g[::-1]``
+    (``linspace`` alone rounds some of -x and x differently), so the fitter
+    can fold it onto ``|delta|``; any other grid is ``np.linspace``'s.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
@@ -166,7 +169,8 @@ def default_grid(lo: float = -5.0, hi: float = 5.0, step: float = 0.05) -> np.nd
     # 144.99999999999997 steps, so a relative slack of 1e-9 per step.
     if abs(steps - n) > 1e-9 * n:
         raise ValueError(f"step {step:g} does not divide hi - lo = {hi - lo:g}")
-    return np.linspace(lo, hi, n + 1)
+    grid = np.linspace(lo, hi, n + 1)
+    return (grid - grid[::-1]) / 2.0 if lo == -hi else grid
 
 
 def susceptibility(p: TlaParams, delta):

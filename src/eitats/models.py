@@ -123,7 +123,9 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
 _COLUMN_OF = {ModelKind.EIT: (0, 1), ModelKind.ATS: (0, 0)}
 
 
-def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False, empty=np.empty):
+def _basis(
+    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False, empty=np.empty, weight=1.0
+):
     """Model columns at the nonlinear parameters ``theta`` of shape (s, 2).
 
     EIT: ``theta = (g_plus, g_minus)``, columns ``L(g_plus)`` and
@@ -133,7 +135,9 @@ def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives:
     Returns the columns, shape (s, p, n), and with ``derivatives`` also
     ``dphi`` of shape (s, 2, n): ``dphi[:, j]`` is the derivative with
     respect to ``theta_j`` of column ``_COLUMN_OF[model][j]``, the only
-    column ``theta_j`` moves.
+    column ``theta_j`` moves.  Both are multiplied by ``weight``, a scalar
+    or one factor per detuning (the fitter's square-root multiplicities);
+    it enters the Lorentzians' numerators, so a weight of 1 changes no bit.
 
     Both are stored column by column, as a (p, s, n) block seen through a
     transpose, so that ``phi[:, j]`` is a contiguous (s, n) array: numpy
@@ -148,15 +152,16 @@ def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives:
         d2 = deltas * deltas
         gm = theta[:, 1:2]
         phi = empty((2, s, n))
-        for col, width, sign in ((phi[0], g, 1.0), (phi[1], gm, -1.0)):
+        for col, width, numerator in ((phi[0], g, weight), (phi[1], gm, -weight)):
             np.add(width * width, d2, out=col)
-            np.divide(sign, col, out=col)
+            np.divide(numerator, col, out=col)
         if not derivatives:
             return phi.transpose(1, 0, 2)
         dphi = empty((2, s, n))
         for col, dcol, scale in ((phi[0], dphi[0], -2.0 * g), (phi[1], dphi[1], 2.0 * gm)):
             np.multiply(scale, col, out=dcol)
             dcol *= col
+            dcol /= weight  # the product of two columns carries the weight twice
         return phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2)
     # The doublet is even in the detuning, so |d| is used: then d0 >= 0
     # makes L(|d| + d0) the smaller Lorentzian, and du below has no
@@ -167,10 +172,10 @@ def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives:
     lm, lp = empty((2, s, n))
     np.subtract(a, d0, out=lm)
     np.add(a, d0, out=lp)
-    for lor in (lm, lp):  # 1 / (g**2 + (|d| -+ d0)**2)
+    for lor in (lm, lp):  # weight / (g**2 + (|d| -+ d0)**2)
         np.square(lor, out=lor)
         np.add(gg, lor, out=lor)
-        np.divide(1.0, lor, out=lor)
+        np.divide(weight, lor, out=lor)
     phi = empty((1, s, n))
     np.add(lm, lp, out=phi[0])
     if not derivatives:
@@ -180,13 +185,13 @@ def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives:
     # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
     # stays finite at d0 = 0 where the doublet merges:
     # du = 4 |d| (|d| - d0) lm lp (lm + lp) - 2 lp**2, factors applied left
-    # to right (lm + lp is phi).
+    # to right (lm + lp is phi), each weighted product divided back to one weight.
     np.subtract(a, d0, out=du)
-    np.multiply(4.0 * a, du, out=du)
+    np.multiply(4.0 * a / (weight * weight), du, out=du)
     du *= lm
     du *= lp
     du *= phi[0]
-    np.multiply(2.0, lp, out=dg)
+    np.multiply(2.0 / weight, lp, out=dg)
     dg *= lp
     du -= dg
     # dg = -2 g (lm**2 + lp**2)
@@ -194,6 +199,7 @@ def _basis(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives:
     lp *= lp
     np.add(lm, lp, out=dg)
     np.multiply(-2.0 * g, dg, out=dg)
+    dg /= weight
     return phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2)
 
 

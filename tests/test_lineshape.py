@@ -145,6 +145,21 @@ class TestAbsorptionProfile:
         grid = default_grid(lo, hi, step)
         assert grid.size == size and grid[0] == lo and grid[-1] == hi
 
+    @pytest.mark.parametrize(("half", "step"), [(5.0, 0.05), (30.0, 0.25), (4.0, 0.05), (1.5, 0.01), (2.4, 0.3)])
+    def test_a_grid_centred_on_zero_is_exactly_mirror_symmetric(self, half, step):
+        # np.linspace(-5, 5, 201) rounds -4.95 and 4.95 differently.
+        grid = default_grid(-half, half, step)
+        assert np.array_equal(grid, -grid[::-1])
+        assert np.max(np.abs(grid - np.linspace(-half, half, grid.size))) <= 4 * np.finfo(float).eps * half
+
+    @pytest.mark.parametrize(
+        ("lo", "hi", "step"),
+        [(0.05, 1.5, 0.01), (0.7, 0.95, 0.05), (0.0, 0.1, 0.1), (-4.0, 5.0, 0.05), (-5.0, 4.9, 0.1)],
+    )
+    def test_any_other_grid_is_linspace_byte_for_byte(self, lo, hi, step):
+        grid = default_grid(lo, hi, step)
+        assert grid.tobytes() == np.linspace(lo, hi, grid.size).tobytes()
+
     @pytest.mark.parametrize(("step", "text"), [(0.7, "0.7"), (0.3, "0.3"), (3.0, "3")])
     def test_a_step_that_does_not_divide_the_span_is_rejected(self, step, text):
         # These used to sweep [0, 1] and steps of 1/3 and 1 instead.

@@ -14,8 +14,10 @@ and criterion-5 sweeps, all with fit seed 1:
 For each it prints the solver passes that try a step (``_damped_step``
 calls), the ``_profile`` calls (those passes plus the passes that admit
 new rows), the rows they profiled, their ratio (``rows/call``: how full
-the solver's passes are, two trial rows per active start) and the
-iterations summed over every solver row, counted on a first (warm-up)
+the solver's passes are, two trial rows per active start), the profiled
+rows times the solver's grid points (``points``: the folded grid's, so
+121 per row on the 241-point circuit grid and 101 on the 201-point
+default one) and the iterations summed over every solver row, counted on a first (warm-up)
 pass, and then the minor page faults and system seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
@@ -69,17 +71,18 @@ class Counter:
     """Wraps ``fitter._damped_step``, ``fitter._profile`` and ``fitter._lm_run_batch`` to count their work."""
 
     def __init__(self):
-        self.passes = self.profile_calls = self.profiled_rows = self.iterations = 0
+        self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
         self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
 
     def step(self, *args):
         self.passes += 1
         return self._step(*args)
 
-    def profile(self, model, theta, *args, **kwargs):
+    def profile(self, model, theta, deltas, *args, **kwargs):
         self.profile_calls += 1
         self.profiled_rows += theta.shape[0]
-        return self._profile(model, theta, *args, **kwargs)
+        self.points += theta.shape[0] * deltas.size
+        return self._profile(model, theta, deltas, *args, **kwargs)
 
     def run(self, *args, **kwargs):
         out = self._run(*args, **kwargs)
@@ -106,6 +109,7 @@ def measure(shape, repeats: int) -> dict:
         "profile_calls": counter.profile_calls,
         "profiled_rows": counter.profiled_rows,
         "rows/call": round(counter.profiled_rows / counter.profile_calls, 1),
+        "points": counter.points,
         "iterations": counter.iterations,
         "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
         "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
@@ -120,7 +124,16 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     names = args.only or list(SHAPES)
-    columns = ("passes", "profile_calls", "profiled_rows", "rows/call", "iterations", "minflt/pass", "sys_s/pass")
+    columns = (
+        "passes",
+        "profile_calls",
+        "profiled_rows",
+        "rows/call",
+        "points",
+        "iterations",
+        "minflt/pass",
+        "sys_s/pass",
+    )
     print(f"{'shape':<14}", *(f"{c:>13}" for c in columns))
     for name in names:
         m = measure(SHAPES[name], args.repeats)
