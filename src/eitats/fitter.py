@@ -378,16 +378,14 @@ def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     a = np.abs(deltas)
     _, first, inverse = np.unique(a, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    inverse = rank[inverse]  # folded index of each sample, the folded points in grid order
+    keep = np.sort(first)  # the folded points, in grid order
+    inverse = np.searchsorted(keep, first[inverse])  # each sample's folded point
     count = np.bincount(inverse).astype(float)
-    total = np.zeros((values.shape[0], count.size))
+    total = np.zeros((values.shape[0], keep.size))
     np.add.at(total, (slice(None), inverse), values)
     odd = values - (total / count)[:, inverse]
     weight = np.sqrt(count)
-    return a[first[order]], weight, total / weight, np.einsum("mn,mn->m", odd, odd)
+    return a[keep], weight, total / weight, np.einsum("mn,mn->m", odd, odd)
 
 
 # Overflow far out or near the float limit gives non-finite values, which
