@@ -404,12 +404,10 @@ def _lm_run_batch(
     consecutive groups of s/m, group j fitting ``values[j]``.  Only the
     widths and offset of a start are used (see :func:`_profile`).
 
-    Both models are even in the detuning, so the descent runs on the
-    folded grid of :func:`_fold`: each distinct ``|delta|`` is profiled
-    once, weighted by its multiplicity, and each SSR gets its spectrum's
-    odd part added back.  Acceptance, the tolerance stop and the returned
-    SSR therefore use the full grid's SSR, and the gradient stop the full
-    data's scale, on half the points of a mirror-symmetric grid.
+    The descent runs on the folded grid of :func:`_fold`, and each SSR
+    gets its spectrum's odd part added back, so acceptance, the tolerance
+    stop and the returned SSR use the full grid's SSR, and the gradient
+    stop the full data's scale.
 
     At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
     pending rows fill the free slots in row order, each with its start's
