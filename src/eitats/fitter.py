@@ -11,13 +11,20 @@ removes the stationary plane ``d0 = 0``; ``u`` is held at its bound 0 by
 projected steps.  The information criterion still counts every amplitude
 (K = 4 and 3): profiling them out does not change what is fitted.
 
-Steps follow a plain Levenberg-Marquardt schedule (x10 damping on a
-rejected step, /10 on an accepted one) from several starts: a
+Steps follow a Levenberg-Marquardt schedule from several starts: a
 deterministic, data-driven guess and seeded log-uniform perturbations of
-it.  Each pass tries two damping levels of every start at once, and
-each accepted point's normal equations come from the profile that
-accepted it (see :func:`_lm_run_batch`), so an iteration usually profiles
-once.  Every start of every spectrum handed to :func:`fit_many` runs in
+it.  A rejected step multiplies the damping by 10 and an accepted one
+divides it by 10, except that a step taken at ``10 lam`` after ``lam``
+was rejected leaves the next damping at their log-midpoint ``sqrt(10)
+lam``, never straight back at the rejected level (Madsen, Nielsen &
+Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004, 3.2).
+On the interference model's flat valley most trials reject ``lam``:
+there the EIT starts on the circuit curve and its noisy fixture (fit
+seeds 0-5) stop within 35 iterations, median 28-31, where going back to
+``lam`` took up to 84, median 73-76.  Each pass tries two damping levels
+of every start at once, and each accepted point's normal equations come
+from the profile that accepted it (see :func:`_lm_run_batch`), so an
+iteration usually profiles once.  Every start of every spectrum handed to :func:`fit_many` runs in
 one vectorized loop, one trial per start per pass, up to
 ``_MAX_BATCH_ROWS`` at once with the rest entering free slots as others
 stop: many spectra share each pass's interpreter cost, and no start
@@ -75,14 +82,18 @@ __all__ = [
 _INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
+# A row that rejects lam and takes 10 lam next tries 10 lam / sqrt(10), the
+# log-midpoint of the two levels, not the lam it just rejected.
+_UPPER_DECREASE = math.sqrt(10.0)
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
 # active at once, so its workspace is at most 3.7 MiB on the default grid
 # (101 folded points) whatever the number of spectra and starts.  At 128,
 # 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
-# makes 1131, 897 and 782 passes and peaks at 40.8, 41.9 and 43.0 MiB
-# RSS; the criterion-5 sweep (cap 1000) makes 1233, 1059 and 1014 passes
-# (tools/solver_counts.py; RSS from getrusage in a fresh process).
+# makes 991, 785 and 692 passes and peaks at 40.9, 41.8 and 42.9 MiB
+# RSS; the criterion-5 sweep (cap 1000) makes 983, 775 and 671 passes
+# and peaks at 41.6, 42.4 and 43.4 MiB (tools/solver_counts.py; RSS from
+# getrusage in a fresh process).
 _MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
 # falling by the relative tolerance, the gradient fell below its
@@ -415,13 +426,18 @@ def _lm_run_batch(
     Every pass gives each active row one trial at two damping levels,
     ``lam`` and ``10 lam``, all rows' levels profiled in one call; a row
     takes the lower level whose SSR does not rise and starts its next
-    iteration on the next pass, and a row whose two levels both rise tries
-    ``100 lam`` on the next pass.  This is the sequence of trials the plain
-    x10 schedule makes one level at a time, so it reaches the same points;
-    when every row fits in the pool, the run makes as many trial passes as
-    its slowest row would alone.  The accepted trial's profile holds the
-    residual and basis there, so the next normal equations are formed from
-    it and no point is profiled twice.
+    iteration on the next pass, at ``lam / 10`` if it took ``lam`` and at
+    ``10 lam / sqrt(10)``, the log-midpoint of the level it rejected and
+    the one it took, if it took ``10 lam``.  A row whose two levels both
+    rise tries ``100 lam`` on the next pass.  Within an iteration the
+    levels are the x10 ladder ``lam, 10 lam, 100 lam, ...`` taken two at a
+    time, so a pass reaches the point that trying them one level at a time
+    would; only the level the next iteration starts from depends on which
+    of a pass's two levels was taken.  When every row fits in the pool,
+    the run makes as many trial passes as its slowest row would alone.
+    The accepted trial's profile holds the residual and basis there, so
+    the next normal equations are formed from it and no point is profiled
+    twice.
 
     Returns (params, ssr, converged, iterations, stop) per row, the
     parameters as canonical raw vectors and ``stop`` indexing
@@ -518,7 +534,7 @@ def _lm_run_batch(
         theta[ga] = t_trial[j]
         alpha[ga] = alpha_t[j]
         ssr[ga] = ssr_t[j]
-        lam[ga] = np.maximum(lam_trial[j] / 10.0, _DAMPING_MIN)
+        lam[ga] = np.maximum(lam_trial[j] / np.where(j < k, 10.0, _UPPER_DECREASE), _DAMPING_MIN)
         climbing[idx] = ~took
         stop[ga[done]] = _TOLERANCE
         active[ga[done]] = False

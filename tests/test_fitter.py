@@ -177,10 +177,10 @@ FROZEN_PROBLEMS = {
     "circuit_ats": (ModelKind.ATS, None, None, 0, 1000),
     # Criterion-5 replicate: the doublet fit ends on its bound u = 0.
     "offset_bound_ats": (ModelKind.ATS, 0.0, 42, 41, 300),
-    # The winner and 14 other starts stop at the cap.
-    "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 300),
-    # Start 7 stops at the damping ceiling.
-    "damping_eit": (ModelKind.EIT, 1.372, None, 0, 300),
+    # The winner and 13 other starts stop at the cap.
+    "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 80),
+    # Start 7 climbs to the damping ceiling.
+    "damping_eit": (ModelKind.EIT, 0.968, None, 0, 300),
     "unmirrored_eit": (ModelKind.EIT, SHIFTED, None, 0, 1000),
     "unmirrored_ats": (ModelKind.ATS, SHIFTED, None, 0, 1000),
 }
@@ -228,7 +228,9 @@ class TestFrozenRows:
 
     def test_frozen_problems_stop_as_described(self):
         stops = {name: [row["stop"] for row in FROZEN_ROWS[name]] for name in FROZEN_PROBLEMS}
-        assert stops["capped_eit"].count("cap") == 15
+        capped = FROZEN_ROWS["capped_eit"]
+        assert stops["capped_eit"].count("cap") == 14
+        assert min(capped, key=lambda row: float.fromhex(row["ssr"]))["stop"] == "cap"
         assert stops["damping_eit"][7] == "damping"
         best = min(FROZEN_ROWS["offset_bound_ats"], key=lambda row: float.fromhex(row["ssr"]))
         assert best["params"][2] == "0x0.0p+0"
@@ -239,7 +241,7 @@ class TestScheduling:
         """Start 7 of the frozen damping problem climbs to the damping ceiling.
 
         A pass gives every active row one trial, so a row that accepts
-        never waits while another climbs: the batch profiles 77 times, as
+        never waits while another climbs: the batch profiles 111 times, as
         start 7 does alone.  A nested loop that ran each iteration's damping
         ladder until every row had accepted or died would wait for the
         climbing rows of every iteration.
@@ -260,7 +262,49 @@ class TestScheduling:
 
         batch = passes(x0)
         alone = [passes(x0[i : i + 1]) for i in range(x0.shape[0])]
-        assert batch == max(alone) == alone[7] == 77
+        assert batch == max(alone) == alone[7] == 111
+
+
+# The EIT fit on the circuit curve and its noisy fixture walks the flat
+# valley to equal widths from every start.
+VALLEY_DATA = {
+    "circuit": lambda: transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID)),
+    "fixture": lambda: ingest_spectrum(Path(__file__).parent / "data" / "circuit_noisy.csv"),
+}
+
+
+class TestDampingSchedule:
+    def test_a_row_that_takes_the_upper_level_next_tries_its_log_midpoint(self, monkeypatch):
+        """From one pass to the next a row's lower level moves by 1/10 (it
+        took the lower level), sqrt(10) (it rejected the lower level and
+        took 10 lam: the log-midpoint of the two) or 100 (it rejected both),
+        unless the floor clamps it.  On the valley the lower level is often
+        rejected, so sqrt(10) occurs."""
+        model, data, x0, cfg = frozen_problem("circuit_eit")
+        levels = []
+
+        def recorded(jtj, diag, grad, lam):
+            levels.append(lam.copy())
+            return _damped_step(jtj, diag, grad, lam)
+
+        monkeypatch.setattr(fitter, "_damped_step", recorded)
+        _lm_run_batch(model, x0[:1], data.deltas, data.values[None], cfg)
+        lower, upper = np.array(levels).T
+        assert np.array_equal(upper, 10.0 * lower)
+        ratios = lower[1:] / lower[:-1]
+        allowed = np.array([0.1, np.sqrt(10.0), 100.0])
+        near = np.isclose(ratios[:, None], allowed, rtol=1e-12, atol=0.0)
+        assert np.all(near.any(axis=1) | (lower[1:] == fitter._DAMPING_MIN)), ratios
+        assert near[:, 1].any()
+
+    @pytest.mark.parametrize("name", VALLEY_DATA)
+    def test_every_valley_start_stops_by_tolerance_within_45_iterations(self, name):
+        # With the plain x10 schedule these starts ran up to 84 iterations.
+        data = VALLEY_DATA[name]()
+        x0 = np.concatenate([np.stack(initial_guesses(ModelKind.EIT, data, 16, seed)) for seed in range(6)])
+        _, _, _, iterations, stop = _lm_run_batch(ModelKind.EIT, x0, data.deltas, data.values[None], FitConfig())
+        assert np.all(stop == STOP_REASONS.index("tolerance"))
+        assert iterations.max() <= 45, iterations.max()
 
 
 class TestStopReasons:
@@ -620,18 +664,30 @@ class TestErrors:
     @pytest.mark.filterwarnings("error")
     def test_data_near_the_float_limit_stop_without_a_warning(self):
         # Scaled by 1e152 the damped systems of the EIT fit overflow; by
-        # 1e154 the data's squares do.  Each fit still ends as before.
+        # 1e154 the data's squares do.  At 1e152 each fit still ends as at
+        # unit scale: the same stop, the same widths and offset, the SSR
+        # scaled by the factor squared.  The iteration of the ATS fit's
+        # gradient stop is not compared: that fit is exact, so it is set by
+        # rounding.  Nor are the EIT amplitudes, set by where the tolerance
+        # stop ends its walk along the flat valley to equal widths.
         data = ats_spectrum(AtsParams(1.0, 0.5, 1.5))
 
         def fit_scaled(model, factor):
             return fit(model, Spectrum(deltas=data.deltas, values=factor * data.values))
 
-        eit, ats = fit_scaled(ModelKind.EIT, 1e152), fit_scaled(ModelKind.ATS, 1e152)
-        assert (eit.stop, eit.iterations, ats.stop, ats.iterations) == ("tolerance", 21, "gradient", 8)
+        for model, stop in ((ModelKind.EIT, "tolerance"), (ModelKind.ATS, "gradient")):
+            unit, scaled = fit_scaled(model, 1.0), fit_scaled(model, 1e152)
+            assert unit.stop == scaled.stop == stop
+            for name in ("g_plus", "g_minus") if model is ModelKind.EIT else ("g", "d0"):
+                assert getattr(scaled.params, name) == pytest.approx(getattr(unit.params, name), rel=1e-9)
+            if model is ModelKind.EIT:
+                assert scaled.ssr / 1e304 == pytest.approx(unit.ssr, rel=1e-12)
+            else:
+                assert scaled.params.c / 1e76 == pytest.approx(unit.params.c, rel=1e-9)
+                assert scaled.ssr <= rounding_floor(1e152 * data.values)
         assert fit_scaled(ModelKind.ATS, 1e154).stop == "non-finite"
         with pytest.raises(FitConvergenceError, match="no usable minimum"):
             fit_scaled(ModelKind.EIT, 1e154)
-
 
 def test_variance_floor_scales_with_data():
     assert variance_floor([0.0, 2.0]) == pytest.approx(4e-30)
