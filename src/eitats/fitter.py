@@ -24,11 +24,11 @@ seeds 0-5) stop within 35 iterations, median 28-31, where going back to
 ``lam`` took up to 84, median 73-76.  Each pass tries two damping levels
 of every start at once, and each accepted point's normal equations come
 from the profile that accepted it (see :func:`_lm_run_batch`), so an
-iteration usually profiles once.  Every start of every spectrum handed to :func:`fit_many` runs in
-one vectorized loop, one trial per start per pass, up to
-``_MAX_BATCH_ROWS`` at once with the rest entering free slots as others
-stop: many spectra share each pass's interpreter cost, and no start
-waits while another climbs the damping.  A row reads only its own data,
+iteration usually profiles once.  Every start of every spectrum handed
+to :func:`fit_many` runs in one vectorized loop, one trial per start per
+pass, up to ``_MAX_BATCH_ROWS`` at once with the rest entering free slots
+as others stop: many spectra share each pass's interpreter cost, and no
+start waits while another climbs the damping.  A row reads only its own data,
 so its result depends neither on what else runs nor on its slot.
 
 Both models are even in the detuning, so the loop runs on the folded

@@ -228,9 +228,8 @@ class TestFrozenRows:
 
     def test_frozen_problems_stop_as_described(self):
         stops = {name: [row["stop"] for row in FROZEN_ROWS[name]] for name in FROZEN_PROBLEMS}
-        capped = FROZEN_ROWS["capped_eit"]
         assert stops["capped_eit"].count("cap") == 14
-        assert min(capped, key=lambda row: float.fromhex(row["ssr"]))["stop"] == "cap"
+        assert min(FROZEN_ROWS["capped_eit"], key=lambda row: float.fromhex(row["ssr"]))["stop"] == "cap"
         assert stops["damping_eit"][7] == "damping"
         best = min(FROZEN_ROWS["offset_bound_ats"], key=lambda row: float.fromhex(row["ssr"]))
         assert best["params"][2] == "0x0.0p+0"
@@ -675,19 +674,18 @@ class TestErrors:
         def fit_scaled(model, factor):
             return fit(model, Spectrum(deltas=data.deltas, values=factor * data.values))
 
-        for model, stop in ((ModelKind.EIT, "tolerance"), (ModelKind.ATS, "gradient")):
-            unit, scaled = fit_scaled(model, 1.0), fit_scaled(model, 1e152)
-            assert unit.stop == scaled.stop == stop
-            for name in ("g_plus", "g_minus") if model is ModelKind.EIT else ("g", "d0"):
-                assert getattr(scaled.params, name) == pytest.approx(getattr(unit.params, name), rel=1e-9)
-            if model is ModelKind.EIT:
-                assert scaled.ssr / 1e304 == pytest.approx(unit.ssr, rel=1e-12)
-            else:
-                assert scaled.params.c / 1e76 == pytest.approx(unit.params.c, rel=1e-9)
-                assert scaled.ssr <= rounding_floor(1e152 * data.values)
+        eit, eit_scaled = fit_scaled(ModelKind.EIT, 1.0), fit_scaled(ModelKind.EIT, 1e152)
+        ats, ats_scaled = fit_scaled(ModelKind.ATS, 1.0), fit_scaled(ModelKind.ATS, 1e152)
+        assert (eit.stop, eit_scaled.stop, ats.stop, ats_scaled.stop) == ("tolerance",) * 2 + ("gradient",) * 2
+        for width in ("g_plus", "g_minus"):
+            assert getattr(eit_scaled.params, width) == pytest.approx(getattr(eit.params, width), rel=1e-9)
+        assert eit_scaled.ssr / 1e304 == pytest.approx(eit.ssr, rel=1e-12)
+        assert as_array(ats_scaled.params) / [1e76, 1.0, 1.0] == pytest.approx(as_array(ats.params), rel=1e-9)
+        assert ats_scaled.ssr <= rounding_floor(1e152 * data.values)
         assert fit_scaled(ModelKind.ATS, 1e154).stop == "non-finite"
         with pytest.raises(FitConvergenceError, match="no usable minimum"):
             fit_scaled(ModelKind.EIT, 1e154)
+
 
 def test_variance_floor_scales_with_data():
     assert variance_floor([0.0, 2.0]) == pytest.approx(4e-30)
