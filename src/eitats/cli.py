@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -431,6 +432,7 @@ def run(config: RunConfig) -> Report:
     return report
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discriminator",

@@ -22,7 +22,8 @@ On the interference model's flat valley most trials reject ``lam``:
 there the EIT starts on the circuit curve and its noisy fixture (fit
 seeds 0-5) stop within 35 iterations, median 28-31, where going back to
 ``lam`` took up to 84, median 73-76.  Each pass tries two damping levels
-of every start at once, and each accepted point's normal equations come
+of every start at once, both solved in closed form by 2x2 elimination
+(:func:`_damped_step`), and each accepted point's normal equations come
 from the profile that accepted it (see :func:`_lm_run_batch`), so an
 iteration usually profiles once.  Every start of every spectrum handed
 to :func:`fit_many` runs in one vectorized loop, one trial per start per
@@ -90,9 +91,9 @@ _RELATIVE_TOLERANCE = 1e-12
 # active at once, so its workspace is at most 3.7 MiB on the default grid
 # (101 folded points) whatever the number of spectra and starts.  At 128,
 # 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
-# makes 991, 785 and 692 passes and peaks at 40.9, 41.8 and 42.9 MiB
+# makes 991, 794 and 700 passes and peaks at 40.7, 41.8 and 42.9 MiB
 # RSS; the criterion-5 sweep (cap 1000) makes 983, 775 and 671 passes
-# and peaks at 41.6, 42.4 and 43.4 MiB (tools/solver_counts.py; RSS from
+# and peaks at 41.3, 42.2 and 43.5 MiB (tools/solver_counts.py; RSS from
 # getrusage in a fresh process).
 _MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
@@ -233,20 +234,26 @@ def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> list
     return guesses
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Solve the damped normal equations for a stack of systems."""
-    k = jtj.shape[-1]
-    systems = jtj + lam[:, None, None] * diag[:, :, None] * np.eye(k)
-    try:
-        return np.linalg.solve(systems, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        steps = np.empty_like(grad)
-        for i in range(systems.shape[0]):
-            try:
-                steps[i] = np.linalg.solve(systems[i], grad[i])
-            except np.linalg.LinAlgError:
-                steps[i], *_ = np.linalg.lstsq(systems[i], grad[i], rcond=None)
-        return steps
+    """Solve ``(jtj + lam diag(diag)) x = grad`` for s 2x2 systems at each of L damping levels.
+
+    ``jtj`` (s, 2, 2), ``diag`` and ``grad`` (s, 2) hold the rows' systems
+    and ``lam`` (L, s) their levels; returns the steps (L, s, 2).  The
+    elimination below keeps every product at the scale of the entries,
+    where a determinant ``a d - b c`` overflows near the float limit.  A
+    zero pivot's inf or nan (not warned of) gives way to the least-squares step.
+    """
+    h00, h01, h10, h11 = jtj[:, 0, 0], jtj[:, 0, 1], jtj[:, 1, 0], jtj[:, 1, 1]
+    a = h00 + lam * diag[:, 0]
+    l = h10 / a
+    u = h11 + lam * diag[:, 1] - l * h01
+    x1 = (grad[:, 1] - l * grad[:, 0]) / u
+    step = np.stack(((grad[:, 0] - h01 * x1) / a, x1), axis=-1)
+    for level, row in zip(*((a == 0.0) | (u == 0.0)).nonzero()):
+        system = jtj[row] + np.diag(lam[level, row] * diag[row])
+        step[level, row] = np.linalg.lstsq(system, grad[row], rcond=None)[0]
+    return step
 
 
 # Below this sine of the angle between EIT's second basis direction and
@@ -515,16 +522,16 @@ def _lm_run_batch(
         diag = np.maximum(diag, floor[:, None])
 
         k = idx.size
-        both = np.tile(np.arange(k), 2)  # each row's two levels, lower first
+        both = np.concatenate((idx, idx))  # each row's two levels, lower first
         lam_trial = np.concatenate((lam[idx], lam[idx] * 10.0))
-        t_trial = theta[idx[both]] + _damped_step(h[both], diag[both], g[both], lam_trial)
+        t_trial = (theta[idx] + _damped_step(h, diag, g, lam_trial.reshape(2, k))).reshape(2 * k, 2)
         if model is ModelKind.ATS:
             np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
         ws.rewind()
-        y = values.take(owner[idx[both]], axis=0, out=ws.empty((2 * k, n)), mode="clip")
+        y = values.take(owner[both], axis=0, out=ws.empty((2 * k, n)), mode="clip")
         alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
-        ssr_t += odd[owner[idx[both]]]
-        ok = np.isfinite(ssr_t) & (ssr_t <= ssr[idx[both]])
+        ssr_t += odd[owner[both]]
+        ok = np.isfinite(ssr_t) & (ssr_t <= ssr[both])
         ok[k:] &= lam_trial[k:] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
         ok = ok.reshape(2, k)
         took = ok.any(axis=0)

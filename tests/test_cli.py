@@ -530,12 +530,12 @@ GOLDEN_ARGVS = [
 GOLDEN = Path(__file__).parent / "data" / "cli_reports.json"
 
 
-def golden_transcript():
-    """Run GOLDEN_ARGVS in the current directory: per invocation, its exit
+def golden_transcript(argvs=GOLDEN_ARGVS):
+    """Run ``argvs`` in the current directory: per invocation, its exit
     code, stdout, stderr and the text of each file it wrote."""
     shutil.copy(FIXTURE, "circuit_noisy.csv")
     records = []
-    for argv in GOLDEN_ARGVS:
+    for argv in argvs:
         before = {path: path.read_bytes() for path in Path().iterdir() if path.is_file()}
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -561,3 +561,19 @@ def test_cli_output_is_byte_identical_to_the_frozen_transcript(tmp_path, monkeyp
     assert [record["argv"] for record in records] == [record["argv"] for record in frozen]
     for record, want in zip(records, frozen):
         assert record == want
+
+
+class TestParser:
+    def test_the_parser_is_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_a_usage_error_leaves_the_shared_parser_as_it_was(self, tmp_path, monkeypatch):
+        # Every main call parses with the one parser; a call that argparse
+        # ends with exit 2 must not change what the next call prints.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        frozen = {tuple(record["argv"]): record for record in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+        bad, good = ["circuit", "--omega", "3"], ["generate", "--omega", "0.3", "--output", "weak.csv"]
+        records = golden_transcript([bad, good, bad, ["fit", "--help"]])
+        assert records[0]["code"] == 2
+        assert records == [frozen[tuple(record["argv"])] for record in records]

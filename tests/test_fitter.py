@@ -180,7 +180,7 @@ FROZEN_PROBLEMS = {
     # The winner and 13 other starts stop at the cap.
     "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 80),
     # Start 7 climbs to the damping ceiling.
-    "damping_eit": (ModelKind.EIT, 0.968, None, 0, 300),
+    "damping_eit": (ModelKind.EIT, 0.966, None, 0, 300),
     "unmirrored_eit": (ModelKind.EIT, SHIFTED, None, 0, 1000),
     "unmirrored_ats": (ModelKind.ATS, SHIFTED, None, 0, 1000),
 }
@@ -240,7 +240,7 @@ class TestScheduling:
         """Start 7 of the frozen damping problem climbs to the damping ceiling.
 
         A pass gives every active row one trial, so a row that accepts
-        never waits while another climbs: the batch profiles 111 times, as
+        never waits while another climbs: the batch profiles 71 times, as
         start 7 does alone.  A nested loop that ran each iteration's damping
         ladder until every row had accepted or died would wait for the
         climbing rows of every iteration.
@@ -261,7 +261,7 @@ class TestScheduling:
 
         batch = passes(x0)
         alone = [passes(x0[i : i + 1]) for i in range(x0.shape[0])]
-        assert batch == max(alone) == alone[7] == 111
+        assert batch == max(alone) == alone[7] == 71
 
 
 # The EIT fit on the circuit curve and its noisy fixture walks the flat
@@ -283,7 +283,7 @@ class TestDampingSchedule:
         levels = []
 
         def recorded(jtj, diag, grad, lam):
-            levels.append(lam.copy())
+            levels.append(lam[:, 0].copy())  # the one row's two levels
             return _damped_step(jtj, diag, grad, lam)
 
         monkeypatch.setattr(fitter, "_damped_step", recorded)
@@ -336,23 +336,57 @@ class TestStopReasons:
         assert (res.iterations == cfg.max_iterations) == (reason == "cap")
 
 
+def damped_systems(rng, s, scale=1.0, parallel=1.0):
+    """``s`` damped systems as the solver forms them: ``J^T J`` of a 3x2 ``J``
+    whose second column leaves the first's direction by ``parallel``, all
+    times ``scale``, its diagonal floored as in :func:`_lm_run_batch`, and
+    right-hand sides at the same scale."""
+    j = rng.normal(size=(s, 3, 2))
+    j[:, :, 1] = j[:, :, 0] + parallel * j[:, :, 1]
+    jtj = scale * (j.transpose(0, 2, 1) @ j)
+    diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
+    diag = np.maximum(diag, 1e-12 * diag.max(axis=1, keepdims=True))
+    return jtj, diag, scale * rng.normal(size=(s, 2))
+
+
 class TestDampedStep:
-    def test_a_singular_system_falls_back_to_least_squares_alone(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 3, 2))
-        jtj = a.transpose(0, 2, 1) @ a
-        diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
-        grad = rng.normal(size=(6, 2))
-        lam = np.full(6, 1e-3)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-150.0, 150.0),
+        log_parallel=st.floats(-8.0, 0.0),
+        log_lam=st.floats(-15.0, 15.0),
+    )
+    def test_each_step_solves_its_system_to_rounding(self, seed, log_scale, log_parallel, log_lam):
+        # Backward error: each step is the exact solution of a system within
+        # a few ulps of its own, at any scale and conditioning.
+        jtj, diag, grad = damped_systems(np.random.default_rng(seed), 8, 10.0**log_scale, 10.0**log_parallel)
+        lam = 10.0**log_lam * np.array([[1.0], [10.0]]) * np.ones(8)
+        steps = _damped_step(jtj, diag, grad, lam)
+        systems = jtj + lam[:, :, None, None] * (diag[:, :, None] * np.eye(2))
+        residual = np.abs((systems @ steps[..., None])[..., 0] - grad)
+        bound = (np.abs(systems) @ np.abs(steps)[..., None])[..., 0] + np.abs(grad)
+        assert np.all(residual <= 1e-13 * bound)
+
+    def test_both_levels_in_one_call_equal_one_level_per_call(self):
+        jtj, diag, grad = damped_systems(np.random.default_rng(3), 16, parallel=1e-4)
+        lam = 10.0 ** np.random.default_rng(4).uniform(-15.0, 15.0, size=16)
+        both = _damped_step(jtj, diag, grad, np.stack((lam, 10.0 * lam)))
+        assert np.array_equal(both[0], _damped_step(jtj, diag, grad, lam[None])[0])
+        assert np.array_equal(both[1], _damped_step(jtj, diag, grad, 10.0 * lam[None])[0])
+
+    def test_a_singular_system_takes_its_least_squares_step_alone(self):
+        jtj, diag, grad = damped_systems(np.random.default_rng(5), 6)
         jtj[4] = [[1.0, 2.0], [2.0, 4.0]]  # rank 1, and undamped below
         diag[4] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(jtj[4], grad[4])
+        lam = np.full((2, 6), 1e-3)
+        lam[1] *= 10.0
         steps = _damped_step(jtj, diag, grad, lam)
         others = np.arange(6) != 4
-        systems = jtj + lam[:, None, None] * diag[:, :, None] * np.eye(2)
-        assert np.array_equal(steps[others], np.linalg.solve(systems[others], grad[others][..., None])[..., 0])
-        assert np.array_equal(steps[4], np.linalg.lstsq(jtj[4], grad[4], rcond=None)[0])
+        assert np.array_equal(steps[:, others], _damped_step(jtj[others], diag[others], grad[others], lam[:, others]))
+        assert np.array_equal(steps[:, 4], np.tile(np.linalg.lstsq(jtj[4], grad[4], rcond=None)[0], (2, 1)))
 
 
 # Profiled EIT SSR on the circuit curve at widths (6.357, 6.357 - delta),

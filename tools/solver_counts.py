@@ -12,7 +12,9 @@ and criterion-5 sweeps, all with fit seed 1:
   seed 42), cap 1000.
 
 For each it prints the solver passes that try a step (``_damped_step``
-calls), the ``_profile`` calls (those passes plus the passes that admit
+calls), in all and per model (``passes_eit``, ``passes_ats``: the model
+whose fits make most passes is where a per-pass saving lands), the
+``_profile`` calls (those passes plus the passes that admit
 new rows), the rows they profiled, their ratio (``rows/call``: how full
 the solver's passes are, two trial rows per active start), the profiled
 rows times the solver's grid points (``points``: the folded grid's, so
@@ -72,6 +74,7 @@ class Counter:
 
     def __init__(self):
         self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
+        self.passes_by_model = {"eit": 0, "ats": 0}
         self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
 
     def step(self, *args):
@@ -84,8 +87,10 @@ class Counter:
         self.points += theta.shape[0] * deltas.size
         return self._profile(model, theta, deltas, *args, **kwargs)
 
-    def run(self, *args, **kwargs):
-        out = self._run(*args, **kwargs)
+    def run(self, model, *args, **kwargs):
+        before = self.passes
+        out = self._run(model, *args, **kwargs)
+        self.passes_by_model[model.value] += self.passes - before
         self.iterations += int(np.sum(out[3]))
         return out
 
@@ -106,6 +111,8 @@ def measure(shape, repeats: int) -> dict:
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "passes": counter.passes,
+        "passes_eit": counter.passes_by_model["eit"],
+        "passes_ats": counter.passes_by_model["ats"],
         "profile_calls": counter.profile_calls,
         "profiled_rows": counter.profiled_rows,
         "rows/call": round(counter.profiled_rows / counter.profile_calls, 1),
@@ -126,6 +133,8 @@ def main() -> None:
     names = args.only or list(SHAPES)
     columns = (
         "passes",
+        "passes_eit",
+        "passes_ats",
         "profile_calls",
         "profiled_rows",
         "rows/call",
