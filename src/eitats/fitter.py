@@ -242,7 +242,7 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
     and ``lam`` (L, s) their levels; returns the steps (L, s, 2).  The
     elimination below keeps every product at the scale of the entries,
     where a determinant ``a d - b c`` overflows near the float limit.  A
-    zero pivot's inf or nan (not warned of) gives way to the least-squares step.
+    system with a zero pivot (its inf or nan unwarned) takes its lstsq step.
     """
     h00, h01, h10, h11 = jtj[:, 0, 0], jtj[:, 0, 1], jtj[:, 1, 0], jtj[:, 1, 1]
     a = h00 + lam * diag[:, 0]
