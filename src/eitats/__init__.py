@@ -33,6 +33,7 @@ from .lineshape import (
 )
 from .models import (
     AtsParams,
+    EitLimit,
     EitParams,
     ModelKind,
     canonicalize,
@@ -70,6 +71,7 @@ __all__ = [
     "transparency_depth",
     "ModelKind",
     "EitParams",
+    "EitLimit",
     "AtsParams",
     "eval_eit",
     "eval_ats",

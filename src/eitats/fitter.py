@@ -18,13 +18,14 @@ divides it by 10, except that a step taken at ``10 lam`` after ``lam``
 was rejected leaves the next damping at their log-midpoint ``sqrt(10)
 lam``, never straight back at the rejected level (Madsen, Nielsen &
 Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004, 3.2).
-On the interference model's flat valley most trials reject ``lam``:
-there the EIT starts on the circuit curve and its noisy fixture (fit
-seeds 0-5) stop within 35 iterations, median 28-31, where going back to
-``lam`` took up to 84, median 73-76.  Each pass tries two damping levels
-of every start at once, both solved in closed form by 2x2 elimination
-(:func:`_damped_step`), and each accepted point's normal equations come
-from the profile that accepted it (see :func:`_lm_run_batch`), so an
+On the interference model's flat valley, walked before its limit was
+closed (below), most trials rejected ``lam``: there the EIT starts on the
+circuit curve and its noisy fixture (fit seeds 0-5) stopped within 35
+iterations, median 28-31, where going back to ``lam`` took up to 84,
+median 73-76.  Each pass tries two damping levels of every start at once,
+both solved in closed form by 2x2 elimination (:func:`_damped_step`), and
+each accepted point's normal equations come from the columns and basis
+of the profile that accepted it (see :func:`_lm_run_batch`), so an
 iteration usually profiles once.  Every start of every spectrum handed
 to :func:`fit_many` runs in one vectorized loop, one trial per start per
 pass, up to ``_MAX_BATCH_ROWS`` at once with the rest entering free slots
@@ -48,12 +49,23 @@ one.
 
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
-The descent follows that valley until the SSR stops falling by the
-relative tolerance and converges there; :func:`_profile` says how the
-solve stays accurate in that limit.  The lowest SSR over the starts wins,
+That valley ends at an ordinary model, ``a L(g) + b L(g)**2``, the
+closure of the signed pair where ``g_plus = g_minus`` (Golub & Pereyra,
+*Inverse Problems* 19, 2003; Osborne & Smyth, *SIAM J. Sci. Comput.* 16,
+1995).  The solver treats that diagonal as a bound of the widths, as
+``u = 0`` is one of the doublet's: a row on it is profiled in the closure
+(:func:`_profile`) and moves its common width alone, a trial that crosses
+it may be replaced by the point where its step meets it, and widths are
+kept nonnegative, which loses nothing since the model depends on their
+squares (see :func:`_lm_run_batch`).  A start that reaches the valley's
+limit therefore stops there, in a few iterations, at the same point from
+any start, instead of walking the valley until the relative tolerance
+stops it somewhere along the way.  The lowest SSR over the starts wins,
 converged or not; ``converged``, ``iterations`` and ``stop`` (one of
-``STOP_REASONS``) report how the winning start ended, and parameters are
-returned in canonical nonnegative form.
+``STOP_REASONS``) report how the winning start ended, ``limit`` the
+limit form ``(a, b, g)`` of an EIT winner on the diagonal, and
+parameters are returned in canonical nonnegative form, a limit as the
+signed pair of :func:`~eitats.models._join`.
 """
 from __future__ import annotations
 
@@ -64,7 +76,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lineshape import Spectrum
-from .models import _COLUMN_OF, AtsParams, EitParams, ModelKind, _basis, _join, _split, canonicalize
+from .models import (
+    _COLUMN_OF,
+    AtsParams,
+    EitLimit,
+    EitParams,
+    ModelKind,
+    _columns,
+    _derivatives,
+    _join,
+    _split,
+    canonicalize,
+)
 
 __all__ = [
     "STOP_REASONS",
@@ -145,6 +168,9 @@ class FitResult:
     n_starts_agreeing: int
     iterations: int  # iterations the winning start ran
     stop: str  # why the winning start stopped, one of STOP_REASONS
+    # The winning EIT start's limit form if it ended with merged widths,
+    # where ``params`` is the signed pair that stands for it; else None.
+    limit: EitLimit | None
 
 
 def variance_floor(values) -> float:
@@ -266,12 +292,14 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
 
     Each row's amplitudes ``alpha >= 0`` minimise ``|y - Phi alpha|``: the
     unconstrained solve if it is nonnegative, else the better single
-    column.  Returns ``(alpha, ssr, resid, q)``, ``q`` (s, p, n) being an
-    orthonormal basis of the columns in use with the unused ones zeroed:
-    with ``resid`` it is what :func:`_normal_equations` needs at this point.
-    Arrays of s rows come from ``empty`` (see :func:`_basis`); ``resid`` and
-    ``q`` are two of them.  ``Phi`` is weighted by ``weight`` (see
-    :func:`_basis`), and ``y`` must carry the same weight.
+    column.  Returns ``(alpha, ssr, resid, q, cols)``: ``q`` (s, p, n) is an
+    orthonormal basis of the columns in use with the unused ones zeroed,
+    and ``cols`` is what :func:`~eitats.models._columns` returned at
+    ``theta``; with ``resid`` they are what :func:`_normal_equations` needs
+    at this point.  Arrays of s rows come from ``empty`` (see
+    :func:`~eitats.models._columns`); ``resid``, ``q`` and ``cols`` are
+    three of them.  ``Phi`` is weighted by ``weight``, and ``y`` must carry
+    the same weight.
 
     The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
     ``-L(g_minus)`` turn parallel and the amplitudes grow like
@@ -284,24 +312,42 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     - g_minus)`` tends to the width derivative), and the residual comes
     from the Gram-Schmidt form ``y - Q Q^T y``, so it never forms the
     large amplitudes; only they, recovered from the coefficients in that
-    basis, carry the growth.  Where ``E`` still lies within
-    ``_COLLINEAR_SIN`` of ``L(g_plus)`` (equal widths, or both far wider
-    than the grid), the pair counts as one column.
+    basis, carry the growth.
+
+    The valley's limit is the diagonal ``g_plus = g_minus = g``, where the
+    pair's curves close to ``a L(g) + b L(g)**2`` (``b = -c_minus**2
+    (g_plus**2 - g_minus**2)``, ``a = c_plus**2 - c_minus**2``): the
+    coalescing-rate closure of separable least squares (Golub & Pereyra,
+    *Inverse Problems* 19, 2003).  Both orderings of the widths meet there,
+    so either sign of ``a`` and ``b`` is feasible.  A row with equal widths
+    is profiled in that closure: the same Gram-Schmidt slot takes ``E =
+    L(g)**2``, the coefficients are unconstrained, and ``alpha`` holds
+    ``(a, b)``.  Where ``E`` lies within ``_COLLINEAR_SIN`` of ``L(g_plus)``
+    (both widths far wider than the grid) the pair counts as one column,
+    and a row on the diagonal holds ``(a, 0)``.
     """
     s, n = theta.shape[0], deltas.size
-    phi = _basis(model, theta, deltas, empty=empty, weight=weight)
+    cols = _columns(model, theta, deltas, empty=empty, weight=weight)
+    p = 2 if model is ModelKind.EIT else 1
+    phi = cols[:, :p]
     resid = empty((s, n))  # scratch until it holds the residual
     if model is ModelKind.EIT:
         gp, gm = theta[:, 0:1], theta[:, 1:2]
         # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus),
-        # divided back from the two columns' weights to one.
+        # divided back from the two columns' weights to one; on the diagonal
+        # the factor -1 makes it the closure's L(g)**2.
+        factor = (gm - gp) * (gp + gm)
+        on = None if factor.all() else (gp == gm)[:, 0]  # a zero factor is needed for equal widths
+        any_on = on is not None and on.any()
+        if any_on:
+            factor[on] = -1.0
         e = empty((s, n))
-        np.multiply((gm - gp) * (gp + gm), phi[:, 0], out=e)
+        np.multiply(factor, phi[:, 0], out=e)
         e *= phi[:, 1]
         e /= weight
     norm = np.sqrt(np.einsum("spn,spn->sp", phi, phi))
-    q = phi
-    q /= norm[:, :, None]  # unit columns; below, the basis of the columns in use
+    q = empty((p, s, n)).transpose(1, 0, 2)  # unit columns; below, the basis of the columns in use
+    np.divide(phi, norm[:, :, None], out=q)
     z = np.einsum("spn,sn->sp", q, y)  # coefficient of each unit column alone
     if model is ModelKind.ATS:
         z = np.maximum(z, 0.0)
@@ -314,20 +360,30 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
         r11 = np.sqrt(np.einsum("sn,sn->s", e, e))
         e /= r11[:, None]
         z_e = np.einsum("sn,sn->s", e, y)
-        # Model = b0 L(g_plus) + b1 E, so alpha = (b0 - b1, -b1).
+        # Model = b0 L(g_plus) + b1 E, so alpha = (b0 - b1, -b1), or (b0, b1) on the diagonal.
         alpha_minus = -z_e / r11
-        alpha_pair = np.column_stack(((z[:, 0] - r01 * z_e / r11) / norm[:, 0] + alpha_minus, alpha_minus))
-        pair = (r11 > _COLLINEAR_SIN * e_norm) & (alpha_pair >= 0.0).all(axis=1)
+        b0 = (z[:, 0] - r01 * z_e / r11) / norm[:, 0]
+        alpha_pair = np.column_stack((b0 + alpha_minus, alpha_minus))
+        spans = r11 > _COLLINEAR_SIN * e_norm
+        pair = spans & (alpha_pair >= 0.0).all(axis=1)
+        if any_on:
+            closure = spans & on
+            pair |= closure
+            alpha_pair[closure] = np.column_stack((b0, -alpha_minus))[closure]
         first = np.maximum(z[:, 0], 0.0) >= np.maximum(z[:, 1], 0.0)
         single = np.column_stack((np.where(first, np.maximum(z[:, 0], 0.0), 0.0), np.where(first, 0.0, z[:, 1])))
         np.copyto(q[:, 1], e, where=pair[:, None])
         z = np.where(pair[:, None], np.column_stack((z[:, 0], z_e)), single)
         alpha = np.where(pair[:, None], alpha_pair, single / norm)
         in_use = pair[:, None] | (z > 0.0)
+        if any_on:
+            refused = on & ~spans  # one column, L(g) or -L(g): a = c_plus**2 - c_minus**2
+            alpha[refused, 0] -= alpha[refused, 1]
+            alpha[refused, 1] = 0.0
     np.subtract(y, np.einsum("sp,spn->sn", z, q, out=resid), out=resid)
     ssr = np.einsum("sn,sn->s", resid, resid)
     q *= in_use[:, :, None]
-    return alpha, ssr, resid, q
+    return alpha, ssr, resid, q, cols
 
 
 def _normal_equations(
@@ -337,6 +393,7 @@ def _normal_equations(
     alpha: np.ndarray,
     resid: np.ndarray,
     q: np.ndarray,
+    cols: np.ndarray,
     empty,
     weight=1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -344,20 +401,45 @@ def _normal_equations(
 
     ``J`` (s, 2, n) is Kaufman's Jacobian ``P (dPhi/dtheta alpha)``, ``P``
     the projector onto the complement of ``q``'s columns, with ``dPhi``
-    weighted as :func:`_profile` weighted ``Phi``.  Arrays of s rows come
-    from ``empty`` (see :func:`_basis`).
+    formed from the profile's ``cols`` (the doublet's scratch columns are
+    overwritten) and weighted as they are.  Arrays of s rows come from
+    ``empty`` (see :func:`~eitats.models._columns`).
+
+    An EIT row on the diagonal has one nonlinear parameter, the common
+    width ``g``: its first Jacobian row is ``d(a L + b L**2)/dg = (a + 2 b
+    L) dL/dg``, projected alike, its second is zero, and its system is
+    ``J^T J`` times the identity, so damping and the stops see ``g``
+    alone.
     """
-    _, jac = _basis(model, theta, deltas, derivatives=True, empty=empty, weight=weight)
-    jac *= alpha[:, list(_COLUMN_OF[model])][:, :, None]
+    jac = _derivatives(model, theta, deltas, cols, empty=empty, weight=weight)
+    scale = alpha[:, list(_COLUMN_OF[model])]
+    on = (theta[:, 0] == theta[:, 1]).nonzero()[0] if model is ModelKind.EIT else ()
+    if len(on):
+        (a, b), lorentzian = alpha[on, :, None].transpose(1, 0, 2), cols[on, 0] / weight
+        jac[on, 0] *= a + 2.0 * b * lorentzian
+        scale[on] = (1.0, 0.0)
+    jac *= scale[:, :, None]
     along_q = empty((theta.shape[0], deltas.size, 2))
     jac -= np.matmul(q.transpose(0, 2, 1), q @ jac.transpose(0, 2, 1), out=along_q).transpose(0, 2, 1)
-    return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
+    jtj = jac @ jac.transpose(0, 2, 1)
+    if len(on):
+        jtj[on, 1, 1] = jtj[on, 0, 0]
+    return (jac @ resid[:, :, None])[:, :, 0], jtj
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray, empty) -> np.ndarray:
+    """Rows ``rows`` of ``a`` (s, c, n) in a block from ``empty``, stored column by column."""
+    # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
+    block = a.transpose(1, 0, 2).take(rows, axis=1, out=empty((a.shape[1], rows.size, a.shape[2])), mode="clip")
+    return block.transpose(1, 0, 2)
 
 
 # Floats per solver row and folded grid point that a pass takes from the
-# workspace, for either model: 5 in _profile for each of the row's two
-# trial rows, and 9 for its normal equations.
-_WORKSPACE_PER_ROW = 2 * 5 + 9
+# workspace: for each trial row its data and what _profile keeps (7 for
+# EIT, 6 for ATS), and 9 for the normal equations at the row's accepted
+# point.  An EIT row profiles up to four trial rows (two damping levels,
+# each with the point where it crosses the diagonal), an ATS row two.
+_WORKSPACE_PER_ROW = {ModelKind.EIT: 4 * 7 + 9, ModelKind.ATS: 2 * 6 + 9}
 
 
 class _Workspace:
@@ -442,14 +524,30 @@ def _lm_run_batch(
     would; only the level the next iteration starts from depends on which
     of a pass's two levels was taken.  When every row fits in the pool,
     the run makes as many trial passes as its slowest row would alone.
-    The accepted trial's profile holds the residual and basis there, so
-    the next normal equations are formed from it and no point is profiled
-    twice.
+    The accepted trial's profile holds the residual, basis and columns
+    there, so the next normal equations are formed from it and no point is
+    profiled or evaluated twice.
 
-    Returns (params, ssr, converged, iterations, stop) per row, the
-    parameters as canonical raw vectors and ``stop`` indexing
-    ``STOP_REASONS``.  A row reads nothing of the other rows, so its
-    outcome depends neither on what else runs nor on when it enters a slot.
+    EIT rows keep their widths nonnegative (the model depends on their
+    squares, and the step is sign-equivariant) and treat the diagonal
+    ``g_plus = g_minus`` as a bound.  A row on it is profiled in the
+    closure ``a L(g) + b L(g)**2`` (:func:`_profile`) and steps along it,
+    moving ``g`` alone; its curvature is the secant of its last two
+    gradients on the diagonal where that is positive, since Kaufman's
+    ``J^T J`` underestimates it there and the walk then zig-zags and
+    converges only linearly.  A trial that crosses the diagonal is also
+    profiled at the point where its step meets ``|g_plus| = |g_minus|``
+    (:func:`_diagonal_crossing`), and that point stands in for the trial
+    only if the row would reject the trial: a crossing the row accepts
+    can reach a minimum with the other ordering of the widths, a broad
+    negative lobe, which clipping every crossing would trap.
+
+    Returns (params, ssr, converged, iterations, stop, limit) per row, the
+    parameters as canonical raw vectors, ``stop`` indexing
+    ``STOP_REASONS`` and ``limit`` an EIT row's ``(a, b, g)`` if it ended
+    on the diagonal, else nan.  A row reads nothing of the other rows, so
+    its outcome depends neither on what else runs nor on when it enters a
+    slot.
     """
     n_rows = x0.shape[0]
     group = n_rows // values.shape[0]
@@ -461,11 +559,14 @@ def _lm_run_batch(
     # the scale, the full data's, is clamped where its square would overflow.
     scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
     grad_tol = 1e-12 * np.square(scale)[owner]
+    eit = model is ModelKind.EIT
     theta, alpha = _split(model, np.array(x0, dtype=float))
+    if eit:
+        np.abs(theta, out=theta)  # the model depends on the widths' squares only
     deltas, weight, values, odd = _fold(deltas, values)
     n = deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
-    ws = _Workspace(_WORKSPACE_PER_ROW * slots * n)
+    ws = _Workspace(_WORKSPACE_PER_ROW[model] * slots * n)
     ssr, grad, jtj = np.empty(n_rows), np.empty((n_rows, 2)), np.empty((n_rows, 2, 2))
     stop = np.full(n_rows, _CAP)
     iterations = np.zeros(n_rows, dtype=int)
@@ -483,9 +584,11 @@ def _lm_run_batch(
             ws.rewind()
             # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
             y = values.take(owner[new], axis=0, out=ws.empty((new.size, n)), mode="clip")
-            alpha[new], ssr_new, resid, q = _profile(model, theta[new], deltas, y, ws.empty, weight)
+            alpha[new], ssr_new, resid, q, cols = _profile(model, theta[new], deltas, y, ws.empty, weight)
             ssr_new += odd[owner[new]]
-            grad[new], jtj[new] = _normal_equations(model, theta[new], deltas, alpha[new], resid, q, ws.empty, weight)
+            grad[new], jtj[new] = _normal_equations(
+                model, theta[new], deltas, alpha[new], resid, q, cols, ws.empty, weight
+            )
             active[new] = np.isfinite(ssr_new)
             ssr[new] = np.where(active[new], ssr_new, np.inf)
             stop[new[~active[new]]] = _NON_FINITE
@@ -524,24 +627,57 @@ def _lm_run_batch(
         k = idx.size
         both = np.concatenate((idx, idx))  # each row's two levels, lower first
         lam_trial = np.concatenate((lam[idx], lam[idx] * 10.0))
-        t_trial = (theta[idx] + _damped_step(h, diag, g, lam_trial.reshape(2, k))).reshape(2 * k, 2)
+        step = _damped_step(h, diag, g, lam_trial.reshape(2, k))
+        origin = theta[idx]
+        t_trial = (origin + step).reshape(2 * k, 2)
+        rows = both  # the data row of each profiled trial
+        on = None  # which of the rows idx are on the EIT diagonal, if any is
         if model is ModelKind.ATS:
             np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
+        else:
+            # A row on the diagonal moves along it (its step has no second
+            # component); a trial that crosses it is also profiled where its
+            # segment meets |g_plus| = |g_minus|.
+            side = origin[:, 0] - origin[:, 1]
+            on = None if side.all() else side == 0.0
+            if on is not None:
+                t_trial[:, 1] = np.where(np.concatenate((on, on)), t_trial[:, 0], t_trial[:, 1])
+            np.abs(t_trial, out=t_trial)
+            crossed = ((t_trial[:, 0] - t_trial[:, 1]).reshape(2, k) * side < 0.0).reshape(-1).nonzero()[0]
+            if crossed.size:
+                meet = _diagonal_crossing(theta[both[crossed]], step.reshape(-1, 2)[crossed])
+                t_trial, rows = np.concatenate((t_trial, meet)), np.concatenate((both, both[crossed]))
         ws.rewind()
-        y = values.take(owner[both], axis=0, out=ws.empty((2 * k, n)), mode="clip")
-        alpha_t, ssr_t, resid_t, q_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
-        ssr_t += odd[owner[both]]
-        ok = np.isfinite(ssr_t) & (ssr_t <= ssr[both])
+        y = values.take(owner[rows], axis=0, out=ws.empty((rows.size, n)), mode="clip")
+        alpha_t, ssr_t, resid_t, q_t, cols_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
+        ssr_t += odd[owner[rows]]
+        ok = np.isfinite(ssr_t) & (ssr_t <= ssr[rows])
+        pick = None  # trial row profiled for each level, where a crossing point replaces it
+        if rows is not both:
+            # The crossing point replaces only a crossed trial the row rejects.
+            clip = ok[2 * k :] & ~ok[crossed]
+            pick = np.arange(2 * k)
+            pick[crossed[clip]] = 2 * k + clip.nonzero()[0]
+            ok[crossed[clip]] = True
+        ok = ok[: 2 * k]
         ok[k:] &= lam_trial[k:] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
         ok = ok.reshape(2, k)
         took = ok.any(axis=0)
-        j = ok.argmax(axis=0)[took] * k + took.nonzero()[0]  # trial row taken
+        level = ok.argmax(axis=0)[took] * k + took.nonzero()[0]  # level row taken
+        j = level if pick is None else pick[level]  # trial row taken
         ga = idx[took]
         done = ssr[ga] - ssr_t[j] <= _RELATIVE_TOLERANCE * np.maximum(ssr_t[j], tiny)
+        # A row on the diagonal stays there, and gets the secant curvature of
+        # its last two gradients there; Kaufman's J^T J underestimates it.
+        secant = None
+        if on is not None:
+            was_on = on[took] & ~done
+            if was_on.any():
+                secant = was_on, theta[ga, 0], grad[ga, 0]
         theta[ga] = t_trial[j]
         alpha[ga] = alpha_t[j]
         ssr[ga] = ssr_t[j]
-        lam[ga] = np.maximum(lam_trial[j] / np.where(j < k, 10.0, _UPPER_DECREASE), _DAMPING_MIN)
+        lam[ga] = np.maximum(lam_trial[level] / np.where(level < k, 10.0, _UPPER_DECREASE), _DAMPING_MIN)
         climbing[idx] = ~took
         stop[ga[done]] = _TOLERANCE
         active[ga[done]] = False
@@ -549,9 +685,15 @@ def _lm_run_batch(
         if ga.size:
             resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
             q_j = q_t.take(j, axis=0, out=ws.empty((j.size,) + q_t.shape[1:]), mode="clip")
+            cols_j = _take_rows(cols_t, j, ws.empty)
             grad[ga], jtj[ga] = _normal_equations(
-                model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, ws.empty, weight
+                model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, cols_j, ws.empty, weight
             )
+            if secant is not None:
+                was_on, width, slope = (v[~done] for v in secant)
+                curvature = (slope - grad[ga, 0]) / (theta[ga, 0] - width)
+                use = was_on & (curvature > 0.0) & np.isfinite(curvature)
+                jtj[ga[use], 0, 0] = jtj[ga[use], 1, 1] = curvature[use]
         # A row that rejects both levels tries 100 lam on the next pass.
         rej = idx[~took]
         lam[rej] = lam_trial[k:][~took] * 10.0
@@ -561,7 +703,26 @@ def _lm_run_batch(
         active[dead] = False
 
     converged = np.isin(stop, (_TOLERANCE, _GRADIENT, _DAMPING))
-    return _join(model, theta, alpha), ssr, converged, iterations, stop
+    limit = np.full((n_rows, 3), np.nan)
+    if eit:
+        on = theta[:, 0] == theta[:, 1]
+        limit[on] = np.column_stack((alpha[on], theta[on, 0]))
+    return _join(model, theta, alpha), ssr, converged, iterations, stop, limit
+
+
+def _diagonal_crossing(origin: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Where each segment ``origin + t step``, ``0 < t <= 1``, first meets ``|g_plus| = |g_minus|``.
+
+    ``origin`` (c, 2) holds nonnegative, unequal widths, and each segment
+    ends on the other side; returns the points (c, 2), both widths the
+    common ``|g|`` there.
+    """
+    (gp, gm), (sp, sm) = origin.T, step.T
+    first = np.full(gp.size, np.inf)
+    for t in ((gm - gp) / (sp - sm), -(gp + gm) / (sp + sm)):  # g_plus = g_minus, g_plus = -g_minus
+        first = np.where((t > 0.0) & (t <= 1.0), np.fmin(first, t), first)
+    g = np.abs(gp + first * sp)
+    return np.column_stack((g, g))
 
 
 def _best_of(
@@ -571,6 +732,7 @@ def _best_of(
     converged: np.ndarray,
     iterations: np.ndarray,
     stop: np.ndarray,
+    limit: np.ndarray,
     n: int,
 ) -> FitResult:
     """The lowest-SSR start of one spectrum, the lowest index breaking exact ties."""
@@ -589,6 +751,7 @@ def _best_of(
         n_starts_agreeing=agreeing,
         iterations=int(iterations[best]),
         stop=STOP_REASONS[stop[best]],
+        limit=EitLimit(*map(float, limit[best])) if np.isfinite(limit[best]).all() else None,
     )
 
 
@@ -628,11 +791,11 @@ def fit_many(
     if todo:
         x0 = np.concatenate([initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed) for i in todo])
         values = np.stack([spectra[i].values for i in todo])
-        x, ssr, converged, iterations, stop = _lm_run_batch(model, x0, deltas, values, cfg)
+        run = _lm_run_batch(model, x0, deltas, values, cfg)
     for j, i in enumerate(todo):
         rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
         try:
-            out[i] = _best_of(model, x[rows], ssr[rows], converged[rows], iterations[rows], stop[rows], n)
+            out[i] = _best_of(model, *(a[rows] for a in run), n)
         except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
             out[i] = exc
     return out

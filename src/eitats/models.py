@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ModelKind",
     "EitParams",
+    "EitLimit",
     "AtsParams",
     "eval_eit",
     "eval_ats",
@@ -60,6 +62,20 @@ class EitParams:
     def __post_init__(self) -> None:
         if not self.g_plus > 0 or not self.g_minus > 0:
             raise ValueError(f"widths must be > 0, got {self.g_plus}, {self.g_minus}")
+
+
+class EitLimit(NamedTuple):
+    """The signed pair's merged-width limit: a/(g**2+d**2) + b/(g**2+d**2)**2.
+
+    As ``g_minus -> g_plus = g`` with ``c_minus**2 (g_plus**2 - g_minus**2)
+    -> -b`` and ``c_plus**2 - c_minus**2 -> a`` the pair tends to this
+    curve; either sign of ``a`` and ``b`` is a limit of some pair.  A
+    report writes it as the list ``[a, b, g]``.
+    """
+
+    a: float
+    b: float
+    g: float
 
 
 @dataclass(frozen=True)
@@ -123,64 +139,74 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
 _COLUMN_OF = {ModelKind.EIT: (0, 1), ModelKind.ATS: (0, 0)}
 
 
-def _basis(
-    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False, empty=np.empty, weight=1.0
-):
-    """Model columns at the nonlinear parameters ``theta`` of shape (s, 2).
+def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.empty, weight=1.0) -> np.ndarray:
+    """Model columns at the nonlinear parameters ``theta`` of shape (s, 2), with what their derivatives need.
 
     EIT: ``theta = (g_plus, g_minus)``, columns ``L(g_plus)`` and
     ``-L(g_minus)`` with ``L(g) = 1/(g**2 + d**2)``.  ATS: ``theta = (g, u)``
-    with ``u = d0**2 >= 0``, one column ``L_g(d - d0) + L_g(d + d0)``.
+    with ``u = d0**2 >= 0``, one column ``L_g(d - d0) + L_g(d + d0)``
+    followed by its two Lorentzians ``L_g(|d| - d0)`` and ``L_g(|d| + d0)``,
+    from which :func:`_derivatives` forms its derivatives.  Returns shape
+    (s, c, n), the model's columns first; all are multiplied by ``weight``,
+    a scalar or one factor per detuning (the fitter's square-root
+    multiplicities).  It enters the Lorentzians' numerators, so a weight of
+    1 changes no bit.
 
-    Returns the columns, shape (s, p, n), and with ``derivatives`` also
-    ``dphi`` of shape (s, 2, n): ``dphi[:, j]`` is the derivative with
-    respect to ``theta_j`` of column ``_COLUMN_OF[model][j]``, the only
-    column ``theta_j`` moves.  Both are multiplied by ``weight``, a scalar
-    or one factor per detuning (the fitter's square-root multiplicities);
-    it enters the Lorentzians' numerators, so a weight of 1 changes no bit.
-
-    Both are stored column by column, as a (p, s, n) block seen through a
-    transpose, so that ``phi[:, j]`` is a contiguous (s, n) array: numpy
-    runs elementwise work on a strided column several times slower.  Each
-    block of s rows, the doublet's scratch rows included, comes from
-    ``empty(shape)`` and is filled in place, so a caller that passes
-    reused buffers allocates none here.
+    The result is stored column by column, as one (c, s, n) block from
+    ``empty(shape)`` seen through a transpose, so that ``cols[:, j]`` is a
+    contiguous (s, n) array: numpy runs elementwise work on a strided
+    column several times slower.  A caller that passes reused buffers
+    allocates nothing here.
     """
     s, n = theta.shape[0], deltas.size
     g = theta[:, 0:1]
     if model is ModelKind.EIT:
         d2 = deltas * deltas
-        gm = theta[:, 1:2]
-        phi = empty((2, s, n))
-        for col, width, numerator in ((phi[0], g, weight), (phi[1], gm, -weight)):
+        cols = empty((2, s, n))
+        for col, width, numerator in ((cols[0], g, weight), (cols[1], theta[:, 1:2], -weight)):
             np.add(width * width, d2, out=col)
             np.divide(numerator, col, out=col)
-        if not derivatives:
-            return phi.transpose(1, 0, 2)
-        dphi = empty((2, s, n))
-        for col, dcol, scale in ((phi[0], dphi[0], -2.0 * g), (phi[1], dphi[1], 2.0 * gm)):
-            np.multiply(scale, col, out=dcol)
-            dcol *= col
-            dcol /= weight  # the product of two columns carries the weight twice
-        return phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2)
+        return cols.transpose(1, 0, 2)
     # The doublet is even in the detuning, so |d| is used: then d0 >= 0
-    # makes L(|d| + d0) the smaller Lorentzian, and du below has no
-    # cancellation at either peak (d = +-d0).
+    # makes L(|d| + d0) the smaller Lorentzian, and the offset derivative
+    # has no cancellation at either peak (d = +-d0).
     a = np.abs(deltas)
     gg = g * g
     d0 = np.sqrt(theta[:, 1:2])
-    lm, lp = empty((2, s, n))
+    cols = empty((3, s, n))
+    phi, lm, lp = cols
     np.subtract(a, d0, out=lm)
     np.add(a, d0, out=lp)
     for lor in (lm, lp):  # weight / (g**2 + (|d| -+ d0)**2)
         np.square(lor, out=lor)
         np.add(gg, lor, out=lor)
         np.divide(weight, lor, out=lor)
-    phi = empty((1, s, n))
-    np.add(lm, lp, out=phi[0])
-    if not derivatives:
-        return phi.transpose(1, 0, 2)
+    np.add(lm, lp, out=phi)
+    return cols.transpose(1, 0, 2)
+
+
+def _derivatives(
+    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, cols: np.ndarray, empty=np.empty, weight=1.0
+) -> np.ndarray:
+    """``dphi`` (s, 2, n) from what :func:`_columns` returned at ``theta``.
+
+    ``dphi[:, j]`` is the derivative with respect to ``theta_j`` of column
+    ``_COLUMN_OF[model][j]``, the only column ``theta_j`` moves, weighted
+    as the columns are and stored as they are.  The doublet's two
+    Lorentzians in ``cols`` are overwritten.
+    """
+    s, n = theta.shape[0], deltas.size
+    g = theta[:, 0:1]
     dphi = empty((2, s, n))
+    if model is ModelKind.EIT:
+        for col, dcol, scale in ((cols[:, 0], dphi[0], -2.0 * g), (cols[:, 1], dphi[1], 2.0 * theta[:, 1:2])):
+            np.multiply(scale, col, out=dcol)
+            dcol *= col
+            dcol /= weight  # the product of two columns carries the weight twice
+        return dphi.transpose(1, 0, 2)
+    a = np.abs(deltas)
+    d0 = np.sqrt(theta[:, 1:2])
+    phi, lm, lp = cols[:, 0], cols[:, 1], cols[:, 2]
     dg, du = dphi
     # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
     # stays finite at d0 = 0 where the doublet merges:
@@ -190,7 +216,7 @@ def _basis(
     np.multiply(4.0 * a / (weight * weight), du, out=du)
     du *= lm
     du *= lp
-    du *= phi[0]
+    du *= phi
     np.multiply(2.0 / weight, lp, out=dg)
     dg *= lp
     du -= dg
@@ -200,7 +226,19 @@ def _basis(
     np.add(lm, lp, out=dg)
     np.multiply(-2.0 * g, dg, out=dg)
     dg /= weight
-    return phi.transpose(1, 0, 2), dphi.transpose(1, 0, 2)
+    return dphi.transpose(1, 0, 2)
+
+
+def _basis(
+    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False, empty=np.empty, weight=1.0
+):
+    """The model's columns ``Phi`` (s, p, n) at ``theta`` (see :func:`_columns`),
+    and with ``derivatives`` also ``dphi`` (s, 2, n) (see :func:`_derivatives`)."""
+    cols = _columns(model, theta, deltas, empty=empty, weight=weight)
+    phi = cols[:, : len(set(_COLUMN_OF[model]))]
+    if not derivatives:
+        return phi
+    return phi, _derivatives(model, theta, deltas, cols, empty=empty, weight=weight)
 
 
 def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +248,31 @@ def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack((x[:, 1], np.square(x[:, 2]))), np.square(x[:, 0:1])
 
 
+# Relative width offset of the signed pair that stands for a limit form
+# (see _join).
+_LIMIT_OFFSET = 1e-6
+
+
 def _join(model: ModelKind, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_split` on the canonical branch (nonnegative amplitudes and offset)."""
-    if model is ModelKind.EIT:
-        return np.column_stack((np.sqrt(alpha), theta))
-    return np.column_stack((np.sqrt(alpha[:, 0]), theta[:, 0], np.sqrt(theta[:, 1])))
+    """Inverse of :func:`_split` on the canonical branch (nonnegative amplitudes and offset).
+
+    An EIT row with equal widths holds the limit form's ``(a, b)`` in
+    ``alpha`` (see :class:`EitLimit`); it becomes the signed pair with
+    ``g_minus = g (1 -+ _LIMIT_OFFSET)``, narrower for ``b < 0`` and wider
+    otherwise, ``c_minus**2 = |b| / |g**2 - g_minus**2|`` (raised to ``-a``
+    if ``c_plus**2`` would be negative) and ``c_plus**2 = a + c_minus**2``,
+    whose curve is the limit's to about ``_LIMIT_OFFSET`` of its lobes.
+    """
+    if model is ModelKind.ATS:
+        return np.column_stack((np.sqrt(alpha[:, 0]), theta[:, 0], np.sqrt(theta[:, 1])))
+    on = theta[:, 0] == theta[:, 1]
+    x = np.column_stack((np.sqrt(np.where(on[:, None], 0.0, alpha)), theta))
+    if on.any():
+        (a, b), g = alpha[on].T, theta[on, 0]
+        g_minus = g * (1.0 + np.copysign(_LIMIT_OFFSET, b))
+        c_minus_sq = np.maximum(np.abs(b) / np.abs((g - g_minus) * (g + g_minus)), -a)
+        x[on] = np.column_stack((np.sqrt(a + c_minus_sq), np.sqrt(c_minus_sq), g, g_minus))
+    return x
 
 
 def evaluate(model: ModelKind, params, delta):

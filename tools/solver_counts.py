@@ -20,7 +20,10 @@ the solver's passes are, two trial rows per active start), the profiled
 rows times the solver's grid points (``points``: the folded grid's, so
 121 per row on the 241-point circuit grid and 101 on the 201-point
 default one) and the iterations summed over every solver row, counted on a first (warm-up)
-pass, and then the minor page faults and system seconds per pass from
+pass; then how many EIT rows end on the diagonal ``g_plus = g_minus``
+(``eit_on_diag``, of ``eit_rows``), where the valley of the signed pair
+ends, and the mean iterations of those rows and of the other EIT rows
+(``it_on_diag``, ``it_rest``); and then the minor page faults and system seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
@@ -74,6 +77,7 @@ class Counter:
 
     def __init__(self):
         self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
+        self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the diagonal
         self.passes_by_model = {"eit": 0, "ats": 0}
         self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
 
@@ -92,6 +96,10 @@ class Counter:
         out = self._run(model, *args, **kwargs)
         self.passes_by_model[model.value] += self.passes - before
         self.iterations += int(np.sum(out[3]))
+        if model.value == "eit":
+            on = np.isfinite(out[5][:, 0])
+            for where in (True, False):
+                self.eit_iterations[where].extend(out[3][on == where].tolist())
         return out
 
     def __enter__(self):
@@ -118,6 +126,10 @@ def measure(shape, repeats: int) -> dict:
         "rows/call": round(counter.profiled_rows / counter.profile_calls, 1),
         "points": counter.points,
         "iterations": counter.iterations,
+        "eit_rows": sum(len(v) for v in counter.eit_iterations.values()),
+        "eit_on_diag": len(counter.eit_iterations[True]),
+        "it_on_diag": round(float(np.mean(counter.eit_iterations[True] or [np.nan])), 1),
+        "it_rest": round(float(np.mean(counter.eit_iterations[False] or [np.nan])), 1),
         "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
         "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
     }
@@ -140,6 +152,10 @@ def main() -> None:
         "rows/call",
         "points",
         "iterations",
+        "eit_rows",
+        "eit_on_diag",
+        "it_on_diag",
+        "it_rest",
         "minflt/pass",
         "sys_s/pass",
     )
