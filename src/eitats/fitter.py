@@ -42,7 +42,8 @@ compares, stops on or reports is still the full grid's; on a grid with
 no mirrored pair the arithmetic is unchanged.
 
 The passes reuse one workspace (:class:`_Workspace`), so a pass
-allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
+allocates no row-sized array, except for EIT crossing points that do
+not fit in it.  Fresh arrays of a few hundred KB per pass
 make the C allocator hand its heap back to the kernel and fault it in
 again: 18k minor page faults per 6-spectrum sweep, 280k per 146-point
 one.
@@ -111,7 +112,7 @@ _DAMPING_MIN = 1e-15
 _UPPER_DECREASE = math.sqrt(10.0)
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
-# active at once, so its workspace is at most 3.7 MiB on the default grid
+# active at once, so its workspace is at most 4.5 MiB on the default grid
 # (101 folded points) whatever the number of spectra and starts.  At 128,
 # 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
 # makes 991, 794 and 700 passes and peaks at 40.7, 41.8 and 42.9 MiB
@@ -382,7 +383,8 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
             alpha[refused, 1] = 0.0
     np.subtract(y, np.einsum("sp,spn->sn", z, q, out=resid), out=resid)
     ssr = np.einsum("sn,sn->s", resid, resid)
-    q *= in_use[:, :, None]
+    if not in_use.all():
+        q[~in_use] = 0.0
     return alpha, ssr, resid, q, cols
 
 
@@ -435,20 +437,21 @@ def _take_rows(a: np.ndarray, rows: np.ndarray, empty) -> np.ndarray:
 
 
 # Floats per solver row and folded grid point that a pass takes from the
-# workspace: for each trial row its data and what _profile keeps (7 for
-# EIT, 6 for ATS), and 9 for the normal equations at the row's accepted
-# point.  An EIT row profiles up to four trial rows (two damping levels,
-# each with the point where it crosses the diagonal), an ATS row two.
-_WORKSPACE_PER_ROW = {ModelKind.EIT: 4 * 7 + 9, ModelKind.ATS: 2 * 6 + 9}
+# workspace: for each of its two trial rows the data and what _profile
+# keeps (7 for EIT, 6 for ATS), and 9 for the normal equations at the
+# row's accepted point.
+_WORKSPACE_PER_ROW = {ModelKind.EIT: 2 * 7 + 9, ModelKind.ATS: 2 * 6 + 9}
 
 
 class _Workspace:
     """The row buffers of one :func:`_lm_run_batch` call, reused by every pass.
 
-    One flat float64 arena, sized for the largest pass (two damping
-    levels in every slot of the row pool), is handed out front to back:
-    :meth:`empty` returns the next contiguous block of a shape and
-    :meth:`rewind` starts the next pass at the front.
+    One flat float64 arena, sized for a full pass (two damping levels in
+    every slot of the row pool), is handed out front to back: :meth:`empty`
+    returns the next contiguous block of a shape and :meth:`rewind` starts
+    the next pass at the front.  A pass that also profiles EIT crossing
+    points can need more; blocks past the arena's end are allocated on
+    their own, for that pass only.
     """
 
     def __init__(self, size: int) -> None:
@@ -457,6 +460,8 @@ class _Workspace:
 
     def empty(self, shape: tuple[int, ...]) -> np.ndarray:
         start, self._top = self._top, self._top + math.prod(shape)
+        if self._top > self._arena.size:
+            return np.empty(shape)
         return self._arena[start : self._top].reshape(shape)
 
     def rewind(self) -> None:
@@ -648,9 +653,10 @@ def _lm_run_batch(
                 meet = _diagonal_crossing(theta[both[crossed]], step.reshape(-1, 2)[crossed])
                 t_trial, rows = np.concatenate((t_trial, meet)), np.concatenate((both, both[crossed]))
         ws.rewind()
-        y = values.take(owner[rows], axis=0, out=ws.empty((rows.size, n)), mode="clip")
+        spectrum = owner[rows]
+        y = values.take(spectrum, axis=0, out=ws.empty((rows.size, n)), mode="clip")
         alpha_t, ssr_t, resid_t, q_t, cols_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
-        ssr_t += odd[owner[rows]]
+        ssr_t += odd[spectrum]
         ok = np.isfinite(ssr_t) & (ssr_t <= ssr[rows])
         pick = None  # trial row profiled for each level, where a crossing point replaces it
         if rows is not both:
@@ -718,10 +724,9 @@ def _diagonal_crossing(origin: np.ndarray, step: np.ndarray) -> np.ndarray:
     common ``|g|`` there.
     """
     (gp, gm), (sp, sm) = origin.T, step.T
-    first = np.full(gp.size, np.inf)
-    for t in ((gm - gp) / (sp - sm), -(gp + gm) / (sp + sm)):  # g_plus = g_minus, g_plus = -g_minus
-        first = np.where((t > 0.0) & (t <= 1.0), np.fmin(first, t), first)
-    g = np.abs(gp + first * sp)
+    t = np.stack(((gm - gp) / (sp - sm), -(gp + gm) / (sp + sm)))  # g_plus = g_minus, g_plus = -g_minus
+    t[~((t > 0.0) & (t <= 1.0))] = np.inf
+    g = np.abs(gp + t.min(axis=0) * sp)
     return np.column_stack((g, g))
 
 

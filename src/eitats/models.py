@@ -9,12 +9,13 @@ depends on its offset only through its square.
 
 Both models are linear in their squared amplitudes ``alpha = c**2`` once
 the nonlinear parameters ``theta`` are fixed: the model is
-``sum_i alpha_i * Phi_i(theta)``.  One batched kernel, :func:`_basis`,
-holds the Lorentzian formulas: it returns the columns ``Phi`` and their
-derivatives with respect to ``theta``.  The fitter profiles the amplitudes
-out through it, and evaluation and analytic Jacobians in the raw
-parameters (which accept scalar or array detunings, and reject a raw
-vector of the wrong length) are built from it.
+``sum_i alpha_i * Phi_i(theta)``.  Two batched kernels hold the
+Lorentzian formulas: :func:`_columns` returns the columns ``Phi`` and
+:func:`_derivatives` their derivatives with respect to ``theta``.  The
+fitter profiles the amplitudes out through them, and evaluation and
+analytic Jacobians in the raw parameters (which accept scalar or array
+detunings, and reject a raw vector of the wrong length) are built from
+them.
 """
 from __future__ import annotations
 
@@ -229,18 +230,6 @@ def _derivatives(
     return dphi.transpose(1, 0, 2)
 
 
-def _basis(
-    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, derivatives: bool = False, empty=np.empty, weight=1.0
-):
-    """The model's columns ``Phi`` (s, p, n) at ``theta`` (see :func:`_columns`),
-    and with ``derivatives`` also ``dphi`` (s, 2, n) (see :func:`_derivatives`)."""
-    cols = _columns(model, theta, deltas, empty=empty, weight=weight)
-    phi = cols[:, : len(set(_COLUMN_OF[model]))]
-    if not derivatives:
-        return phi
-    return phi, _derivatives(model, theta, deltas, cols, empty=empty, weight=weight)
-
-
 def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw vectors (s, k) as nonlinear parameters (s, 2) and squared amplitudes (s, p)."""
     if model is ModelKind.EIT:
@@ -280,7 +269,8 @@ def evaluate(model: ModelKind, params, delta):
     x = _raw(model, params)[None, :]
     d = np.asarray(delta, dtype=float)
     theta, alpha = _split(model, x)
-    out = np.einsum("sp,spn->sn", alpha, _basis(model, theta, d.reshape(-1)))[0]
+    p = alpha.shape[1]
+    out = np.einsum("sp,spn->sn", alpha, _columns(model, theta, d.reshape(-1))[:, :p])[0]
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
@@ -295,8 +285,10 @@ def jacobian(model: ModelKind, params, delta) -> np.ndarray:
     x = _raw(model, params)[None, :]
     d = np.asarray(delta, dtype=float)
     theta, alpha = _split(model, x)
-    phi, dphi = _basis(model, theta, d.reshape(-1), derivatives=True)
-    p = phi.shape[1]
+    cols = _columns(model, theta, d.reshape(-1))
+    p = alpha.shape[1]
+    phi = cols[:, :p]
+    dphi = _derivatives(model, theta, d.reshape(-1), cols)
     jac = np.empty((1, model.k, d.size))
     np.multiply(2.0 * x[:, :p, None], phi, out=jac[:, :p])
     scale = alpha[:, list(_COLUMN_OF[model])]

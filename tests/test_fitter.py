@@ -452,6 +452,31 @@ class TestLimitForm:
         pair = evaluate(ModelKind.EIT, np.abs(x[0]), grid)
         assert np.max(np.abs(pair - values)) <= 1e-5 * np.max(np.abs(values))
 
+    # From the seeded starts most such fits stop by the gradient test just
+    # off the diagonal (widths 1e-6 to 1e-5 apart, SSR below 1e-20): off
+    # it the SSR falls only like the fourth power of the width gap, so no
+    # damped step reaches the diagonal, and no limit form is reported.
+    _OFF_DIAGONAL = pytest.mark.xfail(strict=True, reason="the seeded starts stop just off the diagonal")
+
+    @pytest.mark.parametrize(
+        ("g", "square"),
+        [
+            pytest.param(0.5, 0.5, marks=_OFF_DIAGONAL),
+            pytest.param(0.5, -0.5, marks=_OFF_DIAGONAL),
+            pytest.param(1.0, 0.5, marks=_OFF_DIAGONAL),
+            (1.0, -0.5),
+            pytest.param(2.0, 0.5, marks=_OFF_DIAGONAL),
+            (2.0, -0.5),
+        ],
+    )
+    def test_exact_limit_data_fitted_from_the_seeded_starts_return_their_limit_form(self, g, square):
+        a, b = g**2, square * g**4
+        grid = default_grid()
+        lorentzian = 1.0 / (g * g + grid * grid)
+        res = fit(ModelKind.EIT, Spectrum(deltas=grid, values=a * lorentzian + b * lorentzian**2))
+        assert res.limit is not None
+        assert list(res.limit) == pytest.approx([a, b, g], rel=1e-7)
+
     def test_the_circuit_limit_form_does_not_depend_on_the_fit_seed(self):
         # Before the closure each seed stopped at another point of the flat
         # valley: c_plus was 5924.85, 6411.05 and 6244.08 at seeds 0-2.
@@ -599,22 +624,40 @@ class TestWorkspace:
         for x, y in zip(first, again):
             assert x.tobytes() == y.tobytes()
 
-    @pytest.mark.parametrize("name", ["circuit_eit", "offset_bound_ats"])
+    @pytest.mark.parametrize("name", ["weak_pump_eit", "offset_bound_ats"])
     def test_the_workspace_is_sized_for_the_first_pass(self, name):
-        # Too small, and taking a block past its end fails; too large, and
+        # Too small, and passes take blocks past its end; too large, and
         # every batch holds memory it never touches.  The solver works on
         # the folded grid: a mirror-symmetric grid of n points (n odd, the
-        # centre included) has (n + 1) / 2 distinct values of |delta|.  The
-        # EIT starts sit on the circuit valley with widths 1e-6 apart, so
-        # both damping levels of every first trial cross the diagonal and
-        # the pass profiles the most trial rows a pass can: four per row.
-        model, data, x0, _ = frozen_problem(name)
-        if model is ModelKind.EIT:
-            g = 6.3572 * np.linspace(1.0, 1.01, x0.shape[0])
-            x0 = np.column_stack((np.ones_like(g), np.ones_like(g), g, g * (1.0 - 1e-6)))
-        cfg = FitConfig(max_iterations=20)
+        # centre included) has (n + 1) / 2 distinct values of |delta|.  At
+        # omega = 0.3 no EIT trial crosses the diagonal within 50 iterations.
+        if name == "weak_pump_eit":
+            model, data = ModelKind.EIT, absorption_profile(TlaParams(omega=0.3), default_grid())
+            x0, cfg = np.stack(initial_guesses(model, data, 16, 0)), FitConfig(max_iterations=50)
+        else:
+            model, data, x0, _ = frozen_problem(name)
+            cfg = FitConfig(max_iterations=20)
         tops = workspace_tops(lambda: _lm_run_batch(model, x0, data.deltas, data.values[None], cfg))
         assert max(tops) == fitter._WORKSPACE_PER_ROW[model] * x0.shape[0] * (data.n_points + 1) // 2
+
+    def test_crossing_points_past_the_arena_change_no_bit(self):
+        # The EIT starts sit on the circuit valley with widths 1e-6 apart,
+        # so both damping levels of every first trial cross the diagonal and
+        # the pass profiles four trial rows per row, twice what the arena
+        # holds; the blocks past its end must behave as arena blocks do.
+        model, data, _, _ = frozen_problem("circuit_eit")
+        g = 6.3572 * np.linspace(1.0, 1.01, 16)
+        x0 = np.column_stack((np.ones_like(g), np.ones_like(g), g, g * (1.0 - 1e-6)))
+        cfg = FitConfig(max_iterations=20)
+        rows = x0.shape[0] * (data.n_points + 1) // 2
+        runs = []
+        tops = workspace_tops(lambda: runs.append(_lm_run_batch(model, x0, data.deltas, data.values[None], cfg)))
+        assert max(tops) > fitter._WORKSPACE_PER_ROW[model] * rows
+        with mock.patch.dict(fitter._WORKSPACE_PER_ROW, {model: 4 * 7 + 9}):  # room for every crossing point
+            tops = workspace_tops(lambda: runs.append(_lm_run_batch(model, x0, data.deltas, data.values[None], cfg)))
+        assert max(tops) <= (4 * 7 + 9) * rows
+        for x, y in zip(*runs):
+            assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_the_pool_bounds_the_workspace_for_any_number_of_starts(self, model):
