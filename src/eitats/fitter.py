@@ -296,11 +296,12 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     column.  Returns ``(alpha, ssr, resid, q, cols)``: ``q`` (s, p, n) is an
     orthonormal basis of the columns in use with the unused ones zeroed,
     and ``cols`` is what :func:`~eitats.models._columns` returned at
-    ``theta``; with ``resid`` they are what :func:`_normal_equations` needs
-    at this point.  Arrays of s rows come from ``empty`` (see
-    :func:`~eitats.models._columns`); ``resid``, ``q`` and ``cols`` are
-    three of them.  ``Phi`` is weighted by ``weight``, and ``y`` must carry
-    the same weight.
+    ``theta``, except that the doublet's ``q`` is written over its column
+    there; with ``resid`` they are what :func:`_normal_equations` needs at
+    this point.  Arrays of s rows come from ``empty`` (see
+    :func:`~eitats.models._columns`); ``resid``, ``cols`` and the EIT
+    ``q`` are three of them.  ``Phi`` is weighted by ``weight``, and ``y``
+    must carry the same weight.
 
     The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
     ``-L(g_minus)`` turn parallel and the amplitudes grow like
@@ -332,29 +333,37 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     p = 2 if model is ModelKind.EIT else 1
     phi = cols[:, :p]
     resid = empty((s, n))  # scratch until it holds the residual
-    if model is ModelKind.EIT:
-        gp, gm = theta[:, 0:1], theta[:, 1:2]
-        # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus),
-        # divided back from the two columns' weights to one; on the diagonal
-        # the factor -1 makes it the closure's L(g)**2.
-        factor = (gm - gp) * (gp + gm)
-        on = None if factor.all() else (gp == gm)[:, 0]  # a zero factor is needed for equal widths
-        any_on = on is not None and on.any()
-        if any_on:
-            factor[on] = -1.0
-        e = empty((s, n))
-        np.multiply(factor, phi[:, 0], out=e)
-        e *= phi[:, 1]
-        e /= weight
     norm = np.sqrt(np.einsum("spn,spn->sp", phi, phi))
-    q = empty((p, s, n)).transpose(1, 0, 2)  # unit columns; below, the basis of the columns in use
-    np.divide(phi, norm[:, :, None], out=q)
+    # Unit columns; below, the basis of the columns in use.  The doublet's
+    # derivatives read only its Lorentzians, so its basis takes the
+    # column's block; EIT's need both columns.
+    if model is ModelKind.ATS:
+        q = phi
+        q /= norm[:, :, None]
+    else:
+        q = empty((p, s, n)).transpose(1, 0, 2)
+        np.divide(phi, norm[:, :, None], out=q)
     z = np.einsum("spn,sn->sp", q, y)  # coefficient of each unit column alone
     if model is ModelKind.ATS:
         z = np.maximum(z, 0.0)
         alpha = z / norm
         in_use = z > 0.0
     else:
+        gp, gm = theta[:, 0:1], theta[:, 1:2]
+        # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus),
+        # divided back from the two columns' weights to one; on the diagonal
+        # the factor -1 makes it the closure's L(g)**2.  Now that z holds the
+        # unit column -L(g_minus)'s coefficient, E takes its block; rows that
+        # do not use E get that column back below.
+        factor = (gm - gp) * (gp + gm)
+        on = None if factor.all() else (gp == gm)[:, 0]  # a zero factor is needed for equal widths
+        any_on = on is not None and on.any()
+        if any_on:
+            factor[on] = -1.0
+        e = q[:, 1]
+        np.multiply(factor, phi[:, 0], out=e)
+        e *= phi[:, 1]
+        e /= weight
         e_norm = np.sqrt(np.einsum("sn,sn->s", e, e))
         r01 = np.einsum("sn,sn->s", q[:, 0], e)
         e -= np.multiply(r01[:, None], q[:, 0], out=resid)
@@ -373,7 +382,8 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
             alpha_pair[closure] = np.column_stack((b0, -alpha_minus))[closure]
         first = np.maximum(z[:, 0], 0.0) >= np.maximum(z[:, 1], 0.0)
         single = np.column_stack((np.where(first, np.maximum(z[:, 0], 0.0), 0.0), np.where(first, 0.0, z[:, 1])))
-        np.copyto(q[:, 1], e, where=pair[:, None])
+        if not pair.all():
+            q[~pair, 1] = phi[~pair, 1] / norm[~pair, 1:2]
         z = np.where(pair[:, None], np.column_stack((z[:, 0], z_e)), single)
         alpha = np.where(pair[:, None], alpha_pair, single / norm)
         in_use = pair[:, None] | (z > 0.0)
@@ -438,9 +448,9 @@ def _take_rows(a: np.ndarray, rows: np.ndarray, empty) -> np.ndarray:
 
 # Floats per solver row and folded grid point that a pass takes from the
 # workspace: for each of its two trial rows the data and what _profile
-# keeps (7 for EIT, 6 for ATS), and 9 for the normal equations at the
+# keeps (6 for EIT, 5 for ATS), and 9 for the normal equations at the
 # row's accepted point.
-_WORKSPACE_PER_ROW = {ModelKind.EIT: 2 * 7 + 9, ModelKind.ATS: 2 * 6 + 9}
+_WORKSPACE_PER_ROW = {ModelKind.EIT: 2 * 6 + 9, ModelKind.ATS: 2 * 5 + 9}
 
 
 class _Workspace:

@@ -193,8 +193,9 @@ def _derivatives(
 
     ``dphi[:, j]`` is the derivative with respect to ``theta_j`` of column
     ``_COLUMN_OF[model][j]``, the only column ``theta_j`` moves, weighted
-    as the columns are and stored as they are.  The doublet's two
-    Lorentzians in ``cols`` are overwritten.
+    as the columns are and stored as they are.  Of the doublet's ``cols``
+    only its two Lorentzians are read, and they are overwritten; its
+    column's block may already hold something else.
     """
     s, n = theta.shape[0], deltas.size
     g = theta[:, 0:1]
@@ -207,17 +208,19 @@ def _derivatives(
         return dphi.transpose(1, 0, 2)
     a = np.abs(deltas)
     d0 = np.sqrt(theta[:, 1:2])
-    phi, lm, lp = cols[:, 0], cols[:, 1], cols[:, 2]
+    lm, lp = cols[:, 1], cols[:, 2]
     dg, du = dphi
     # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
     # stays finite at d0 = 0 where the doublet merges:
     # du = 4 |d| (|d| - d0) lm lp (lm + lp) - 2 lp**2, factors applied left
-    # to right (lm + lp is phi), each weighted product divided back to one weight.
+    # to right (lm + lp, the column, formed in dg as _columns forms it),
+    # each weighted product divided back to one weight.
     np.subtract(a, d0, out=du)
     np.multiply(4.0 * a / (weight * weight), du, out=du)
     du *= lm
     du *= lp
-    du *= phi
+    np.add(lm, lp, out=dg)
+    du *= dg
     np.multiply(2.0 / weight, lp, out=dg)
     dg *= lp
     du -= dg

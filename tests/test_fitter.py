@@ -653,9 +653,9 @@ class TestWorkspace:
         runs = []
         tops = workspace_tops(lambda: runs.append(_lm_run_batch(model, x0, data.deltas, data.values[None], cfg)))
         assert max(tops) > fitter._WORKSPACE_PER_ROW[model] * rows
-        with mock.patch.dict(fitter._WORKSPACE_PER_ROW, {model: 4 * 7 + 9}):  # room for every crossing point
+        with mock.patch.dict(fitter._WORKSPACE_PER_ROW, {model: 4 * 6 + 9}):  # room for every crossing point
             tops = workspace_tops(lambda: runs.append(_lm_run_batch(model, x0, data.deltas, data.values[None], cfg)))
-        assert max(tops) <= (4 * 7 + 9) * rows
+        assert max(tops) <= (4 * 6 + 9) * rows
         for x, y in zip(*runs):
             assert x.tobytes() == y.tobytes()
 
