@@ -425,6 +425,21 @@ class TestProfile:
             assert np.all(alpha > 0.0)
 
 
+    def test_a_row_that_keeps_only_the_narrow_negative_lobe_is_profiled_in_that_column(self):
+        # Against an inverted profile the best nonnegative amplitudes drop
+        # L(g_plus) and keep -L(g_minus) alone: the row's SSR is that of the
+        # one-column fit, whatever the second basis column held before.
+        grid = default_grid()
+        y = -absorption_profile(TlaParams(omega=0.0), grid).values
+        theta = np.array([[3.0, 0.5], [0.4, 2.0], [1.0, 1.5]])
+        alpha, ssr, *_ = _profile(ModelKind.EIT, theta, grid, np.repeat(y[None], 3, axis=0))
+        for row, (_, g_minus) in enumerate(theta):
+            lorentzian = 1.0 / (g_minus**2 + grid**2)
+            c = -np.dot(lorentzian, y) / np.dot(lorentzian, lorentzian)
+            assert alpha[row, 0] == 0.0 and alpha[row, 1] == pytest.approx(c, rel=1e-12)
+            assert ssr[row] == pytest.approx(np.sum(np.square(y + c * lorentzian)), rel=1e-12)
+
+
 class TestLimitForm:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -643,8 +658,8 @@ class TestWorkspace:
     def test_crossing_points_past_the_arena_change_no_bit(self):
         # The EIT starts sit on the circuit valley with widths 1e-6 apart,
         # so both damping levels of every first trial cross the diagonal and
-        # the pass profiles four trial rows per row, twice what the arena
-        # holds; the blocks past its end must behave as arena blocks do.
+        # the pass profiles four trial rows per row where the arena is sized
+        # for two; the blocks past its end must behave as arena blocks do.
         model, data, _, _ = frozen_problem("circuit_eit")
         g = 6.3572 * np.linspace(1.0, 1.01, 16)
         x0 = np.column_stack((np.ones_like(g), np.ones_like(g), g, g * (1.0 - 1e-6)))
