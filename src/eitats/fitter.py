@@ -112,7 +112,7 @@ _DAMPING_MIN = 1e-15
 _UPPER_DECREASE = math.sqrt(10.0)
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
-# active at once, so its workspace is at most 4.5 MiB on the default grid
+# active at once, so its workspace is at most 4.2 MiB on the default grid
 # (101 folded points) whatever the number of spectra and starts.  At 128,
 # 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
 # makes 991, 794 and 700 passes and peaks at 40.7, 41.8 and 42.9 MiB
