@@ -1,13 +1,14 @@
 """Damped least-squares fitting of the lineshape models, by variable projection.
 
-Both models are linear in their squared amplitudes once the widths and
-the doublet's offset are fixed, so only those are iterated: ``(g_plus,
-g_minus)`` for EIT, ``(g, u)`` with ``u = d0**2 >= 0`` for ATS.  At every
-trial point the amplitudes are solved in closed form as a 1- or 2-column
-nonnegative least-squares problem, and steps use Kaufman's projected
-Jacobian (separable least squares: Golub & Pereyra, SIAM J. Numer. Anal.
-10, 1973; Kaufman, BIT 15, 1975).  Fitting ``u`` instead of ``d0``
-removes the stationary plane ``d0 = 0``; ``u`` is held at its bound 0 by
+Both models are linear in their amplitudes once two nonlinear parameters
+``(g, u)`` with ``u >= 0`` are fixed, so only those are iterated: for EIT
+the mean ``g`` of the two widths and their squared half-gap ``u``, for ATS
+the width and ``u = d0**2``.  At every trial point the amplitudes are
+solved in closed form as a 1- or 2-column least-squares problem, and
+steps use Kaufman's projected Jacobian (separable least squares: Golub &
+Pereyra, SIAM J. Numer. Anal. 10, 1973; Kaufman, BIT 15, 1975).  Fitting
+``u`` removes the doublet's stationary plane ``d0 = 0`` and makes the
+pair's merged widths a bound, ``u = 0``, which both models hold by
 projected steps.  The information criterion still counts every amplitude
 (K = 4 and 3): profiling them out does not change what is fitted.
 
@@ -18,11 +19,7 @@ divides it by 10, except that a step taken at ``10 lam`` after ``lam``
 was rejected leaves the next damping at their log-midpoint ``sqrt(10)
 lam``, never straight back at the rejected level (Madsen, Nielsen &
 Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004, 3.2).
-On the interference model's flat valley, walked before its limit was
-closed (below), most trials rejected ``lam``: there the EIT starts on the
-circuit curve and its noisy fixture (fit seeds 0-5) stopped within 35
-iterations, median 28-31, where going back to ``lam`` took up to 84,
-median 73-76.  Each pass tries two damping levels of every start at once,
+Each pass tries two damping levels of every start at once,
 both solved in closed form by 2x2 elimination (:func:`_damped_step`), and
 each accepted point's normal equations come from the columns and basis
 of the profile that accepted it (see :func:`_lm_run_batch`), so an
@@ -42,8 +39,7 @@ compares, stops on or reports is still the full grid's; on a grid with
 no mirrored pair the arithmetic is unchanged.
 
 The passes reuse one workspace (:class:`_Workspace`), so a pass
-allocates no row-sized array, except for EIT crossing points that do
-not fit in it.  Fresh arrays of a few hundred KB per pass
+allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
 make the C allocator hand its heap back to the kernel and fault it in
 again: 18k minor page faults per 6-spectrum sweep, 280k per 146-point
 one.
@@ -51,22 +47,18 @@ one.
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
 That valley ends at an ordinary model, ``a L(g) + b L(g)**2``, the
-closure of the signed pair where ``g_plus = g_minus`` (Golub & Pereyra,
+closure of the signed pair where its widths merge (Golub & Pereyra,
 *Inverse Problems* 19, 2003; Osborne & Smyth, *SIAM J. Sci. Comput.* 16,
-1995).  The solver treats that diagonal as a bound of the widths, as
-``u = 0`` is one of the doublet's: a row on it is profiled in the closure
-(:func:`_profile`) and moves its common width alone, a trial that crosses
-it may be replaced by the point where its step meets it, and widths are
-kept nonnegative, which loses nothing since the model depends on their
-squares (see :func:`_lm_run_batch`).  A start that reaches the valley's
-limit therefore stops there, in a few iterations, at the same point from
-any start, instead of walking the valley until the relative tolerance
-stops it somewhere along the way.  The lowest SSR over the starts wins,
-converged or not; ``converged``, ``iterations`` and ``stop`` (one of
-``STOP_REASONS``) report how the winning start ended, ``limit`` the
-limit form ``(a, b, g)`` of an EIT winner on the diagonal, and
-parameters are returned in canonical nonnegative form, a limit as the
-signed pair of :func:`~eitats.models._join`.
+1995).  In ``(g, u)`` that closure is the bound ``u = 0``, where the
+model's columns are smooth and its residual is linear in ``u``
+(:func:`~eitats.models._columns`), so a row reaches the valley's limit
+exactly, in a few iterations, and leaves it where that lowers the SSR.
+The lowest SSR over the starts wins, converged or not; ``converged``,
+``iterations`` and ``stop`` (one of ``STOP_REASONS``) report how the
+winning start ended, ``limit`` the limit form ``(a, b, g)`` of an EIT
+winner with merged widths, and parameters are returned in canonical
+nonnegative form, a limit as the signed pair of
+:func:`~eitats.models._join`.
 """
 from __future__ import annotations
 
@@ -78,7 +70,6 @@ import numpy as np
 
 from .lineshape import Spectrum
 from .models import (
-    _COLUMN_OF,
     AtsParams,
     EitLimit,
     EitParams,
@@ -115,9 +106,9 @@ _RELATIVE_TOLERANCE = 1e-12
 # active at once, so its workspace is at most 4.2 MiB on the default grid
 # (101 folded points) whatever the number of spectra and starts.  At 128,
 # 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
-# makes 991, 794 and 700 passes and peaks at 40.7, 41.8 and 42.9 MiB
-# RSS; the criterion-5 sweep (cap 1000) makes 983, 775 and 671 passes
-# and peaks at 41.3, 42.2 and 43.5 MiB (tools/solver_counts.py; RSS from
+# makes 818, 710 and 655 passes and peaks at 40.9, 41.7 and 42.7 MiB
+# RSS; the criterion-5 sweep (cap 1000) makes 1165, 953 and 846 passes
+# and peaks at 41.7, 42.7 and 43.9 MiB (tools/solver_counts.py; RSS from
 # getrusage in a fresh process).
 _MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
@@ -289,154 +280,103 @@ _COLLINEAR_SIN = 1e-8
 
 
 def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, empty=np.empty, weight=1.0):
-    """Profile the squared amplitudes out at the nonlinear parameters ``theta`` (s, 2).
+    """Profile the column coefficients out at the nonlinear parameters ``theta`` (s, 2).
 
-    Each row's amplitudes ``alpha >= 0`` minimise ``|y - Phi alpha|``: the
-    unconstrained solve if it is nonnegative, else the better single
-    column.  Returns ``(alpha, ssr, resid, q, cols)``: ``q`` (s, p, n) is an
-    orthonormal basis of the columns in use with the unused ones zeroed,
-    and ``cols`` is what :func:`~eitats.models._columns` returned at
-    ``theta``, except that the doublet's ``q`` is written over its column
-    there; with ``resid`` they are what :func:`_normal_equations` needs at
-    this point.  Arrays of s rows come from ``empty`` (see
-    :func:`~eitats.models._columns`); ``resid``, ``cols`` and the EIT
-    ``q`` are three of them.  ``Phi`` is weighted by ``weight``, and ``y``
-    must carry the same weight.
+    Each row's ``alpha`` minimises ``|y - Phi alpha|`` over the curves the
+    model can draw.  Returns ``(alpha, ssr, resid, q, lor, alone)``: ``q``
+    (s, p, n) is an orthonormal basis of the columns in use, the unused
+    ones zeroed, written over the columns, ``lor`` the two Lorentzians
+    after them (see :func:`~eitats.models._columns`), and ``alone`` (s,) +1
+    or -1 where a row with ``u > 0`` is fitted by ``L1`` or ``L2`` alone,
+    else 0; with ``resid`` they are what :func:`_normal_equations` needs.
+    Arrays of s rows come from ``empty``.  ``Phi`` is weighted by
+    ``weight``, and so must ``y`` be.
 
-    The EIT valley leads to ``g_minus -> g_plus``, where ``L(g_plus)`` and
-    ``-L(g_minus)`` turn parallel and the amplitudes grow like
-    ``1/(g_plus - g_minus)`` while the lobes cancel; a solve in those two
-    columns loses as many digits as the widths share.  The pair is
-    therefore solved in the basis ``L(g_plus)``, ``E = L(g_minus) -
-    L(g_plus)`` of the same plane, with ``E = (g_plus**2 - g_minus**2)
-    L(g_plus) L(g_minus)`` formed without a difference of near-equal
-    numbers.  ``E`` does not turn parallel to ``L(g_plus)`` (``E / (g_plus
-    - g_minus)`` tends to the width derivative), and the residual comes
-    from the Gram-Schmidt form ``y - Q Q^T y``, so it never forms the
-    large amplitudes; only they, recovered from the coefficients in that
-    basis, carry the growth.
-
-    The valley's limit is the diagonal ``g_plus = g_minus = g``, where the
-    pair's curves close to ``a L(g) + b L(g)**2`` (``b = -c_minus**2
-    (g_plus**2 - g_minus**2)``, ``a = c_plus**2 - c_minus**2``): the
-    coalescing-rate closure of separable least squares (Golub & Pereyra,
-    *Inverse Problems* 19, 2003).  Both orderings of the widths meet there,
-    so either sign of ``a`` and ``b`` is feasible.  A row with equal widths
-    is profiled in that closure: the same Gram-Schmidt slot takes ``E =
-    L(g)**2``, the coefficients are unconstrained, and ``alpha`` holds
-    ``(a, b)``.  Where ``E`` lies within ``_COLLINEAR_SIN`` of ``L(g_plus)``
-    (both widths far wider than the grid) the pair counts as one column,
-    and a row on the diagonal holds ``(a, 0)``.
+    The doublet's squared amplitude is the nonnegative one-column solve.
+    The pair's columns ``L1 + L2`` and ``L1 L2`` stay apart as the
+    widths merge, where the amplitudes of ``L1`` and ``L2`` grow like ``1
+    / x`` while the lobes cancel; the residual comes from the Gram-Schmidt
+    form ``y - Q Q^T y``, so it never forms them.  The curve ``p1 L1 + p2
+    L2`` is a signed pair, one lobe of each sign in either order, iff ``p1
+    p2 <= 0``, which is ``16 g**2 u alpha[0]**2 <= alpha[1]**2``: at ``u = 0``
+    always, the closure ``a L(g) + b L(g)**2``.  Otherwise, or where the
+    second column lies within ``_COLLINEAR_SIN`` of the first (both widths
+    far wider than the grid), the row takes the better of ``L1`` and
+    ``L2`` alone, with either sign, and the other's coefficient in
+    :func:`~eitats.models._lobes` is exactly 0.
     """
     s, n = theta.shape[0], deltas.size
     cols = _columns(model, theta, deltas, empty=empty, weight=weight)
     p = 2 if model is ModelKind.EIT else 1
-    phi = cols[:, :p]
+    q = cols[:, :p]  # the columns, made the basis here; the derivatives read only the Lorentzians
     resid = empty((s, n))  # scratch until it holds the residual
-    norm = np.sqrt(np.einsum("spn,spn->sp", phi, phi))
-    # Unit columns; below, the basis of the columns in use.  The doublet's
-    # derivatives read only its Lorentzians, so its basis takes the
-    # column's block; EIT's need both columns.
+    alone = np.zeros(s)
     if model is ModelKind.ATS:
-        q = phi
+        norm = np.sqrt(np.einsum("spn,spn->sp", q, q))
         q /= norm[:, :, None]
-    else:
-        q = empty((p, s, n)).transpose(1, 0, 2)
-        np.divide(phi, norm[:, :, None], out=q)
-    z = np.einsum("spn,sn->sp", q, y)  # coefficient of each unit column alone
-    if model is ModelKind.ATS:
-        z = np.maximum(z, 0.0)
+        z = np.maximum(np.einsum("spn,sn->sp", q, y), 0.0)
         alpha = z / norm
-        in_use = z > 0.0
     else:
-        gp, gm = theta[:, 0:1], theta[:, 1:2]
-        # E = (g_plus**2 - g_minus**2) L(g_plus) L(g_minus), with phi[:, 1] = -L(g_minus),
-        # divided back from the two columns' weights to one; on the diagonal
-        # the factor -1 makes it the closure's L(g)**2.  Now that z holds the
-        # unit column -L(g_minus)'s coefficient, E takes its block; rows that
-        # do not use E get that column back below.
-        factor = (gm - gp) * (gp + gm)
-        on = None if factor.all() else (gp == gm)[:, 0]  # a zero factor is needed for equal widths
-        any_on = on is not None and on.any()
-        if any_on:
-            factor[on] = -1.0
-        e = q[:, 1]
-        np.multiply(factor, phi[:, 0], out=e)
-        e *= phi[:, 1]
-        e /= weight
-        e_norm = np.sqrt(np.einsum("sn,sn->s", e, e))
-        r01 = np.einsum("sn,sn->s", q[:, 0], e)
-        e -= np.multiply(r01[:, None], q[:, 0], out=resid)
+        first, e = q[:, 0], q[:, 1]
+        norm = np.sqrt(np.einsum("sn,sn->s", first, first))
+        first /= norm[:, None]
+        r01 = np.einsum("sn,sn->s", first, e)
+        e -= np.multiply(r01[:, None], first, out=resid)
         r11 = np.sqrt(np.einsum("sn,sn->s", e, e))
         e /= r11[:, None]
-        z_e = np.einsum("sn,sn->s", e, y)
-        # Model = b0 L(g_plus) + b1 E, so alpha = (b0 - b1, -b1), or (b0, b1) on the diagonal.
-        alpha_minus = -z_e / r11
-        b0 = (z[:, 0] - r01 * z_e / r11) / norm[:, 0]
-        alpha_pair = np.column_stack((b0 + alpha_minus, alpha_minus))
-        spans = r11 > _COLLINEAR_SIN * e_norm
-        pair = spans & (alpha_pair >= 0.0).all(axis=1)
-        if any_on:
-            closure = spans & on
-            pair |= closure
-            alpha_pair[closure] = np.column_stack((b0, -alpha_minus))[closure]
-        first = np.maximum(z[:, 0], 0.0) >= np.maximum(z[:, 1], 0.0)
-        single = np.column_stack((np.where(first, np.maximum(z[:, 0], 0.0), 0.0), np.where(first, 0.0, z[:, 1])))
-        if not pair.all():
-            q[~pair, 1] = phi[~pair, 1] / norm[~pair, 1:2]
-        z = np.where(pair[:, None], np.column_stack((z[:, 0], z_e)), single)
-        alpha = np.where(pair[:, None], alpha_pair, single / norm)
-        in_use = pair[:, None] | (z > 0.0)
-        if any_on:
-            refused = on & ~spans  # one column, L(g) or -L(g): a = c_plus**2 - c_minus**2
-            alpha[refused, 0] -= alpha[refused, 1]
-            alpha[refused, 1] = 0.0
+        z = np.einsum("spn,sn->sp", q, y)
+        alpha = np.column_stack(((z[:, 0] - r01 * z[:, 1] / r11) / norm, z[:, 1] / r11))
+        spans = r11 > _COLLINEAR_SIN * np.hypot(r01, r11)  # r11 over the second column's norm
+        lone = ~(spans & (theta[:, 1] * np.square(4.0 * theta[:, 0] * alpha[:, 0]) <= np.square(alpha[:, 1])))
+        if lone.any():
+            lor = cols[lone, p:]
+            lor_norm = np.sqrt(np.einsum("spn,spn->sp", lor, lor))
+            lor_z = np.einsum("spn,sn->sp", lor, y[lone]) / lor_norm
+            second = np.abs(lor_z[:, 1]) > np.abs(lor_z[:, 0])
+            pick = (np.arange(second.size), second.astype(int))
+            q[lone, 0] = lor[pick] / lor_norm[pick][:, None]
+            q[lone, 1] = 0.0
+            z[lone] = np.column_stack((lor_z[pick], np.zeros(second.size)))
+            # p L1 = (p/2) (L1 + L2) - 4 g x (p/2) L1 L2, and L2 alike with +4 g x.
+            sign, half, x = np.where(second, 1.0, -1.0), lor_z[pick] / lor_norm[pick] / 2.0, np.sqrt(theta[lone, 1])
+            alpha_1 = sign * (4.0 * theta[lone, 0] * x) * half
+            alpha_0 = sign * np.divide(alpha_1, 4.0 * theta[lone, 0] * x, out=sign * half, where=x > 0.0)
+            alpha[lone] = np.column_stack((alpha_0, alpha_1))
+            alone[lone] = np.where(x > 0.0, -sign, 0.0)
     np.subtract(y, np.einsum("sp,spn->sn", z, q, out=resid), out=resid)
     ssr = np.einsum("sn,sn->s", resid, resid)
-    if not in_use.all():
-        q[~in_use] = 0.0
-    return alpha, ssr, resid, q, cols
+    if model is ModelKind.ATS and not (z > 0.0).all():
+        q[z <= 0.0] = 0.0
+    return alpha, ssr, resid, q, cols[:, p:], alone
 
 
 def _normal_equations(
-    model: ModelKind,
-    theta: np.ndarray,
-    deltas: np.ndarray,
-    alpha: np.ndarray,
-    resid: np.ndarray,
-    q: np.ndarray,
-    cols: np.ndarray,
-    empty,
-    weight=1.0,
+    model: ModelKind, theta: np.ndarray, deltas, alpha, resid, q, lor, alone, empty, weight=1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``J^T r`` (s, 2) and ``J^T J`` (s, 2, 2) at a point :func:`_profile` returned.
 
     ``J`` (s, 2, n) is Kaufman's Jacobian ``P (dPhi/dtheta alpha)``, ``P``
     the projector onto the complement of ``q``'s columns, with ``dPhi``
-    formed from the profile's ``cols`` (the doublet's scratch columns are
-    overwritten) and weighted as they are.  Arrays of s rows come from
-    ``empty`` (see :func:`~eitats.models._columns`).
-
-    An EIT row on the diagonal has one nonlinear parameter, the common
-    width ``g``: its first Jacobian row is ``d(a L + b L**2)/dg = (a + 2 b
-    L) dL/dg``, projected alike, its second is zero, and its system is
-    ``J^T J`` times the identity, so damping and the stops see ``g``
-    alone.
+    formed from the profile's Lorentzians ``lor`` (overwritten), weighted
+    as they are, in blocks from ``empty``.  An EIT row fitted by one
+    Lorentzian ``p L(w)``, ``w = g + alone x`` (``p = 2 alpha[0]``, see
+    :func:`_profile`), moves with that width alone: its row for ``g`` is
+    ``p dL/dw`` and for ``u`` that over ``2 alone x``.  The pair's rows
+    would not do: they hold the derivative only up to the pair's columns,
+    and with ``alpha`` held they move the other coefficient off 0.
     """
-    jac = _derivatives(model, theta, deltas, cols, empty=empty, weight=weight)
-    scale = alpha[:, list(_COLUMN_OF[model])]
-    on = (theta[:, 0] == theta[:, 1]).nonzero()[0] if model is ModelKind.EIT else ()
-    if len(on):
-        (a, b), lorentzian = alpha[on, :, None].transpose(1, 0, 2), cols[on, 0] / weight
-        jac[on, 0] *= a + 2.0 * b * lorentzian
-        scale[on] = (1.0, 0.0)
-    jac *= scale[:, :, None]
+    lone = alone.nonzero()[0]
+    if lone.size:
+        side, x = alone[lone], np.sqrt(theta[lone, 1])
+        lobe = lor[lone, (side < 0.0).astype(int)]
+        lobe_g = (-4.0 * alpha[lone, 0] * (theta[lone, 0] + side * x))[:, None] * lobe * lobe / weight
+    jac = _derivatives(model, theta, deltas, lor, alpha, empty=empty, weight=weight)
+    if lone.size:
+        jac[lone, 0] = lobe_g
+        jac[lone, 1] = lobe_g / (2.0 * side * x)[:, None]
     along_q = empty((theta.shape[0], deltas.size, 2))
     jac -= np.matmul(q.transpose(0, 2, 1), q @ jac.transpose(0, 2, 1), out=along_q).transpose(0, 2, 1)
-    jtj = jac @ jac.transpose(0, 2, 1)
-    if len(on):
-        jtj[on, 1, 1] = jtj[on, 0, 0]
-    return (jac @ resid[:, :, None])[:, :, 0], jtj
+    return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
 
 
 def _take_rows(a: np.ndarray, rows: np.ndarray, empty) -> np.ndarray:
@@ -447,10 +387,11 @@ def _take_rows(a: np.ndarray, rows: np.ndarray, empty) -> np.ndarray:
 
 
 # Floats per solver row and folded grid point that a pass takes from the
-# workspace: for each of its two trial rows the data and what _profile
-# keeps (6 for EIT, 5 for ATS), and 9 for the normal equations at the
-# row's accepted point.
-_WORKSPACE_PER_ROW = {ModelKind.EIT: 2 * 6 + 9, ModelKind.ATS: 2 * 5 + 9}
+# workspace: for each of its two trial rows the data, residual, columns and
+# Lorentzians (6 for EIT, 5 for ATS), and for the normal equations at the
+# accepted point its residual, basis and Lorentzians, the Jacobian and the
+# projection (9 for EIT, 8 for ATS).
+_WORKSPACE_PER_ROW = {ModelKind.EIT: 2 * 6 + 9, ModelKind.ATS: 2 * 5 + 8}
 
 
 class _Workspace:
@@ -459,9 +400,7 @@ class _Workspace:
     One flat float64 arena, sized for a full pass (two damping levels in
     every slot of the row pool), is handed out front to back: :meth:`empty`
     returns the next contiguous block of a shape and :meth:`rewind` starts
-    the next pass at the front.  A pass that also profiles EIT crossing
-    points can need more; blocks past the arena's end are allocated on
-    their own, for that pass only.
+    the next pass at the front.
     """
 
     def __init__(self, size: int) -> None:
@@ -470,8 +409,6 @@ class _Workspace:
 
     def empty(self, shape: tuple[int, ...]) -> np.ndarray:
         start, self._top = self._top, self._top + math.prod(shape)
-        if self._top > self._arena.size:
-            return np.empty(shape)
         return self._arena[start : self._top].reshape(shape)
 
     def rewind(self) -> None:
@@ -539,28 +476,34 @@ def _lm_run_batch(
     would; only the level the next iteration starts from depends on which
     of a pass's two levels was taken.  When every row fits in the pool,
     the run makes as many trial passes as its slowest row would alone.
-    The accepted trial's profile holds the residual, basis and columns
+    The accepted trial's profile holds the residual, basis and Lorentzians
     there, so the next normal equations are formed from it and no point is
     profiled or evaluated twice.
 
-    EIT rows keep their widths nonnegative (the model depends on their
-    squares, and the step is sign-equivariant) and treat the diagonal
-    ``g_plus = g_minus`` as a bound.  A row on it is profiled in the
-    closure ``a L(g) + b L(g)**2`` (:func:`_profile`) and steps along it,
-    moving ``g`` alone; its curvature is the secant of its last two
-    gradients on the diagonal where that is positive, since Kaufman's
-    ``J^T J`` underestimates it there and the walk then zig-zags and
-    converges only linearly.  A trial that crosses the diagonal is also
-    profiled at the point where its step meets ``|g_plus| = |g_minus|``
-    (:func:`_diagonal_crossing`), and that point stands in for the trial
-    only if the row would reject the trial: a crossing the row accepts
-    can reach a minimum with the other ordering of the widths, a broad
-    negative lobe, which clipping every crossing would trap.
+    Both models hold ``u >= 0`` by projected steps: a trial's ``u`` is
+    clipped to 0, and at ``u = 0`` with descent pointing to ``u < 0`` the
+    bound is active, so ``u`` leaves the step and the gradient stop.  Four
+    rules of the EIT model's own make rows reach its bound, merged widths,
+    and leave it cleanly.  Off the bound a row steps in ``x = sqrt(u)``,
+    by ``dx = du / (2 x)``: Marquardt's damping is invariant to the
+    scaling ``diag(1, 2 x)``, so that is the step in ``(g, x)``, and a
+    path that holds one width is straight; where the u-step would reach
+    the bound, the trial goes where that line meets it.  A trial with
+    ``|g| < x`` becomes ``(x, g**2)``, the same two widths, which keeps
+    rows off the second merge line ``g = 0``.  A row that steps along the
+    bound gets the secant curvature of its last two gradients there in
+    ``g`` where that is positive, since Kaufman's ``J^T J`` underestimates
+    it.  A row that the gradient test stops off the bound first makes a
+    last trial on it, where its step's line meets it (below the trial if
+    the step raises ``u``), and ends there if the SSR rises by no more
+    than the gradient tolerance: near merged widths, where exact limit
+    data have their minimum, the gradient in ``log u`` cannot tell ``u``
+    from 0, and the x-steps only halve the gap.
 
     Returns (params, ssr, converged, iterations, stop, limit) per row, the
     parameters as canonical raw vectors, ``stop`` indexing
     ``STOP_REASONS`` and ``limit`` an EIT row's ``(a, b, g)`` if it ended
-    on the diagonal, else nan.  A row reads nothing of the other rows, so
+    with ``u = 0``, else nan.  A row reads nothing of the other rows, so
     its outcome depends neither on what else runs nor on when it enters a
     slot.
     """
@@ -576,8 +519,6 @@ def _lm_run_batch(
     grad_tol = 1e-12 * np.square(scale)[owner]
     eit = model is ModelKind.EIT
     theta, alpha = _split(model, np.array(x0, dtype=float))
-    if eit:
-        np.abs(theta, out=theta)  # the model depends on the widths' squares only
     deltas, weight, values, odd = _fold(deltas, values)
     n = deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
@@ -599,10 +540,10 @@ def _lm_run_batch(
             ws.rewind()
             # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
             y = values.take(owner[new], axis=0, out=ws.empty((new.size, n)), mode="clip")
-            alpha[new], ssr_new, resid, q, cols = _profile(model, theta[new], deltas, y, ws.empty, weight)
+            alpha[new], ssr_new, resid, q, lor, alone = _profile(model, theta[new], deltas, y, ws.empty, weight)
             ssr_new += odd[owner[new]]
             grad[new], jtj[new] = _normal_equations(
-                model, theta[new], deltas, alpha[new], resid, q, cols, ws.empty, weight
+                model, theta[new], deltas, alpha[new], resid, q, lor, alone, ws.empty, weight
             )
             active[new] = np.isfinite(ssr_new)
             ssr[new] = np.where(active[new], ssr_new, np.inf)
@@ -616,23 +557,28 @@ def _lm_run_batch(
         # theta and grad do not change while a row climbs, so neither does
         # anything below up to the trial; a climbing row passes the tests again.
         g, h = grad[idx], jtj[idx]
-        if model is ModelKind.ATS:
-            # At u = 0 with descent pointing to u < 0 the bound is active:
-            # u leaves the step (a projected Newton step), so the width is
-            # still optimised, and only the free components count below.
-            bound = (theta[idx, 1] == 0.0) & (g[:, 1] <= 0.0)
-            g[bound, 1] = 0.0
-            h[bound, 0, 1] = h[bound, 1, 0] = 0.0
+        # At u = 0 with descent pointing to u < 0 the bound is active: u
+        # leaves the step (a projected Newton step), so the other parameter
+        # is still optimised, and only the free components count below.
+        bound = (theta[idx, 1] == 0.0) & (g[:, 1] <= 0.0)
+        g[bound, 1] = 0.0
+        h[bound, 0, 1] = h[bound, 1, 0] = 0.0
         bad = ~np.isfinite(g).all(axis=1) | ~np.isfinite(h).all(axis=(1, 2))
         flat = ~bad & (np.abs(g * theta[idx]).max(axis=1) < grad_tol[idx])
         stop[idx[bad]] = _NON_FINITE
         stop[idx[flat]] = _GRADIENT
-        active[idx[bad | flat]] = False
-        keep = ~(bad | flat)
+        # An EIT row that stops off the bound makes a last trial on the
+        # bound (below), and ends there if the gradient test cannot tell
+        # that trial from its point.
+        last = flat & (theta[idx, 1] > 0.0) & eit if flat.any() else flat
+        keep = ~(bad | flat) | last
+        active[idx[~keep]] = False
         if not keep.all():
-            idx, g, h = idx[keep], g[keep], h[keep]
+            idx, g, h, last = idx[keep], g[keep], h[keep], last[keep]
         if idx.size == 0:
             continue
+        final = last.any()
+        origin = theta[idx]
         diag = np.diagonal(h, axis1=1, axis2=2).copy()
         # Flat directions (e.g. the width of a lobe whose amplitude is
         # zero) get a floor so the damped system stays solvable.
@@ -643,73 +589,76 @@ def _lm_run_batch(
         both = np.concatenate((idx, idx))  # each row's two levels, lower first
         lam_trial = np.concatenate((lam[idx], lam[idx] * 10.0))
         step = _damped_step(h, diag, g, lam_trial.reshape(2, k))
-        origin = theta[idx]
-        t_trial = (origin + step).reshape(2 * k, 2)
-        rows = both  # the data row of each profiled trial
-        on = None  # which of the rows idx are on the EIT diagonal, if any is
-        if model is ModelKind.ATS:
-            np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u = d0**2 >= 0
-        else:
-            # A row on the diagonal moves along it (its step has no second
-            # component); a trial that crosses it is also profiled where its
-            # segment meets |g_plus| = |g_minus|.
-            side = origin[:, 0] - origin[:, 1]
-            on = None if side.all() else side == 0.0
-            if on is not None:
-                t_trial[:, 1] = np.where(np.concatenate((on, on)), t_trial[:, 0], t_trial[:, 1])
-            np.abs(t_trial, out=t_trial)
-            crossed = ((t_trial[:, 0] - t_trial[:, 1]).reshape(2, k) * side < 0.0).reshape(-1).nonzero()[0]
-            if crossed.size:
-                meet = _diagonal_crossing(theta[both[crossed]], step.reshape(-1, 2)[crossed])
-                t_trial, rows = np.concatenate((t_trial, meet)), np.concatenate((both, both[crossed]))
+        t_trial = origin + step
+        if eit:
+            # Off the bound an EIT row steps in x = sqrt(u), to (g + dg, (x + dx)**2):
+            # Marquardt's damping is invariant to scaling, so dx = du / (2 x).  Where
+            # the u-step reaches the bound, or a last trial's lowers u, the trial goes
+            # where that line meets u = 0.  A last trial is on the bound.
+            x = np.sqrt(origin[:, 1])
+            off = x > 0.0
+            u_step = t_trial[..., 1]
+            meet = off & (u_step <= 0.0)
+            if final:
+                meet |= last & (u_step < origin[:, 1])
+            moved = meet.any()
+            if moved:
+                reach = origin[:, 1] / (origin[:, 1] - u_step)
+                t_trial[..., 0] = np.where(meet, origin[:, 0] + reach * step[..., 0], t_trial[..., 0])
+            t_trial[..., 1] = np.where(off, np.square(x + step[..., 1] / (2.0 * x)), u_step)
+            if moved or final:
+                t_trial[..., 1][meet | last] = 0.0
+        t_trial = t_trial.reshape(2 * k, 2)
+        np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u >= 0
+        if eit:
+            # Widths g + x and g - x are those of (|g|, u), and of (x, g**2) where |g| < x.
+            mean, half = np.abs(t_trial[:, 0], out=t_trial[:, 0]), np.sqrt(t_trial[:, 1])
+            mirror = mean < half
+            if mirror.any():
+                t_trial[mirror] = np.column_stack((half, mean * mean))[mirror]
         ws.rewind()
-        spectrum = owner[rows]
-        y = values.take(spectrum, axis=0, out=ws.empty((rows.size, n)), mode="clip")
-        alpha_t, ssr_t, resid_t, q_t, cols_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
+        spectrum = owner[both]
+        y = values.take(spectrum, axis=0, out=ws.empty((2 * k, n)), mode="clip")
+        alpha_t, ssr_t, resid_t, q_t, lor_t, alone_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
         ssr_t += odd[spectrum]
-        ok = np.isfinite(ssr_t) & (ssr_t <= ssr[rows])
-        pick = None  # trial row profiled for each level, where a crossing point replaces it
-        if rows is not both:
-            # The crossing point replaces only a crossed trial the row rejects.
-            clip = ok[2 * k :] & ~ok[crossed]
-            pick = np.arange(2 * k)
-            pick[crossed[clip]] = 2 * k + clip.nonzero()[0]
-            ok[crossed[clip]] = True
-        ok = ok[: 2 * k]
+        ceiling = ssr[both]
+        if final:
+            # A last trial is taken if its SSR rises by no more than the
+            # gradient test counts as flat.
+            ceiling = ceiling + np.where(np.concatenate((last, last)), grad_tol[both], 0.0)
+        ok = np.isfinite(ssr_t) & (ssr_t <= ceiling)
         ok[k:] &= lam_trial[k:] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
         ok = ok.reshape(2, k)
         took = ok.any(axis=0)
-        level = ok.argmax(axis=0)[took] * k + took.nonzero()[0]  # level row taken
-        j = level if pick is None else pick[level]  # trial row taken
+        j = ok.argmax(axis=0)[took] * k + took.nonzero()[0]  # trial row taken
         ga = idx[took]
         done = ssr[ga] - ssr_t[j] <= _RELATIVE_TOLERANCE * np.maximum(ssr_t[j], tiny)
-        # A row on the diagonal stays there, and gets the secant curvature of
+        if final:
+            done |= last[took]
+        # An EIT row that steps along the bound gets the secant curvature of
         # its last two gradients there; Kaufman's J^T J underestimates it.
-        secant = None
-        if on is not None:
-            was_on = on[took] & ~done
-            if was_on.any():
-                secant = was_on, theta[ga, 0], grad[ga, 0]
+        along = eit & (theta[ga, 1] == 0.0) & (t_trial[j, 1] == 0.0) & ~done
+        secant = (along, theta[ga, 0], grad[ga, 0]) if along.any() else None
         theta[ga] = t_trial[j]
         alpha[ga] = alpha_t[j]
         ssr[ga] = ssr_t[j]
-        lam[ga] = np.maximum(lam_trial[level] / np.where(level < k, 10.0, _UPPER_DECREASE), _DAMPING_MIN)
+        lam[ga] = np.maximum(lam_trial[j] / np.where(j < k, 10.0, _UPPER_DECREASE), _DAMPING_MIN)
         climbing[idx] = ~took
         stop[ga[done]] = _TOLERANCE
         active[ga[done]] = False
         j, ga = j[~done], ga[~done]
         if ga.size:
             resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
-            q_j = q_t.take(j, axis=0, out=ws.empty((j.size,) + q_t.shape[1:]), mode="clip")
-            cols_j = _take_rows(cols_t, j, ws.empty)
+            q_j = _take_rows(q_t, j, ws.empty)
+            lor_j = _take_rows(lor_t, j, ws.empty)
             grad[ga], jtj[ga] = _normal_equations(
-                model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, cols_j, ws.empty, weight
+                model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, lor_j, alone_t[j], ws.empty, weight
             )
             if secant is not None:
-                was_on, width, slope = (v[~done] for v in secant)
+                along, width, slope = (v[~done] for v in secant)
                 curvature = (slope - grad[ga, 0]) / (theta[ga, 0] - width)
-                use = was_on & (curvature > 0.0) & np.isfinite(curvature)
-                jtj[ga[use], 0, 0] = jtj[ga[use], 1, 1] = curvature[use]
+                use = along & (curvature > 0.0) & np.isfinite(curvature)
+                jtj[ga[use], 0, 0] = curvature[use]
         # A row that rejects both levels tries 100 lam on the next pass.
         rej = idx[~took]
         lam[rej] = lam_trial[k:][~took] * 10.0
@@ -717,27 +666,16 @@ def _lm_run_batch(
         # No descent direction at any damping: numerically stationary.
         stop[dead] = _DAMPING
         active[dead] = False
+        if final:
+            stop[idx[last]] = _GRADIENT
+            active[idx[last]] = False
 
     converged = np.isin(stop, (_TOLERANCE, _GRADIENT, _DAMPING))
     limit = np.full((n_rows, 3), np.nan)
     if eit:
-        on = theta[:, 0] == theta[:, 1]
-        limit[on] = np.column_stack((alpha[on], theta[on, 0]))
+        on = theta[:, 1] == 0.0
+        limit[on] = np.column_stack((2.0 * alpha[on, 0], alpha[on, 1], theta[on, 0]))
     return _join(model, theta, alpha), ssr, converged, iterations, stop, limit
-
-
-def _diagonal_crossing(origin: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Where each segment ``origin + t step``, ``0 < t <= 1``, first meets ``|g_plus| = |g_minus|``.
-
-    ``origin`` (c, 2) holds nonnegative, unequal widths, and each segment
-    ends on the other side; returns the points (c, 2), both widths the
-    common ``|g|`` there.
-    """
-    (gp, gm), (sp, sm) = origin.T, step.T
-    t = np.stack(((gm - gp) / (sp - sm), -(gp + gm) / (sp + sm)))  # g_plus = g_minus, g_plus = -g_minus
-    t[~((t > 0.0) & (t <= 1.0))] = np.inf
-    g = np.abs(gp + t.min(axis=0) * sp)
-    return np.column_stack((g, g))
 
 
 def _best_of(

@@ -7,15 +7,16 @@ symmetrically from the origin (3 parameters).  Amplitudes enter squared,
 so their sign never matters; widths enter squared as well, and the doublet
 depends on its offset only through its square.
 
-Both models are linear in their squared amplitudes ``alpha = c**2`` once
-the nonlinear parameters ``theta`` are fixed: the model is
-``sum_i alpha_i * Phi_i(theta)``.  Two batched kernels hold the
-Lorentzian formulas: :func:`_columns` returns the columns ``Phi`` and
-:func:`_derivatives` their derivatives with respect to ``theta``.  The
-fitter profiles the amplitudes out through them, and evaluation and
-analytic Jacobians in the raw parameters (which accept scalar or array
-detunings, and reject a raw vector of the wrong length) are built from
-them.
+Both models are linear in coefficients ``alpha`` once two nonlinear
+parameters ``theta = (g, u)`` are fixed: the model is ``sum_i alpha_i *
+Phi_i(theta)``.  For the doublet ``alpha`` is its squared amplitude; the
+signed pair is fitted in the mean and squared half-gap of its widths,
+where its columns stay smooth as the widths merge (see :func:`_columns`).
+Two batched kernels hold the formulas: :func:`_columns` returns the
+columns and :func:`_derivatives` the derivatives of a curve ``alpha .
+Phi`` with respect to ``theta``.  The fitter profiles ``alpha`` out through them.  Evaluation
+and analytic Jacobians in the raw parameters accept scalar or array
+detunings and reject a raw vector of the wrong length.
 """
 from __future__ import annotations
 
@@ -134,24 +135,29 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
     return cls(*(float(v) for v in x))
 
 
-# For each nonlinear parameter, the one column it moves: EIT's g_plus and
-# g_minus each shape their own lobe, the doublet's g and u shape its only
-# column.  The column count is the number of amplitudes.
-_COLUMN_OF = {ModelKind.EIT: (0, 1), ModelKind.ATS: (0, 0)}
+def _lorentzians(widths: np.ndarray, deltas: np.ndarray, out: np.ndarray, weight=1.0) -> np.ndarray:
+    """``weight / (w**2 + d**2)`` for widths (2, s, 1), into ``out`` (2, s, n)."""
+    np.add(widths * widths, deltas * deltas, out=out)
+    return np.divide(weight, out, out=out)
 
 
 def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.empty, weight=1.0) -> np.ndarray:
-    """Model columns at the nonlinear parameters ``theta`` of shape (s, 2), with what their derivatives need.
+    """Model columns at the nonlinear parameters ``theta`` of shape (s, 2), then the two Lorentzians behind them.
 
-    EIT: ``theta = (g_plus, g_minus)``, columns ``L(g_plus)`` and
-    ``-L(g_minus)`` with ``L(g) = 1/(g**2 + d**2)``.  ATS: ``theta = (g, u)``
-    with ``u = d0**2 >= 0``, one column ``L_g(d - d0) + L_g(d + d0)``
-    followed by its two Lorentzians ``L_g(|d| - d0)`` and ``L_g(|d| + d0)``,
-    from which :func:`_derivatives` forms its derivatives.  Returns shape
-    (s, c, n), the model's columns first; all are multiplied by ``weight``,
-    a scalar or one factor per detuning (the fitter's square-root
-    multiplicities).  It enters the Lorentzians' numerators, so a weight of
-    1 changes no bit.
+    Both models take ``theta = (g, u)`` with ``u >= 0``, and ``L_w(d) =
+    1/(w**2 + d**2)``.  EIT: ``g`` is the mean of the two widths and ``u =
+    x**2`` their squared half-gap, so the widths are ``g + x`` and ``g -
+    x``; with ``L1 = L_{g+x}`` and ``L2 = L_{g-x}`` the columns are ``L1 +
+    L2`` and ``L1 L2``, which is ``(L2 - L1) / (4 g x)``, followed by
+    ``L1`` and ``L2``.  At ``u = 0`` the widths merge, and the columns are
+    the closure's ``2 L_g`` and ``L_g**2`` with no special case.  ATS:
+    ``u = d0**2``, one column ``L_g(d - d0) + L_g(d + d0)`` followed by its
+    two Lorentzians ``L_g(|d| - d0)`` and ``L_g(|d| + d0)``.
+    :func:`_derivatives` forms the derivatives from the two Lorentzians
+    alone.  Returns shape (s, c, n), the model's columns first; all are
+    multiplied by ``weight``, a scalar or one factor per detuning (the
+    fitter's square-root multiplicities).  It enters the Lorentzians'
+    numerators, so a weight of 1 changes no bit.
 
     The result is stored column by column, as one (c, s, n) block from
     ``empty(shape)`` seen through a transpose, so that ``cols[:, j]`` is a
@@ -162,11 +168,13 @@ def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.e
     s, n = theta.shape[0], deltas.size
     g = theta[:, 0:1]
     if model is ModelKind.EIT:
-        d2 = deltas * deltas
-        cols = empty((2, s, n))
-        for col, width, numerator in ((cols[0], g, weight), (cols[1], theta[:, 1:2], -weight)):
-            np.add(width * width, d2, out=col)
-            np.divide(numerator, col, out=col)
+        x = np.sqrt(theta[:, 1:2])
+        cols = empty((4, s, n))
+        phi0, phi1, l1, l2 = cols
+        _lorentzians(np.stack((g + x, g - x)), deltas, cols[2:], weight)
+        np.add(l1, l2, out=phi0)
+        np.multiply(l1, l2, out=phi1)
+        phi1 /= weight  # the product of two Lorentzians carries the weight twice
         return cols.transpose(1, 0, 2)
     # The doublet is even in the detuning, so |d| is used: then d0 >= 0
     # makes L(|d| + d0) the smaller Lorentzian, and the offset derivative
@@ -187,29 +195,41 @@ def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.e
 
 
 def _derivatives(
-    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, cols: np.ndarray, empty=np.empty, weight=1.0
+    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, lor: np.ndarray, alpha: np.ndarray, empty=np.empty, weight=1.0
 ) -> np.ndarray:
-    """``dphi`` (s, 2, n) from what :func:`_columns` returned at ``theta``.
+    """``J`` (s, 2, n): ``J[:, j]`` is the derivative of the curve ``alpha . Phi`` in ``theta_j`` with ``alpha`` held.
 
-    ``dphi[:, j]`` is the derivative with respect to ``theta_j`` of column
-    ``_COLUMN_OF[model][j]``, the only column ``theta_j`` moves, weighted
-    as the columns are and stored as they are.  Of the doublet's ``cols``
-    only its two Lorentzians are read, and they are overwritten; its
-    column's block may already hold something else.
+    ``lor`` (s, 2, n), the two Lorentzians :func:`_columns` returned at
+    ``theta``, is overwritten; ``J`` is weighted as the columns are and
+    stored as they are.  The EIT rows hold it up to a combination of the
+    columns, which Kaufman's projection removes: with ``P = L1 L2`` and
+    ``A = d**2 + g**2 + u`` the columns are ``2 A P`` and ``P``, and with
+    ``W = -2 (2 alpha[0] A + alpha[1]) P**2`` what is left is ``2 g (d**2 +
+    g**2 - u) W`` for ``g`` and ``(d**2 - g**2 + u) W`` for ``u``.  No
+    term divides by ``x``.
     """
     s, n = theta.shape[0], deltas.size
-    g = theta[:, 0:1]
-    dphi = empty((2, s, n))
+    g, u = theta[:, 0:1], theta[:, 1:2]
+    jac = empty((2, s, n))
+    dg, du = jac
     if model is ModelKind.EIT:
-        for col, dcol, scale in ((cols[:, 0], dphi[0], -2.0 * g), (cols[:, 1], dphi[1], 2.0 * theta[:, 1:2])):
-            np.multiply(scale, col, out=dcol)
-            dcol *= col
-            dcol /= weight  # the product of two columns carries the weight twice
-        return dphi.transpose(1, 0, 2)
+        d2, m, a0 = deltas * deltas, g * g - u, 2.0 * alpha[:, 0:1]
+        l1, l2 = lor[:, 0], lor[:, 1]
+        np.multiply(l1, l2, out=l1)
+        np.multiply(d2, a0, out=du)
+        du += a0 * (g * g + u) + alpha[:, 1:2]
+        du *= l1
+        du *= l1
+        du *= -2.0 / (weight * weight * weight)  # W, P**2 having carried the weight four times
+        np.add(d2, m, out=dg)
+        dg *= 2.0 * g
+        dg *= du
+        np.subtract(d2, m, out=l2)
+        du *= l2
+        return jac.transpose(1, 0, 2)
     a = np.abs(deltas)
-    d0 = np.sqrt(theta[:, 1:2])
-    lm, lp = cols[:, 1], cols[:, 2]
-    dg, du = dphi
+    d0 = np.sqrt(u)
+    lm, lp = lor[:, 0], lor[:, 1]
     # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
     # stays finite at d0 = 0 where the doublet merges:
     # du = 4 |d| (|d| - d0) lm lp (lm + lp) - 2 lp**2, factors applied left
@@ -230,14 +250,30 @@ def _derivatives(
     np.add(lm, lp, out=dg)
     np.multiply(-2.0 * g, dg, out=dg)
     dg /= weight
-    return dphi.transpose(1, 0, 2)
+    jac *= alpha[None, :, 0:1]
+    return jac.transpose(1, 0, 2)
 
 
 def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw vectors (s, k) as nonlinear parameters (s, 2) and squared amplitudes (s, p)."""
-    if model is ModelKind.EIT:
-        return x[:, 2:4], np.square(x[:, 0:2])
-    return np.column_stack((x[:, 1], np.square(x[:, 2]))), np.square(x[:, 0:1])
+    """Raw vectors (s, k) as nonlinear parameters (s, 2) and column coefficients (s, p).
+
+    The signed pair's widths become their mean and squared half-gap, and
+    its lobes the coefficients of its columns (see :func:`_columns`).
+    """
+    if model is ModelKind.ATS:
+        return np.column_stack((x[:, 1], np.square(x[:, 2]))), np.square(x[:, 0:1])
+    w_plus, w_minus = np.abs(x[:, 2]), np.abs(x[:, 3])
+    half = (w_minus - w_plus) / 2.0  # signed: L1, at the wider width, is L(g_plus) where that is g_plus
+    plus, minus = np.square(x[:, 0]), np.square(x[:, 1])
+    theta = np.column_stack(((w_plus + w_minus) / 2.0, half * half))
+    return theta, np.column_stack(((plus - minus) / 2.0, 2.0 * theta[:, 0] * half * (plus + minus)))
+
+
+def _lobes(theta: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EIT rows' ``(p1, p2)``: ``alpha . Phi = p1 L1 + p2 L2``, both ``alpha[0]`` where ``u = 0`` (no pair)."""
+    u = theta[:, 1]
+    h = np.divide(alpha[:, 1], 4.0 * theta[:, 0] * np.sqrt(u), out=np.zeros(u.shape), where=u > 0.0)
+    return alpha[:, 0] - h, alpha[:, 0] + h
 
 
 # Relative width offset of the signed pair that stands for a limit form
@@ -248,54 +284,71 @@ _LIMIT_OFFSET = 1e-6
 def _join(model: ModelKind, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_split` on the canonical branch (nonnegative amplitudes and offset).
 
-    An EIT row with equal widths holds the limit form's ``(a, b)`` in
-    ``alpha`` (see :class:`EitLimit`); it becomes the signed pair with
-    ``g_minus = g (1 -+ _LIMIT_OFFSET)``, narrower for ``b < 0`` and wider
-    otherwise, ``c_minus**2 = |b| / |g**2 - g_minus**2|`` (raised to ``-a``
-    if ``c_plus**2`` would be negative) and ``c_plus**2 = a + c_minus**2``,
-    whose curve is the limit's to about ``_LIMIT_OFFSET`` of its lobes.
+    An EIT row with ``u > 0`` is the signed pair whose ``g_plus`` is the
+    width with the positive coefficient (see :func:`_lobes`).  A row with
+    ``u = 0`` is the limit form ``a L(g) + b L(g)**2`` with ``(a, b) = (2
+    alpha[0], alpha[1])`` (see :class:`EitLimit`); it becomes the
+    signed pair with ``g_minus = g (1 -+ _LIMIT_OFFSET)``, narrower for ``b
+    < 0`` and wider otherwise, ``c_minus**2 = |b| / |g**2 - g_minus**2|``
+    (raised to ``-a`` if ``c_plus**2`` would be negative) and ``c_plus**2
+    = a + c_minus**2``, whose curve is the limit's to about
+    ``_LIMIT_OFFSET`` of its lobes.
     """
     if model is ModelKind.ATS:
         return np.column_stack((np.sqrt(alpha[:, 0]), theta[:, 0], np.sqrt(theta[:, 1])))
-    on = theta[:, 0] == theta[:, 1]
-    x = np.column_stack((np.sqrt(np.where(on[:, None], 0.0, alpha)), theta))
+    g, x = theta[:, 0], np.sqrt(theta[:, 1])
+    p1, p2 = _lobes(theta, alpha)
+    first = p1 >= p2  # L1 = L(g + x) carries the positive lobe
+    plus, minus = np.sqrt(np.maximum(np.where(first, p1, p2), 0.0)), np.sqrt(np.maximum(-np.where(first, p2, p1), 0.0))
+    out = np.column_stack((plus, minus, np.where(first, g + x, g - x), np.where(first, g - x, g + x)))
+    on = x == 0.0
     if on.any():
-        (a, b), g = alpha[on].T, theta[on, 0]
+        a, b, g = 2.0 * alpha[on, 0], alpha[on, 1], g[on]
         g_minus = g * (1.0 + np.copysign(_LIMIT_OFFSET, b))
         c_minus_sq = np.maximum(np.abs(b) / np.abs((g - g_minus) * (g + g_minus)), -a)
-        x[on] = np.column_stack((np.sqrt(a + c_minus_sq), np.sqrt(c_minus_sq), g, g_minus))
-    return x
+        out[on] = np.column_stack((np.sqrt(a + c_minus_sq), np.sqrt(c_minus_sq), g, g_minus))
+    return out
 
 
 def evaluate(model: ModelKind, params, delta):
-    """Evaluate either model from a dataclass or a raw parameter vector of ``model.k`` entries."""
+    """Evaluate either model from a dataclass or a raw parameter vector of ``model.k`` entries.
+
+    The signed pair is drawn from its own widths, not from their mean and
+    half-gap, whose rounding would cost the narrower lobe digits.
+    """
     x = _raw(model, params)[None, :]
-    d = np.asarray(delta, dtype=float)
-    theta, alpha = _split(model, x)
-    p = alpha.shape[1]
-    out = np.einsum("sp,spn->sn", alpha, _columns(model, theta, d.reshape(-1))[:, :p])[0]
-    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
+    d = np.asarray(delta, dtype=float).reshape(-1)
+    if model is ModelKind.EIT:
+        coef = np.square(x[:, :2]) * [1.0, -1.0]
+        cols = _lorentzians(x[:, 2:].T[:, :, None], d, np.empty((2, 1, d.size))).transpose(1, 0, 2)
+    else:
+        theta, coef = _split(model, x)
+        cols = _columns(model, theta, d)[:, :1]
+    out = np.einsum("sp,spn->sn", coef, cols)[0]
+    return float(out[0]) if np.ndim(delta) == 0 else out.reshape(np.shape(delta))
 
 
 def jacobian(model: ModelKind, params, delta) -> np.ndarray:
     """Gradient of the model value with respect to each parameter.
 
     Returns shape (k,) for scalar ``delta`` and (n, k) for an array.
-    Amplitude rows are ``2 c Phi``; width and offset rows are the squared
+    Amplitude rows are ``2 c`` times the lobe or column they scale.  Each
+    EIT lobe ``+-c**2 L(g)`` moves with its own width, by ``-+2 g c**2
+    L(g)**2``; the doublet's width and offset rows are its squared
     amplitude times the column derivative, times ``du/dd0 = 2 d0`` for the
-    doublet's offset.
+    offset.
     """
-    x = _raw(model, params)[None, :]
-    d = np.asarray(delta, dtype=float)
-    theta, alpha = _split(model, x)
-    cols = _columns(model, theta, d.reshape(-1))
-    p = alpha.shape[1]
-    phi = cols[:, :p]
-    dphi = _derivatives(model, theta, d.reshape(-1), cols)
-    jac = np.empty((1, model.k, d.size))
-    np.multiply(2.0 * x[:, :p, None], phi, out=jac[:, :p])
-    scale = alpha[:, list(_COLUMN_OF[model])]
-    if model is ModelKind.ATS:
-        scale[:, 1] *= 2.0 * x[:, 2]
-    np.multiply(scale[:, :, None], dphi, out=jac[:, p:])
-    return jac[0, :, 0] if d.ndim == 0 else jac[0].T
+    x = _raw(model, params)
+    d = np.asarray(delta, dtype=float).reshape(-1)
+    if model is ModelKind.EIT:
+        lobes = _lorentzians(x[2:, None, None], d, np.empty((2, 1, d.size)))[:, 0]
+        sign = np.array([[1.0], [-1.0]])
+        widths = -2.0 * sign * x[2:, None] * lobes * lobes
+        jac = np.concatenate((sign * 2.0 * x[:2, None] * lobes, np.square(x[:2, None]) * widths))
+    else:
+        theta, alpha = _split(model, x[None, :])
+        cols = _columns(model, theta, d)[0]
+        dphi = _derivatives(model, theta, d, cols[None, 1:], np.ones((1, 1)))[0]
+        scale = alpha[0, 0] * np.array([1.0, 2.0 * x[2]])
+        jac = np.concatenate((2.0 * x[0] * cols[:1], scale[:, None] * dphi))
+    return jac[:, 0] if np.ndim(delta) == 0 else jac.T

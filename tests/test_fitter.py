@@ -26,7 +26,7 @@ from eitats.fitter import (
 )
 from eitats.cli import CIRCUIT_GRID, CIRCUIT_PRESET, ingest_spectrum
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
-from eitats.models import AtsParams, EitParams, ModelKind, as_array, eval_ats, eval_eit, evaluate
+from eitats.models import AtsParams, EitParams, ModelKind, _join, _lobes, as_array, eval_ats, eval_eit, evaluate
 from eitats.simulation import NoiseSpec, add_noise
 
 
@@ -177,11 +177,11 @@ FROZEN_PROBLEMS = {
     "circuit_ats": (ModelKind.ATS, None, None, 0, 1000),
     # Criterion-5 replicate: the doublet fit ends on its bound u = 0.
     "offset_bound_ats": (ModelKind.ATS, 0.0, 42, 41, 300),
-    # The winner and 13 other starts stop at the cap.
+    # The winner and 6 other starts stop at the cap.
     "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 80),
-    # Start 7 ends on the diagonal at widths near 1.3e4 and climbs to the
-    # damping ceiling there.
-    "damping_eit": (ModelKind.EIT, 1.439, None, 0, 300),
+    # Start 7 ends on the bound u = 0 at widths near 1.8e4 and climbs to
+    # the damping ceiling there.
+    "damping_eit": (ModelKind.EIT, 1.44, None, 0, 300),
     "unmirrored_eit": (ModelKind.EIT, SHIFTED, None, 0, 1000),
     "unmirrored_ats": (ModelKind.ATS, SHIFTED, None, 0, 1000),
 }
@@ -205,7 +205,7 @@ def frozen_problem(name):
 
 def solver_rows(name):
     """Every row _lm_run_batch returns on a frozen problem, floats as float.hex;
-    a row that ends on the EIT diagonal also holds its limit form."""
+    a row that ends on the EIT bound u = 0 also holds its limit form."""
     model, data, x0, cfg = frozen_problem(name)
     x, ssr, converged, iterations, stop, limit = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
     rows = []
@@ -233,7 +233,7 @@ class TestFrozenRows:
 
     def test_frozen_problems_stop_as_described(self):
         stops = {name: [row["stop"] for row in FROZEN_ROWS[name]] for name in FROZEN_PROBLEMS}
-        assert stops["capped_eit"].count("cap") == 14
+        assert stops["capped_eit"].count("cap") == 7
         assert min(FROZEN_ROWS["capped_eit"], key=lambda row: float.fromhex(row["ssr"]))["stop"] == "cap"
         assert stops["damping_eit"][7] == "damping"
         best = min(FROZEN_ROWS["offset_bound_ats"], key=lambda row: float.fromhex(row["ssr"]))
@@ -245,7 +245,7 @@ class TestScheduling:
         """Start 7 of the frozen damping problem climbs to the damping ceiling.
 
         A pass gives every active row one trial, so a row that accepts
-        never waits while another climbs: the batch profiles 55 times, as
+        never waits while another climbs: the batch profiles 59 times, as
         start 7 does alone.  A nested loop that ran each iteration's damping
         ladder until every row had accepted or died would wait for the
         climbing rows of every iteration.
@@ -266,11 +266,11 @@ class TestScheduling:
 
         batch = passes(x0)
         alone = [passes(x0[i : i + 1]) for i in range(x0.shape[0])]
-        assert batch == max(alone) == alone[7] == 55
+        assert batch == max(alone) == alone[7] == 59
 
 
 # The EIT fit on the circuit curve and its noisy fixture walks the flat
-# valley to equal widths from every start.
+# valley to equal widths, the bound u = 0, from every start.
 VALLEY_DATA = {
     "circuit": lambda: transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID)),
     "fixture": lambda: ingest_spectrum(Path(__file__).parent / "data" / "circuit_noisy.csv"),
@@ -409,6 +409,12 @@ COLLINEAR_SSR = {
 }
 
 
+def mean_and_gap(widths):
+    """Rows of EIT nonlinear parameters (g, u) for rows of widths (w1, w2)."""
+    widths = np.asarray(widths, dtype=float)
+    return np.column_stack((widths.mean(axis=1), np.square((widths[:, 0] - widths[:, 1]) / 2.0)))
+
+
 class TestProfile:
     def test_profiled_ssr_keeps_full_precision_as_the_widths_merge(self):
         # The flat valley's limit: the amplitudes grow like 1/delta while
@@ -419,25 +425,38 @@ class TestProfile:
         deltas, weight, values, odd = fitter._fold(data.deltas, data.values[None])
         assert deltas.size == 121
         for delta, want in COLLINEAR_SSR.items():
-            theta = np.array([[6.357, 6.357 - delta]])
+            theta = mean_and_gap([[6.357, 6.357 - delta]])
             alpha, ssr, *_ = _profile(ModelKind.EIT, theta, deltas, values, weight=weight)
             assert ssr[0] + odd[0] == pytest.approx(want, rel=1e-13)
-            assert np.all(alpha > 0.0)
+            assert np.all(_join(ModelKind.EIT, theta, alpha)[:, :2] > 0.0)  # both lobes in use
 
-
-    def test_a_row_that_keeps_only_the_narrow_negative_lobe_is_profiled_in_that_column(self):
-        # Against an inverted profile the best nonnegative amplitudes drop
-        # L(g_plus) and keep -L(g_minus) alone: the row's SSR is that of the
-        # one-column fit, whatever the second basis column held before.
+    def test_a_row_that_keeps_one_lobe_is_profiled_in_that_lorentzian_alone(self):
+        # Against an inverted profile no signed pair beats a single negative
+        # lobe: the row keeps the better of its two Lorentzians with its own
+        # sign, the other's coefficient exactly 0, whatever the second basis
+        # column held before.  For widths (3, 0.5) and (1.5, 0.8) that is the
+        # narrow one; for (2, 0.4) the broad one.  The data's own width, 1,
+        # lies between each pair's: at that width the best pair would be a
+        # single lobe only up to rounding.
         grid = default_grid()
         y = -absorption_profile(TlaParams(omega=0.0), grid).values
-        theta = np.array([[3.0, 0.5], [0.4, 2.0], [1.0, 1.5]])
+        widths = np.array([[3.0, 0.5], [2.0, 0.4], [1.5, 0.8]])
+        theta = mean_and_gap(widths)
         alpha, ssr, *_ = _profile(ModelKind.EIT, theta, grid, np.repeat(y[None], 3, axis=0))
-        for row, (_, g_minus) in enumerate(theta):
-            lorentzian = 1.0 / (g_minus**2 + grid**2)
-            c = -np.dot(lorentzian, y) / np.dot(lorentzian, lorentzian)
-            assert alpha[row, 0] == 0.0 and alpha[row, 1] == pytest.approx(c, rel=1e-12)
-            assert ssr[row] == pytest.approx(np.sum(np.square(y + c * lorentzian)), rel=1e-12)
+        assert np.all(np.prod(_lobes(theta, alpha), axis=0) == 0.0)
+        signed_pair = _join(ModelKind.EIT, theta, alpha)
+        for row, pair in enumerate(widths):
+            fits = []
+            for width in pair:
+                lorentzian = 1.0 / (width**2 + grid**2)
+                c = -np.dot(lorentzian, y) / np.dot(lorentzian, lorentzian)
+                fits.append((np.sum(np.square(y + c * lorentzian)), c, width))
+            best_ssr, c, width = min(fits)
+            assert ssr[row] == pytest.approx(best_ssr, rel=1e-12, abs=1e-28)
+            c_plus, c_minus, _, g_minus = signed_pair[row]
+            assert c_plus == 0.0 and c_minus**2 == pytest.approx(c, rel=1e-12)
+            assert g_minus == pytest.approx(width, rel=1e-15)
+        assert signed_pair[0, 3] == 0.5 and signed_pair[1, 3] == 2.0
 
 
 class TestLimitForm:
@@ -450,10 +469,11 @@ class TestLimitForm:
     )
     def test_exact_limit_data_return_their_limit_form(self, g, height, square, start):
         # Data a L(g) + b L(g)**2, either sign of b, fitted from a start on
-        # the diagonal within 5% of g (farther out, where |b| is small,
+        # the bound u = 0 within 5% of g (farther out, where |b| is small,
         # lies a second minimum of the closure with b of the other sign).
         # The fit stops on the gradient or tolerance test, which leaves the
-        # parameters within about 1e-9 of exact.
+        # parameters within about 1e-9 of exact; a row that left the bound
+        # and stops by the gradient just off it ends on it by its last trial.
         a, b = height * g**2, square * height * g**4
         grid = default_grid()
         lorentzian = 1.0 / (g * g + grid * grid)
@@ -467,22 +487,8 @@ class TestLimitForm:
         pair = evaluate(ModelKind.EIT, np.abs(x[0]), grid)
         assert np.max(np.abs(pair - values)) <= 1e-5 * np.max(np.abs(values))
 
-    # From the seeded starts most such fits stop by the gradient test just
-    # off the diagonal (widths 1e-6 to 1e-5 apart, SSR below 1e-20): off
-    # it the SSR falls only like the fourth power of the width gap, so no
-    # damped step reaches the diagonal, and no limit form is reported.
-    _OFF_DIAGONAL = pytest.mark.xfail(strict=True, reason="the seeded starts stop just off the diagonal")
-
     @pytest.mark.parametrize(
-        ("g", "square"),
-        [
-            pytest.param(0.5, 0.5, marks=_OFF_DIAGONAL),
-            pytest.param(0.5, -0.5, marks=_OFF_DIAGONAL),
-            pytest.param(1.0, 0.5, marks=_OFF_DIAGONAL),
-            (1.0, -0.5),
-            pytest.param(2.0, 0.5, marks=_OFF_DIAGONAL),
-            (2.0, -0.5),
-        ],
+        ("g", "square"), [(0.5, 0.5), (0.5, -0.5), (1.0, 0.5), (1.0, -0.5), (2.0, 0.5), (2.0, -0.5)]
     )
     def test_exact_limit_data_fitted_from_the_seeded_starts_return_their_limit_form(self, g, square):
         a, b = g**2, square * g**4
@@ -506,14 +512,23 @@ class TestLimitForm:
                 assert getattr(res.limit, field) == pytest.approx(getattr(first.limit, field), rel=1e-8)
             assert as_array(res.params) == pytest.approx(as_array(first.params), rel=1e-8)
 
-    def test_a_crossing_the_row_accepts_is_not_clipped_to_the_diagonal(self):
-        # Criterion-5 replicate 98 (omega = 0): a start crosses from the
-        # narrow-negative ordering to a broad negative lobe (g_minus 7.01).
-        # Clipping every crossing onto the diagonal traps it at 0.2883550735.
+    def test_a_start_reaches_a_broad_negative_lobe_with_the_other_ordering_of_the_widths(self):
+        # Criterion-5 replicate 98 (omega = 0): the best fit has a broad
+        # negative lobe (g_minus 7.01).  Clipping onto the bound every step
+        # that passes the merged widths traps the start at 0.2883550735.
         res = fit(ModelKind.EIT, noisy_replicate(0.0, 42, 98), FitConfig(seed=0))
         assert res.ssr <= 0.2869761762 * (1.0 + 1e-9)
         assert res.limit is None
         assert res.params.g_minus == pytest.approx(7.01, rel=1e-3) and res.params.g_minus > res.params.g_plus
+
+    def test_a_row_on_the_bound_leaves_it_for_a_nearby_minimum_with_separated_widths(self):
+        # Criterion-5 replicate 82 (omega = 0): a row that reached merged
+        # widths and could move only along them ended at 0.1861835952, at
+        # g = 1.137; the minimum with widths 1.03 and 3.78 is lower.
+        res = fit(ModelKind.EIT, noisy_replicate(0.0, 42, 82), FitConfig(seed=0))
+        assert res.ssr <= 0.1859838974 * (1.0 + 1e-9)
+        assert res.limit is None
+        assert sorted((res.params.g_plus, res.params.g_minus)) == pytest.approx([1.034, 3.777], rel=1e-3)
 
 
 # Both models are even in the detuning, so on a mirror-symmetric grid an
@@ -568,9 +583,10 @@ PROFILE_DATA = np.stack(
 WIDTH = st.floats(0.01, 100.0)
 PROFILE_THETA = {
     ModelKind.EIT: st.one_of(
-        st.tuples(WIDTH, WIDTH),
-        WIDTH.map(lambda g: (g, g)),  # equal widths: the closure a L + b L**2
-        st.tuples(st.floats(1e6, 1e8), st.floats(1e6, 1e8)),  # both far wider than the grid: one column
+        st.tuples(WIDTH, st.floats(0.0, 1e4)),  # any (g, u), g < sqrt(u) included
+        WIDTH.map(lambda g: (g, 0.0)),  # merged widths: the closure a L + b L**2
+        # both widths far wider than the grid: one column
+        st.floats(1e6, 1e8).flatmap(lambda g: st.tuples(st.just(g), st.floats(0.0, g * g / 4.0))),
     ),
     ModelKind.ATS: st.one_of(st.tuples(WIDTH, st.floats(0.0, 100.0)), WIDTH.map(lambda g: (g, 0.0))),  # u = 0
 }
@@ -586,7 +602,7 @@ def profiled_rows(model, rows, empty=np.empty):
     theta = np.array([t for t, _ in rows], dtype=float)
     y = empty((len(rows), PROFILE_DATA.shape[1]))
     y[:] = PROFILE_DATA[[k for _, k in rows]]
-    with np.errstate(all="ignore"):  # equal widths divide zero by zero in the unused direction
+    with np.errstate(all="ignore"):  # a one-column row divides zero by zero in the unused direction
         outputs = _profile(model, theta, default_grid(), y, empty)
     return [tuple(out[i].tobytes() for out in outputs) for i in range(len(rows))]
 
@@ -621,8 +637,8 @@ class TestWorkspace:
         theta = np.array([t for t, _ in others], dtype=float)
         with np.errstate(all="ignore"):
             y = PROFILE_DATA[[k for _, k in others]]
-            alpha, _, resid, q, cols = _profile(model, theta, default_grid(), y, ws.empty)
-            fitter._normal_equations(model, theta, default_grid(), alpha, resid, q, cols, ws.empty)
+            alpha, _, resid, q, lor, one_lobe = _profile(model, theta, default_grid(), y, ws.empty)
+            fitter._normal_equations(model, theta, default_grid(), alpha, resid, q, lor, one_lobe, ws.empty)
         ws.rewind()
         assert profiled_rows(model, [rows[i] for i in order], ws.empty) == [alone[i] for i in order]
 
@@ -639,40 +655,17 @@ class TestWorkspace:
         for x, y in zip(first, again):
             assert x.tobytes() == y.tobytes()
 
-    @pytest.mark.parametrize("name", ["weak_pump_eit", "offset_bound_ats"])
+    @pytest.mark.parametrize("name", ["circuit_eit", "offset_bound_ats"])
     def test_the_workspace_is_sized_for_the_first_pass(self, name):
-        # Too small, and passes take blocks past its end; too large, and
-        # every batch holds memory it never touches.  The solver works on
-        # the folded grid: a mirror-symmetric grid of n points (n odd, the
-        # centre included) has (n + 1) / 2 distinct values of |delta|.  At
-        # omega = 0.3 no EIT trial crosses the diagonal within 50 iterations.
-        if name == "weak_pump_eit":
-            model, data = ModelKind.EIT, absorption_profile(TlaParams(omega=0.3), default_grid())
-            x0, cfg = np.stack(initial_guesses(model, data, 16, 0)), FitConfig(max_iterations=50)
-        else:
-            model, data, x0, _ = frozen_problem(name)
-            cfg = FitConfig(max_iterations=20)
+        # Too small, and a pass runs out of it; too large, and every batch
+        # holds memory it never touches.  The solver works on the folded
+        # grid: a mirror-symmetric grid of n points (n odd, the centre
+        # included) has (n + 1) / 2 distinct values of |delta|.  In both
+        # problems, on some pass of the first 20 iterations every start takes a trial.
+        model, data, x0, _ = frozen_problem(name)
+        cfg = FitConfig(max_iterations=20)
         tops = workspace_tops(lambda: _lm_run_batch(model, x0, data.deltas, data.values[None], cfg))
         assert max(tops) == fitter._WORKSPACE_PER_ROW[model] * x0.shape[0] * (data.n_points + 1) // 2
-
-    def test_crossing_points_past_the_arena_change_no_bit(self):
-        # The EIT starts sit on the circuit valley with widths 1e-6 apart,
-        # so both damping levels of every first trial cross the diagonal and
-        # the pass profiles four trial rows per row where the arena is sized
-        # for two; the blocks past its end must behave as arena blocks do.
-        model, data, _, _ = frozen_problem("circuit_eit")
-        g = 6.3572 * np.linspace(1.0, 1.01, 16)
-        x0 = np.column_stack((np.ones_like(g), np.ones_like(g), g, g * (1.0 - 1e-6)))
-        cfg = FitConfig(max_iterations=20)
-        rows = x0.shape[0] * (data.n_points + 1) // 2
-        runs = []
-        tops = workspace_tops(lambda: runs.append(_lm_run_batch(model, x0, data.deltas, data.values[None], cfg)))
-        assert max(tops) > fitter._WORKSPACE_PER_ROW[model] * rows
-        with mock.patch.dict(fitter._WORKSPACE_PER_ROW, {model: 4 * 6 + 9}):  # room for every crossing point
-            tops = workspace_tops(lambda: runs.append(_lm_run_batch(model, x0, data.deltas, data.values[None], cfg)))
-        assert max(tops) <= (4 * 6 + 9) * rows
-        for x, y in zip(*runs):
-            assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_the_pool_bounds_the_workspace_for_any_number_of_starts(self, model):
@@ -761,7 +754,7 @@ class TestBatchInvariance:
         shared = _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values[None], BATCH_CFG)
         per_row = _lm_run_batch(ModelKind.ATS, x0, data.deltas, np.tile(data.values, (4, 1)), BATCH_CFG)
         for a, b in zip(shared, per_row):
-            assert np.array_equal(a, b, equal_nan=True)  # the limit forms are nan off the EIT diagonal
+            assert np.array_equal(a, b, equal_nan=True)  # the limit forms are nan off the EIT bound u = 0
 
 
 class TestInitialGuesses:

@@ -8,6 +8,9 @@ from eitats.models import (
     AtsParams,
     EitParams,
     ModelKind,
+    _columns,
+    _derivatives,
+    _split,
     as_array,
     canonicalize,
     eval_ats,
@@ -177,3 +180,79 @@ class TestParameterHandling:
             EitParams(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             AtsParams(1.0, -1.0, 0.0)
+
+
+GRID = np.linspace(-10.0, 10.0, 201)
+
+
+def column_difference(model, theta, j, h):
+    """Central difference of the model's columns in theta_j, or the second-order one-sided one at u < 2 h."""
+    p = 2 if model is ModelKind.EIT else 1
+
+    def columns(shift):
+        moved = theta.copy()
+        moved[0, j] += shift
+        return _columns(model, moved, GRID)[0, :p]
+
+    if j == 1 and theta[0, 1] < 2.0 * h:
+        return (-3.0 * columns(0.0) + 4.0 * columns(h) - columns(2.0 * h)) / (2.0 * h)
+    return (columns(h) - columns(-h)) / (2.0 * h)
+
+
+class TestKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(list(ModelKind)), data=st.data())
+    def test_derivatives_match_central_differences_of_the_columns(self, model, data):
+        # EIT: two widths, or one merged width (u = 0); steps on the scale of
+        # the narrower width and of the distance g**2 - u to the point where
+        # it would be 0.  ATS: a width and u = d0**2 from 0 to 1e4, with
+        # steps that move d0 by a small part of the width.
+        width = st.floats(1e-2, 1e2)
+        if model is ModelKind.EIT:
+            w1, w2 = data.draw(st.one_of(st.tuples(width, width), width.map(lambda w: (w, w))))
+            g, u = (w1 + w2) / 2.0, ((w1 - w2) / 2.0) ** 2
+            steps = (1e-5 * min(w1, w2), 1e-5 * w1 * w2)
+        else:
+            g, u = data.draw(width), data.draw(st.one_of(st.just(0.0), st.floats(1e-4, 1e4)))
+            steps = (1e-5 * g, 1e-5 * g * max(g, np.sqrt(u)))
+        theta = np.array([[g, u]])
+        cols = _columns(model, theta, GRID)
+        p = 2 if model is ModelKind.EIT else 1
+        # Holding alpha = e_i, the derivatives of the curve are those of
+        # column i; EIT's up to a combination of the columns, so for EIT both
+        # sides are compared after the columns are projected out.
+        dphi = [_derivatives(model, theta, GRID, cols[:, p:].copy(), np.eye(p)[i : i + 1])[0] for i in range(p)]
+        basis = np.linalg.qr(cols[0, :p].T)[0] if model is ModelKind.EIT else np.zeros((GRID.size, 0))
+        for j, h in enumerate(steps):
+            fd = column_difference(model, theta, j, h)
+            for i in range(p):
+                # truncation, and the rounding of the columns divided by the step
+                bound = 1e-6 * np.max(np.abs(fd[i])) + 10.0 * np.finfo(float).eps * np.max(np.abs(cols[0, i])) / h
+                error = dphi[i][j] - fd[i]
+                assert np.max(np.abs(error - basis @ (basis.T @ error))) <= bound, (j, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amplitudes=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        widths=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+    )
+    def test_the_eit_kernel_at_the_mean_and_squared_half_gap_reproduces_evaluate(self, amplitudes, widths):
+        # theta = (g, u) holds the widths g +- sqrt(u), each to a few ulps of
+        # the wider one, and alpha . Phi is the pair's curve; writing a lobe
+        # as half the sum and half the difference of the columns costs the
+        # narrower lobe the square of the width ratio in rounding.  Both
+        # bounds are below 1e-12 relative while the widths differ by less
+        # than a factor of 20.
+        raw = np.array([*amplitudes, *widths])
+        theta, alpha = _split(ModelKind.EIT, raw[None])
+        cols = _columns(ModelKind.EIT, theta, GRID)[0]
+        c_plus, c_minus, g_plus, g_minus = raw
+        ratio, eps = max(widths) / min(widths), np.finfo(float).eps
+        plus, minus = 1.0 / (g_plus**2 + GRID**2), 1.0 / (g_minus**2 + GRID**2)
+        wide, narrow = (plus, minus) if g_plus >= g_minus else (minus, plus)
+        assert np.max(np.abs(cols[2] - wide)) <= 8.0 * eps * ratio * np.max(wide)
+        assert np.max(np.abs(cols[3] - narrow)) <= 8.0 * eps * ratio * np.max(narrow)
+        lobe = max(c_plus**2 * np.max(plus), c_minus**2 * np.max(minus))
+        curve = evaluate(ModelKind.EIT, raw, GRID)
+        tiny = np.finfo(float).tiny  # subnormal amplitudes round to whole subnormals
+        assert np.max(np.abs(alpha[0] @ cols[:2] - curve)) <= 8.0 * eps * (1.0 + ratio**2) * lobe + tiny

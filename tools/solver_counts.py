@@ -20,10 +20,12 @@ the solver's passes are, two trial rows per active start), the profiled
 rows times the solver's grid points (``points``: the folded grid's, so
 121 per row on the 241-point circuit grid and 101 on the 201-point
 default one) and the iterations summed over every solver row, counted on a first (warm-up)
-pass; then how many EIT rows end on the diagonal ``g_plus = g_minus``
-(``eit_on_diag``, of ``eit_rows``), where the valley of the signed pair
-ends, and the mean iterations of those rows and of the other EIT rows
-(``it_on_diag``, ``it_rest``); and then the minor page faults and system seconds per pass from
+pass; then how many EIT rows end with merged widths, on the bound ``u =
+0`` (``eit_on_bound``, of ``eit_rows``), where the valley of the signed
+pair ends, the mean iterations of those rows and of the other EIT rows
+(``it_on_bound``, ``it_rest``), and the iterations of the slowest EIT row
+(``it_max_eit``: on a shape whose rows all fit in the solver's pool, that
+row sets the number of passes); and then the minor page faults and system seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
@@ -77,7 +79,7 @@ class Counter:
 
     def __init__(self):
         self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
-        self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the diagonal
+        self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the bound
         self.passes_by_model = {"eit": 0, "ats": 0}
         self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
 
@@ -127,9 +129,10 @@ def measure(shape, repeats: int) -> dict:
         "points": counter.points,
         "iterations": counter.iterations,
         "eit_rows": sum(len(v) for v in counter.eit_iterations.values()),
-        "eit_on_diag": len(counter.eit_iterations[True]),
-        "it_on_diag": round(float(np.mean(counter.eit_iterations[True] or [np.nan])), 1),
+        "eit_on_bound": len(counter.eit_iterations[True]),
+        "it_on_bound": round(float(np.mean(counter.eit_iterations[True] or [np.nan])), 1),
         "it_rest": round(float(np.mean(counter.eit_iterations[False] or [np.nan])), 1),
+        "it_max_eit": max(counter.eit_iterations[True] + counter.eit_iterations[False], default=0),
         "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
         "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
     }
@@ -153,9 +156,10 @@ def main() -> None:
         "points",
         "iterations",
         "eit_rows",
-        "eit_on_diag",
-        "it_on_diag",
+        "eit_on_bound",
+        "it_on_bound",
         "it_rest",
+        "it_max_eit",
         "minflt/pass",
         "sys_s/pass",
     )
