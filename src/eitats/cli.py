@@ -173,7 +173,7 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
     except OSError as exc:
         raise SpectrumParseError(f"cannot read {path}: {exc}") from exc
 
@@ -313,6 +313,8 @@ def _run_sweep(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> dict[str,
 def _run_boundary(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> dict[str, Any]:
     out_path = _require(config, "output")
     gbc_values = _parse_range(config.gbc, "--gbc")
+    if gbc_values[-1] >= config.gamma_ab:
+        raise ValueError(f"--gbc {config.gbc}: each value must be below --gamma-ab {config.gamma_ab}")
     omegas = _parse_range(config.omegas, "--omegas")
     result = sweep_gbc_boundary(config.gamma_ab, gbc_values, noise, omegas, cfg, config.margin)
     written = _write_table(

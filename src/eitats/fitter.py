@@ -41,8 +41,8 @@ no mirrored pair the arithmetic is unchanged.
 The passes reuse one workspace (:class:`_Workspace`), so a pass
 allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
 make the C allocator hand its heap back to the kernel and fault it in
-again: 18k minor page faults per 6-spectrum sweep, 280k per 146-point
-one.
+again: without the workspace about 1,300 minor page faults per 6-spectrum
+sweep and 450-750 per 146-point one, against 11-18 and 100-170 with it.
 
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
@@ -77,7 +77,6 @@ from .models import (
     _columns,
     _derivatives,
     _join,
-    _split,
     canonicalize,
 )
 
@@ -189,19 +188,13 @@ def _half_width_outward(deltas: np.ndarray, values: np.ndarray, peak_idx: int) -
     return (deltas[-1] - deltas[0]) / 4.0
 
 
-def _first_guess_ats(deltas: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _first_guess_ats(deltas: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     peak_idx = int(np.argmax(values))
-    peak = max(float(values[peak_idx]), np.finfo(float).tiny)
-    d0 = abs(float(deltas[peak_idx]))
     g = max(_half_width_outward(deltas, values, peak_idx), float(deltas[1] - deltas[0]))
-    # Peak height is c^2/g^2 for a separated doublet and 2c^2/g^2 for a
-    # coincident one; interpolate between the two limits.
-    doubling = 1.0 + g * g / (g * g + 4.0 * d0 * d0)
-    c = g * np.sqrt(peak / doubling)
-    return np.array([c, g, d0])
+    return g, abs(float(deltas[peak_idx]))
 
 
-def _first_guess_eit(deltas: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _first_guess_eit(deltas: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     peak = max(float(np.max(values)), np.finfo(float).tiny)
     centre_idx = int(np.argmin(np.abs(deltas)))
     centre = float(values[centre_idx])
@@ -211,45 +204,40 @@ def _first_guess_eit(deltas: np.ndarray, values: np.ndarray) -> np.ndarray:
     g_broad = float(np.max(above)) if above.size else span / 4.0
     g_broad = max(g_broad, float(deltas[1] - deltas[0]))
     # Narrow width: where the central dip recovers halfway to the peak.
-    dip = peak - centre
-    if dip > 0:
+    if peak > centre:
         risen = np.abs(deltas[values >= (centre + peak) / 2.0])
         g_narrow = float(np.min(risen)) if risen.size else g_broad / 2.0
         g_narrow = max(g_narrow, float(deltas[1] - deltas[0]) / 2.0)
     else:
         g_narrow = g_broad / 2.0
-    c_plus = g_broad * np.sqrt(peak)
-    c_minus = g_narrow * np.sqrt(max(dip, 1e-6 * peak))
-    return np.array([c_plus, c_minus, g_broad, g_narrow])
+    return g_broad, g_narrow
 
 
-def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> list[np.ndarray]:
-    """Data-driven first guess plus n-1 seeded log-uniform perturbations.
+def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> np.ndarray:
+    """Starts as rows ``theta = (g, u)`` (n, 2): a data-driven guess and n-1 seeded perturbations of it.
 
-    The perturbations scale each component by a factor drawn uniformly in
-    log space between 1/4 and 4, so the starts cover both the compact and
-    the nearly-degenerate corners of parameter space.
+    Each perturbation scales the two widths, or the doublet's width and
+    offset, by factors drawn uniformly in log space between 1/4 and 4, so
+    the starts cover both the compact and the nearly-degenerate corners of
+    parameter space.  A start draws ``model.k`` factors and uses the last two.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if model is ModelKind.ATS:
-        base = _first_guess_ats(data.deltas, data.values)
-    else:
-        base = _first_guess_eit(data.deltas, data.values)
+    first_guess = _first_guess_ats if model is ModelKind.ATS else _first_guess_eit
+    base = np.array(first_guess(data.deltas, data.values))
     seed_base = base.copy()
-    if model is ModelKind.ATS and seed_base[2] == 0.0:
-        # Single-peaked data puts the offset guess exactly at zero, which is
-        # a stationary plane of the objective (the model is even in the
-        # offset) that multiplicative perturbations can never leave; explore
-        # unresolved splittings up to the width scale instead.
-        seed_base[2] = seed_base[1]
-    guesses = [base]
+    if model is ModelKind.ATS and seed_base[1] == 0.0:
+        # Single-peaked data puts the offset guess exactly at zero, the
+        # bound u = 0, which multiplicative perturbations can never leave;
+        # explore unresolved splittings up to the width scale instead.
+        seed_base[1] = seed_base[0]
     rng = np.random.default_rng(seed)
     log4 = np.log(4.0)
-    for _ in range(n - 1):
-        factors = np.exp(rng.uniform(-log4, log4, size=base.size))
-        guesses.append(seed_base * factors)
-    return guesses
+    w = np.array([base] + [seed_base * np.exp(rng.uniform(-log4, log4, size=model.k))[-2:] for _ in range(n - 1)])
+    if model is ModelKind.ATS:
+        return np.column_stack((w[:, 0], np.square(w[:, 1])))
+    half = (w[:, 1] - w[:, 0]) / 2.0
+    return np.column_stack(((w[:, 0] + w[:, 1]) / 2.0, half * half))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -445,16 +433,15 @@ def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lm_run_batch(
     model: ModelKind,
-    x0: np.ndarray,
+    theta0: np.ndarray,
     deltas: np.ndarray,
     values: np.ndarray,
     cfg: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Advance every row of ``x0`` (shape (s, k)) through the damped descent.
+    """Advance every start ``theta0`` (s, 2) of :func:`initial_guesses` through the damped descent.
 
     ``values`` (m, n), m dividing s, holds the data: the rows split into m
-    consecutive groups of s/m, group j fitting ``values[j]``.  Only the
-    widths and offset of a start are used (see :func:`_profile`).
+    consecutive groups of s/m, group j fitting ``values[j]``.
 
     The descent runs on the folded grid of :func:`_fold`, and each SSR
     gets its spectrum's odd part added back, so acceptance, the tolerance
@@ -500,14 +487,13 @@ def _lm_run_batch(
     data have their minimum, the gradient in ``log u`` cannot tell ``u``
     from 0, and the x-steps only halve the gap.
 
-    Returns (params, ssr, converged, iterations, stop, limit) per row, the
-    parameters as canonical raw vectors, ``stop`` indexing
-    ``STOP_REASONS`` and ``limit`` an EIT row's ``(a, b, g)`` if it ended
-    with ``u = 0``, else nan.  A row reads nothing of the other rows, so
-    its outcome depends neither on what else runs nor on when it enters a
-    slot.
+    Returns the solver's state per row: ``(theta, alpha, ssr, iterations,
+    stop)``, ``theta`` (s, 2) where the row stopped, ``alpha`` (s, p) its
+    column coefficients there, and ``stop`` indexing ``STOP_REASONS``.  A
+    row reads nothing of the other rows, so its outcome depends neither on
+    what else runs nor on when it enters a slot.
     """
-    n_rows = x0.shape[0]
+    n_rows = theta0.shape[0]
     group = n_rows // values.shape[0]
     if group * values.shape[0] != n_rows:
         raise ValueError(f"{values.shape[0]} data vectors do not split {n_rows} rows evenly")
@@ -518,7 +504,7 @@ def _lm_run_batch(
     scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
     grad_tol = 1e-12 * np.square(scale)[owner]
     eit = model is ModelKind.EIT
-    theta, alpha = _split(model, np.array(x0, dtype=float))
+    theta, alpha = np.array(theta0, dtype=float), np.empty((n_rows, 2 if eit else 1))
     deltas, weight, values, odd = _fold(deltas, values)
     n = deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
@@ -670,41 +656,43 @@ def _lm_run_batch(
             stop[idx[last]] = _GRADIENT
             active[idx[last]] = False
 
-    converged = np.isin(stop, (_TOLERANCE, _GRADIENT, _DAMPING))
-    limit = np.full((n_rows, 3), np.nan)
-    if eit:
-        on = theta[:, 1] == 0.0
-        limit[on] = np.column_stack((2.0 * alpha[on, 0], alpha[on, 1], theta[on, 0]))
-    return _join(model, theta, alpha), ssr, converged, iterations, stop, limit
+    return theta, alpha, ssr, iterations, stop
 
 
 def _best_of(
     model: ModelKind,
-    x: np.ndarray,
+    theta: np.ndarray,
+    alpha: np.ndarray,
     ssr: np.ndarray,
-    converged: np.ndarray,
     iterations: np.ndarray,
     stop: np.ndarray,
-    limit: np.ndarray,
     n: int,
 ) -> FitResult:
-    """The lowest-SSR start of one spectrum, the lowest index breaking exact ties."""
+    """The lowest-SSR row of one spectrum's :func:`_lm_run_batch` state, the lowest index breaking exact ties.
+
+    Only that row is read out: its raw vector, whether it converged, and an
+    EIT row's limit form ``(a, b, g)`` if it ended on the bound ``u = 0``.
+    """
     usable = np.isfinite(ssr)
     if not usable.any():
         raise FitConvergenceError(f"no usable minimum fitting {model.value} ({ssr.size} starts)")
     best = int(np.argmin(np.where(usable, ssr, np.inf)))  # argmin keeps the lowest index on ties
     best_ssr = float(ssr[best])
     agreeing = int(np.sum(usable & (ssr <= best_ssr * (1.0 + _AGREEMENT_RTOL) + np.finfo(float).tiny)))
+    limit = None
+    if model is ModelKind.EIT and theta[best, 1] == 0.0:
+        form = EitLimit(2.0 * float(alpha[best, 0]), float(alpha[best, 1]), float(theta[best, 0]))
+        limit = form if np.isfinite(form).all() else None
     return FitResult(
-        params=canonicalize(model, x[best]),
+        params=canonicalize(model, _join(model, theta[best : best + 1], alpha[best : best + 1])[0]),
         ssr=best_ssr,
         sigma_hat_sq=best_ssr / n,
         n_points=n,
-        converged=bool(converged[best]),
+        converged=bool(stop[best] < _CAP),
         n_starts_agreeing=agreeing,
         iterations=int(iterations[best]),
         stop=STOP_REASONS[stop[best]],
-        limit=EitLimit(*map(float, limit[best])) if np.isfinite(limit[best]).all() else None,
+        limit=limit,
     )
 
 
@@ -742,9 +730,9 @@ def fit_many(
     out: list = [DegenerateDataError("all data values are equal; nothing to fit") if d else None for d in degenerate]
     todo = [i for i, d in enumerate(degenerate) if not d]
     if todo:
-        x0 = np.concatenate([initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed) for i in todo])
+        theta0 = np.concatenate([initial_guesses(model, spectra[i], cfg.n_starts, cfg.seed) for i in todo])
         values = np.stack([spectra[i].values for i in todo])
-        run = _lm_run_batch(model, x0, deltas, values, cfg)
+        run = _lm_run_batch(model, theta0, deltas, values, cfg)
     for j, i in enumerate(todo):
         rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
         try:

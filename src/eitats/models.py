@@ -254,21 +254,6 @@ def _derivatives(
     return jac.transpose(1, 0, 2)
 
 
-def _split(model: ModelKind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw vectors (s, k) as nonlinear parameters (s, 2) and column coefficients (s, p).
-
-    The signed pair's widths become their mean and squared half-gap, and
-    its lobes the coefficients of its columns (see :func:`_columns`).
-    """
-    if model is ModelKind.ATS:
-        return np.column_stack((x[:, 1], np.square(x[:, 2]))), np.square(x[:, 0:1])
-    w_plus, w_minus = np.abs(x[:, 2]), np.abs(x[:, 3])
-    half = (w_minus - w_plus) / 2.0  # signed: L1, at the wider width, is L(g_plus) where that is g_plus
-    plus, minus = np.square(x[:, 0]), np.square(x[:, 1])
-    theta = np.column_stack(((w_plus + w_minus) / 2.0, half * half))
-    return theta, np.column_stack(((plus - minus) / 2.0, 2.0 * theta[:, 0] * half * (plus + minus)))
-
-
 def _lobes(theta: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """EIT rows' ``(p1, p2)``: ``alpha . Phi = p1 L1 + p2 L2``, both ``alpha[0]`` where ``u = 0`` (no pair)."""
     u = theta[:, 1]
@@ -282,7 +267,7 @@ _LIMIT_OFFSET = 1e-6
 
 
 def _join(model: ModelKind, theta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_split` on the canonical branch (nonnegative amplitudes and offset).
+    """Raw vectors (s, k) of rows ``theta`` (s, 2) and ``alpha`` (s, p), with nonnegative amplitudes and offset.
 
     An EIT row with ``u > 0`` is the signed pair whose ``g_plus`` is the
     width with the positive coefficient (see :func:`_lobes`).  A row with
@@ -322,8 +307,8 @@ def evaluate(model: ModelKind, params, delta):
         coef = np.square(x[:, :2]) * [1.0, -1.0]
         cols = _lorentzians(x[:, 2:].T[:, :, None], d, np.empty((2, 1, d.size))).transpose(1, 0, 2)
     else:
-        theta, coef = _split(model, x)
-        cols = _columns(model, theta, d)[:, :1]
+        c, g, d0 = x[0]
+        coef, cols = np.array([[c * c]]), _columns(model, np.array([[g, d0 * d0]]), d)[:, :1]
     out = np.einsum("sp,spn->sn", coef, cols)[0]
     return float(out[0]) if np.ndim(delta) == 0 else out.reshape(np.shape(delta))
 
@@ -346,9 +331,9 @@ def jacobian(model: ModelKind, params, delta) -> np.ndarray:
         widths = -2.0 * sign * x[2:, None] * lobes * lobes
         jac = np.concatenate((sign * 2.0 * x[:2, None] * lobes, np.square(x[:2, None]) * widths))
     else:
-        theta, alpha = _split(model, x[None, :])
+        theta = np.array([[x[1], x[2] * x[2]]])
         cols = _columns(model, theta, d)[0]
         dphi = _derivatives(model, theta, d, cols[None, 1:], np.ones((1, 1)))[0]
-        scale = alpha[0, 0] * np.array([1.0, 2.0 * x[2]])
+        scale = x[0] * x[0] * np.array([1.0, 2.0 * x[2]])
         jac = np.concatenate((2.0 * x[0] * cols[:1], scale[:, None] * dphi))
     return jac[:, 0] if np.ndim(delta) == 0 else jac.T

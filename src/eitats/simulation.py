@@ -193,7 +193,7 @@ def sweep_gbc_boundary(
     """
     gbc_values = _increasing(gbc_values, "gbc_values")
     if np.any(gbc_values >= gamma_ab):
-        raise ValueError("each gamma_bc must be below gamma_ab")
+        raise ValueError(f"each gamma_bc must be below gamma_ab = {gamma_ab}, got gamma_bc = {float(gbc_values.max())}")
     boundary = np.full(gbc_values.size, np.nan)
     depth = np.full(gbc_values.size, np.nan)
     for i, gbc in enumerate(gbc_values):

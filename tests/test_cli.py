@@ -89,6 +89,15 @@ class TestSpectrumFiles:
         else:
             assert back.sigma_exp == pytest.approx(sigma, rel=1e-15, abs=0.0)
 
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        # Spreadsheet programs write one at the start of a "CSV UTF-8" file.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_spectrum(absorption_profile(TlaParams(omega=0.3), default_grid()), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = ingest_spectrum(plain), ingest_spectrum(marked)
+        assert np.array_equal(a.deltas, b.deltas) and np.array_equal(a.values, b.values)
+        assert a.sigma_exp is b.sigma_exp is None
+
     def test_two_column_file_has_no_noise_scale(self, tmp_path):
         data = absorption_profile(TlaParams(omega=0.3), default_grid())
         path = tmp_path / "spec.csv"
@@ -338,6 +347,7 @@ class TestCommands:
             (["sweep", "--omegas", "0:1:0.7"], "--omegas 0:1:0.7: step 0.7 does not divide hi - lo = 1"),
             (["generate", "--grid", "0:2:0.3"], "--grid 0:2:0.3: step 0.3 does not divide hi - lo = 2"),
             (["generate", "--grid", "abc"], "--grid must be lo:hi:step, got 'abc'"),
+            (["boundary", "--gamma-ab", "0.2"], "--gbc 0.02:0.3:0.02: each value must be below --gamma-ab 0.2"),
         ],
     )
     def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):

@@ -117,8 +117,21 @@ def rounding_floor(values):
 def ssr_by_cap(model, data, x0, caps):
     """Each row's SSR after ``cap`` iterations, one row of the result per cap."""
     return np.stack(
-        [_lm_run_batch(model, x0, data.deltas, data.values[None], FitConfig(max_iterations=cap))[1] for cap in caps]
+        [_lm_run_batch(model, x0, data.deltas, data.values[None], FitConfig(max_iterations=cap))[2] for cap in caps]
     )
+
+
+def raw_rows(model, state):
+    """``_lm_run_batch``'s state read out per row, as ``_best_of`` reads the
+    winner: (raw vectors, ssr, converged, iterations, stop, limit), a row's
+    limit form nan unless it ended on the EIT bound u = 0."""
+    theta, alpha, ssr, iterations, stop = state
+    converged = np.isin(stop, [STOP_REASONS.index(reason) for reason in ("tolerance", "gradient", "damping")])
+    limit = np.full((theta.shape[0], 3), np.nan)
+    if model is ModelKind.EIT:
+        on = theta[:, 1] == 0.0
+        limit[on] = np.column_stack((2.0 * alpha[on, 0], alpha[on, 1], theta[on, 0]))
+    return _join(model, theta, alpha), ssr, converged, iterations, stop, limit
 
 
 def noisy_replicate(omega, seed, replicate):
@@ -134,7 +147,7 @@ class TestDescentBehaviour:
         # as a rise from one cap to the next.
         data = absorption_profile(TlaParams(omega=1.1), default_grid())
         for model in (ModelKind.EIT, ModelKind.ATS):
-            x0 = np.stack(initial_guesses(model, data, 4, 3))
+            x0 = initial_guesses(model, data, 4, 3)
             assert np.all(np.diff(ssr_by_cap(model, data, x0, range(1, 52)), axis=0) <= 0)
 
     @pytest.mark.parametrize(
@@ -147,9 +160,9 @@ class TestDescentBehaviour:
         # floor, where the frozen SSRs (down to 5.6e-31) are rounding noise.
         data = absorption_profile(TlaParams(omega=omega), default_grid())
         for model in (ModelKind.EIT, ModelKind.ATS):
-            x0 = np.stack(initial_guesses(model, data, 5, 1))
+            x0 = initial_guesses(model, data, 5, 1)
             cfg = FitConfig(max_iterations=cap)
-            _, ssr, converged, *_ = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
+            _, ssr, converged, *_ = raw_rows(model, _lm_run_batch(model, x0, data.deltas, data.values[None], cfg))
             bound = np.maximum(np.array(FROZEN_SSR[omega, cap][model]) * (1.0 + 1e-9), rounding_floor(data.values))
             assert np.all(ssr <= bound), (model, ssr, bound)
             assert converged.all()
@@ -200,14 +213,15 @@ def frozen_problem(name):
         data = absorption_profile(TlaParams(omega=omega), default_grid())
     else:
         data = noisy_replicate(omega, seed, replicate)
-    return model, data, np.stack(initial_guesses(model, data, 16, 0)), FitConfig(max_iterations=cap)
+    return model, data, initial_guesses(model, data, 16, 0), FitConfig(max_iterations=cap)
 
 
 def solver_rows(name):
     """Every row _lm_run_batch returns on a frozen problem, floats as float.hex;
     a row that ends on the EIT bound u = 0 also holds its limit form."""
     model, data, x0, cfg = frozen_problem(name)
-    x, ssr, converged, iterations, stop, limit = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
+    state = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
+    x, ssr, converged, iterations, stop, limit = raw_rows(model, state)
     rows = []
     for i in range(x.shape[0]):
         row = {
@@ -307,8 +321,9 @@ class TestDampingSchedule:
         # and with the sqrt(10) rule up to 35 while the walk along the
         # valley had no end but the tolerance stop.
         data = VALLEY_DATA[name]()
-        x0 = np.concatenate([np.stack(initial_guesses(ModelKind.EIT, data, 16, seed)) for seed in range(6)])
-        _, _, _, iterations, stop, limit = _lm_run_batch(ModelKind.EIT, x0, data.deltas, data.values[None], FitConfig())
+        x0 = np.concatenate([initial_guesses(ModelKind.EIT, data, 16, seed) for seed in range(6)])
+        state = _lm_run_batch(ModelKind.EIT, x0, data.deltas, data.values[None], FitConfig())
+        _, _, _, iterations, stop, limit = raw_rows(ModelKind.EIT, state)
         assert np.all(stop == STOP_REASONS.index("tolerance"))
         assert np.isfinite(limit).all()
         assert iterations.max() <= 20, iterations.max()
@@ -328,7 +343,7 @@ class TestStopReasons:
             cfg = FitConfig(max_iterations=cfg.max_iterations, n_starts=1)
 
             def guesses(*args):
-                return [x0[7]]
+                return x0[7:8]
 
         elif reason == "cap":
             model, data, _, cfg = frozen_problem("capped_eit")
@@ -478,8 +493,9 @@ class TestLimitForm:
         grid = default_grid()
         lorentzian = 1.0 / (g * g + grid * grid)
         values = a * lorentzian + b * lorentzian**2
-        x0 = np.array([[1.0, 1.0, start * g, start * g]])
-        x, ssr, converged, _, _, limit = _lm_run_batch(ModelKind.EIT, x0, grid, values[None], FitConfig())
+        x0 = np.array([[start * g, 0.0]])
+        state = _lm_run_batch(ModelKind.EIT, x0, grid, values[None], FitConfig())
+        x, ssr, converged, _, _, limit = raw_rows(ModelKind.EIT, state)
         assert converged[0]
         assert limit[0] == pytest.approx([a, b, g], rel=1e-7)
         assert ssr[0] <= 1e-12 * np.sum(values * values)
@@ -646,8 +662,8 @@ class TestWorkspace:
     def test_a_batch_repeats_exactly_after_another_batch(self, model):
         a = absorption_profile(TlaParams(omega=0.9), default_grid())
         b = noisy_replicate(0.3, 5, 2)
-        x0_a = np.stack(initial_guesses(model, a, 4, 0))
-        x0_b = np.stack(initial_guesses(model, b, 12, 1))
+        x0_a = initial_guesses(model, a, 4, 0)
+        x0_b = initial_guesses(model, b, 12, 1)
         cfg = FitConfig(max_iterations=40)
         first = _lm_run_batch(model, x0_a, a.deltas, a.values[None], cfg)
         _lm_run_batch(model, x0_b, b.deltas, b.values[None], cfg)
@@ -750,11 +766,11 @@ class TestBatchInvariance:
 
     def test_one_dimensional_values_broadcast_to_every_row(self, pool):
         data = pool[2]
-        x0 = np.stack(initial_guesses(ModelKind.ATS, data, 4, 0))
+        x0 = initial_guesses(ModelKind.ATS, data, 4, 0)
         shared = _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values[None], BATCH_CFG)
         per_row = _lm_run_batch(ModelKind.ATS, x0, data.deltas, np.tile(data.values, (4, 1)), BATCH_CFG)
         for a, b in zip(shared, per_row):
-            assert np.array_equal(a, b, equal_nan=True)  # the limit forms are nan off the EIT bound u = 0
+            assert np.array_equal(a, b)
 
 
 class TestInitialGuesses:
@@ -768,12 +784,12 @@ class TestInitialGuesses:
     def test_doublet_offset_guess_near_peak(self):
         data = ats_spectrum(AtsParams(0.5, 1.0, 3.0))
         first = initial_guesses(ModelKind.ATS, data, 1, 0)[0]
-        assert abs(first[2] - 3.0) <= 1.0
+        assert abs(np.sqrt(first[1]) - 3.0) <= 1.0  # u = d0**2
 
     def test_single_peak_guess_offset_near_argmax(self):
         data = ats_spectrum(AtsParams(0.5, 1.0, 0.0))
         first = initial_guesses(ModelKind.ATS, data, 1, 0)[0]
-        assert abs(first[2]) <= 0.5
+        assert abs(np.sqrt(first[1])) <= 0.5
 
     def test_perturbations_are_seeded(self):
         data = ats_spectrum()
@@ -785,7 +801,8 @@ class TestInitialGuesses:
 
     def test_perturbation_factors_bounded(self):
         data = ats_spectrum()
-        guesses = initial_guesses(ModelKind.ATS, data, 64, 7)
+        theta = initial_guesses(ModelKind.ATS, data, 64, 7)
+        guesses = np.column_stack((theta[:, 0], np.sqrt(theta[:, 1])))  # the width and offset
         base = guesses[0]
         for g in guesses[1:]:
             ratio = g / base
@@ -810,6 +827,17 @@ class TestErrors:
             FitConfig(n_starts=0)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            FitConfig(seed=-1)
+
+    def test_solver_entry_checks(self):
+        data = ats_spectrum()
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            initial_guesses(ModelKind.ATS, data, 0, 0)
+        assert fit_many(ModelKind.ATS, []) == []
+        theta0 = initial_guesses(ModelKind.ATS, data, 3, 0)
+        with pytest.raises(ValueError, match="2 data vectors do not split 3 rows evenly"):
+            _lm_run_batch(ModelKind.ATS, theta0, data.deltas, np.stack((data.values, data.values)), FitConfig())
 
     @pytest.mark.filterwarnings("error")
     def test_data_near_the_float_limit_stop_without_a_warning(self):

@@ -67,6 +67,11 @@ class TestSusceptibility:
         with pytest.raises(ValueError, match="singular"):
             susceptibility(p, 0.0)
 
+    def test_denominator_underflow_rejected(self):
+        # The smallest subnormal dephasing leaves |den| = 5e-324 at delta = 0.
+        with pytest.raises(ValueError, match="singular evaluation: denominator underflow at grid index 0"):
+            susceptibility(TlaParams(gamma_ab=5e-324), 0.0)
+
     def test_no_pump_allows_gamma_bc_zero_at_origin(self):
         p = TlaParams(omega=0.0, gamma_bc=0.0, gamma_ab=2.0)
         assert susceptibility(p, 0.0) == pytest.approx(0.5j, abs=1e-15)
@@ -274,6 +279,15 @@ class TestValidation:
     def test_spectrum_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             Spectrum(deltas=np.array([0.0, 1.0]), values=np.zeros(3))
+
+    def test_spectrum_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="spectrum must contain at least one point"):
+            Spectrum(deltas=np.array([]), values=np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_rejects_nonfinite_detunings(self, bad):
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            Spectrum(deltas=np.array([0.0, bad, 2.0]), values=np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_spectrum_rejects_nonfinite_values(self, bad):

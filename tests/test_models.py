@@ -10,7 +10,6 @@ from eitats.models import (
     ModelKind,
     _columns,
     _derivatives,
-    _split,
     as_array,
     canonicalize,
     eval_ats,
@@ -174,6 +173,8 @@ class TestParameterHandling:
     def test_round_trip_through_array(self):
         m = EitParams(1.0, 2.0, 3.0, 4.0)
         assert canonicalize(ModelKind.EIT, as_array(m)) == m
+        with pytest.raises(TypeError, match="unsupported parameter type object"):
+            as_array(object())
 
     def test_widths_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -244,9 +245,12 @@ class TestKernel:
         # bounds are below 1e-12 relative while the widths differ by less
         # than a factor of 20.
         raw = np.array([*amplitudes, *widths])
-        theta, alpha = _split(ModelKind.EIT, raw[None])
-        cols = _columns(ModelKind.EIT, theta, GRID)[0]
         c_plus, c_minus, g_plus, g_minus = raw
+        half = (g_minus - g_plus) / 2.0  # signed: L1, at the wider width, is L(g_plus) where that is g_plus
+        theta = np.array([[(g_plus + g_minus) / 2.0, half * half]])
+        plus_sq, minus_sq = c_plus**2, c_minus**2
+        alpha = np.array([[(plus_sq - minus_sq) / 2.0, 2.0 * theta[0, 0] * half * (plus_sq + minus_sq)]])
+        cols = _columns(ModelKind.EIT, theta, GRID)[0]
         ratio, eps = max(widths) / min(widths), np.finfo(float).eps
         plus, minus = 1.0 / (g_plus**2 + GRID**2), 1.0 / (g_minus**2 + GRID**2)
         wide, narrow = (plus, minus) if g_plus >= g_minus else (minus, plus)

@@ -48,6 +48,18 @@ class TestWeights:
     def test_equal_information_splits_evenly(self):
         assert np.allclose(akaike_weights([3.7, 3.7]), [0.5, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize(
+        ("weights", "message"),
+        [
+            (lambda: akaike_weights([]), "need at least one information value"),
+            (lambda: akaike_weights([1.0, math.inf]), "information values must be finite"),
+            (lambda: per_point_weights([1.0, 2.0], 0), "n must be positive"),
+        ],
+    )
+    def test_argument_validation(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            weights()
+
     def test_two_model_closed_form(self):
         w = akaike_weights([1.0, 3.0])
         expected = 1.0 / (1.0 + math.exp(-1.0))
@@ -132,6 +144,8 @@ class TestThresholds:
     def test_eit_threshold_domain(self):
         with pytest.raises(ValueError, match="undefined"):
             eit_threshold(1.0, 1.5)
+        with pytest.raises(ValueError, match="gamma_bc must be >= 0"):
+            eit_threshold(1.0, -0.1)
 
     def test_noise_threshold_values(self):
         assert noise_threshold(1.0, 0.1, 0.0) == 0.0
@@ -143,6 +157,10 @@ class TestThresholds:
             noise_threshold(1.0, 0.1, 0.5)
         with pytest.raises(ValueError, match="sigma"):
             noise_threshold(1.0, 0.1, -0.01)
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            noise_threshold(-1.0, 0.1, 0.1)
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            noise_threshold(1.0, -0.1, 0.1)
 
 
 class TestDiscriminate:

@@ -70,6 +70,8 @@ class TestAddNoise:
             NoiseSpec(sigma=0.5)
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, n_replicates=0)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            NoiseSpec(seed=-1)
 
 
 class TestSweepOmega:
@@ -169,7 +171,7 @@ class TestBoundarySweep:
         assert isinstance(result, BoundaryResult)
 
     def test_rejects_dephasing_at_or_above_probe_rate(self):
-        with pytest.raises(ValueError, match="below"):
+        with pytest.raises(ValueError, match="^each gamma_bc must be below gamma_ab = 1.0, got gamma_bc = 1.0$"):
             sweep_gbc_boundary(1.0, [0.5, 1.0], NoiseSpec(), [0.5, 1.0], FAST)
 
     def test_rejects_unsorted_omegas_before_any_fit(self, monkeypatch):

@@ -23,9 +23,10 @@ default one) and the iterations summed over every solver row, counted on a first
 pass; then how many EIT rows end with merged widths, on the bound ``u =
 0`` (``eit_on_bound``, of ``eit_rows``), where the valley of the signed
 pair ends, the mean iterations of those rows and of the other EIT rows
-(``it_on_bound``, ``it_rest``), and the iterations of the slowest EIT row
-(``it_max_eit``: on a shape whose rows all fit in the solver's pool, that
-row sets the number of passes); and then the minor page faults and system seconds per pass from
+(``it_on_bound``, ``it_rest``), and the iterations of the slowest EIT and
+ATS rows (``it_max_eit``, ``it_max_ats``: on a shape whose rows all fit in
+the solver's pool, that row sets the number of passes of its model's run);
+and then the minor page faults and system seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
 repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
@@ -80,6 +81,7 @@ class Counter:
     def __init__(self):
         self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
         self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the bound
+        self.it_max_ats = 0
         self.passes_by_model = {"eit": 0, "ats": 0}
         self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
 
@@ -96,12 +98,15 @@ class Counter:
     def run(self, model, *args, **kwargs):
         before = self.passes
         out = self._run(model, *args, **kwargs)
+        theta, iterations = out[0], out[3]
         self.passes_by_model[model.value] += self.passes - before
-        self.iterations += int(np.sum(out[3]))
+        self.iterations += int(np.sum(iterations))
         if model.value == "eit":
-            on = np.isfinite(out[5][:, 0])
+            on = theta[:, 1] == 0.0
             for where in (True, False):
-                self.eit_iterations[where].extend(out[3][on == where].tolist())
+                self.eit_iterations[where].extend(iterations[on == where].tolist())
+        else:
+            self.it_max_ats = max(self.it_max_ats, int(iterations.max()))
         return out
 
     def __enter__(self):
@@ -133,6 +138,7 @@ def measure(shape, repeats: int) -> dict:
         "it_on_bound": round(float(np.mean(counter.eit_iterations[True] or [np.nan])), 1),
         "it_rest": round(float(np.mean(counter.eit_iterations[False] or [np.nan])), 1),
         "it_max_eit": max(counter.eit_iterations[True] + counter.eit_iterations[False], default=0),
+        "it_max_ats": counter.it_max_ats,
         "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
         "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
     }
@@ -160,6 +166,7 @@ def main() -> None:
         "it_on_bound",
         "it_rest",
         "it_max_eit",
+        "it_max_ats",
         "minflt/pass",
         "sys_s/pass",
     )
