@@ -189,28 +189,34 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         )
     want = len(cols)
 
-    rows: list[tuple[float, ...]] = []
+    # Parse up to the first line that is not a row of numbers, then check the
+    # parsed cells at once: a bad cell before that line is the first offence.
+    rows, linenos, problem = [], [], None
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != want:
-            raise SpectrumParseError(f"{path}: line {lineno}: expected {want} columns, got {len(row)}")
+            problem = f"expected {want} columns, got {len(row)}"
+            break
         try:
-            numbers = tuple(float(cell) for cell in row)
+            rows.append(list(map(float, row)))
         except ValueError as exc:
-            raise SpectrumParseError(f"{path}: line {lineno}: {exc}") from exc
-        for name, number in zip(cols, numbers):
-            if not math.isfinite(number):
-                raise SpectrumParseError(f"{path}: line {lineno}: {name} must be finite, got {number}")
-            if name == "sigma" and number < 0:
-                raise SpectrumParseError(f"{path}: line {lineno}: sigma must be >= 0, got {number}")
-        rows.append(numbers)
-
+            problem = exc
+            break
+        linenos.append(lineno)
+    table = np.array(rows).reshape(len(rows), want)
+    infinite = ~np.isfinite(table)
+    bad = infinite | ((np.arange(want) == 2) & (table < 0))  # the sigma column
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), want)  # the first bad cell, line by line
+        rule = "must be finite" if infinite[row, col] else "must be >= 0"
+        raise SpectrumParseError(f"{path}: line {linenos[row]}: {cols[col]} {rule}, got {float(table[row, col])}")
+    if problem is not None:
+        cause = problem if isinstance(problem, ValueError) else None
+        raise SpectrumParseError(f"{path}: line {lineno}: {problem}") from cause
     if len(rows) < 5:
         raise SpectrumParseError(f"{path}: need at least 5 data rows, got {len(rows)}")
-    rows.sort(key=lambda r: r[0])
-    deltas = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
+    deltas, values, *sigmas = table[np.argsort(table[:, 0], kind="stable")].T.copy()
     if np.any(np.diff(deltas) == 0):
         dup = float(deltas[np.argmax(np.diff(deltas) == 0)])
         raise SpectrumParseError(f"{path}: duplicate detuning {dup}")
@@ -218,7 +224,7 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
     if want == 3:
         # RMS scaled by the largest magnitude, so that squaring can neither
         # overflow nor underflow; a constant column comes back exactly.
-        sigmas = np.array([r[2] for r in rows])
+        sigmas = sigmas[0]
         scale = float(np.max(np.abs(sigmas)))
         sigma_exp = scale * math.sqrt(np.mean(np.square(sigmas / scale))) if scale > 0 else 0.0
     return Spectrum(deltas=deltas, values=values, sigma_exp=sigma_exp)

@@ -12,47 +12,32 @@ pair's merged widths a bound, ``u = 0``, which both models hold by
 projected steps.  The information criterion still counts every amplitude
 (K = 4 and 3): profiling them out does not change what is fitted.
 
-Steps follow a Levenberg-Marquardt schedule from several starts: a
-deterministic, data-driven guess and seeded log-uniform perturbations of
-it.  A rejected step multiplies the damping by 10 and an accepted one
-divides it by 10, except that a step taken at ``10 lam`` after ``lam``
-was rejected leaves the next damping at their log-midpoint ``sqrt(10)
-lam``, never straight back at the rejected level (Madsen, Nielsen &
-Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004, 3.2).
-Each pass tries two damping levels of every start at once,
-both solved in closed form by 2x2 elimination (:func:`_damped_step`), and
-each accepted point's normal equations come from the columns and basis
-of the profile that accepted it (see :func:`_lm_run_batch`), so an
-iteration usually profiles once.  Every start of every spectrum handed
-to :func:`fit_many` runs in one vectorized loop, one trial per start per
-pass, up to ``_MAX_BATCH_ROWS`` at once with the rest entering free slots
-as others stop: many spectra share each pass's interpreter cost, and no
-start waits while another climbs the damping.  A row reads only its own data,
-so its result depends neither on what else runs nor on its slot.
+Steps follow a Levenberg-Marquardt schedule (Madsen, Nielsen & Tingleff,
+*Methods for Non-Linear Least Squares Problems*, 2004, 3.2; see
+:func:`_lm_run_batch`) from several starts: a deterministic, data-driven
+guess and seeded log-uniform perturbations of it.  Every start of every
+spectrum handed to :func:`fit_many` runs in one vectorized loop, one
+two-level trial per start per pass, up to ``_MAX_BATCH_ROWS`` at once with
+the rest entering free slots as others stop: a pass costs mostly a fixed
+number of small numpy calls, which many spectra share.  A row reads only
+its own data, so its result depends neither on what else runs nor on its slot.
 
 Both models are even in the detuning, so the loop runs on the folded
-grid (:func:`_fold`): each distinct ``|delta|`` once, weighted by the
-number of samples that share it, against their mean, with the data's odd
-part added back to every SSR.  On a mirror-symmetric grid that halves
-the points every pass profiles and differentiates, while every SSR it
-compares, stops on or reports is still the full grid's; on a grid with
-no mirrored pair the arithmetic is unchanged.
+grid of :func:`_fold`: on a mirror-symmetric grid that halves the points
+every pass profiles, while every SSR it compares, stops on or reports is
+still the full grid's.
 
 The passes reuse one workspace (:class:`_Workspace`), so a pass
-allocates no row-sized array.  Fresh arrays of a few hundred KB per pass
-make the C allocator hand its heap back to the kernel and fault it in
-again: without the workspace about 1,300 minor page faults per 6-spectrum
-sweep and 450-750 per 146-point one, against 11-18 and 100-170 with it.
+allocates no row-sized array, which the C allocator would hand back to
+the kernel and fault in again.
 
 On some spectra the interference model has no interior minimum: the SSR
 keeps falling as the widths merge and the amplitudes grow without bound.
-That valley ends at an ordinary model, ``a L(g) + b L(g)**2``, the
-closure of the signed pair where its widths merge (Golub & Pereyra,
-*Inverse Problems* 19, 2003; Osborne & Smyth, *SIAM J. Sci. Comput.* 16,
-1995).  In ``(g, u)`` that closure is the bound ``u = 0``, where the
-model's columns are smooth and its residual is linear in ``u``
-(:func:`~eitats.models._columns`), so a row reaches the valley's limit
-exactly, in a few iterations, and leaves it where that lowers the SSR.
+That valley ends at the signed pair's closure ``a L(g) + b L(g)**2``
+(Golub & Pereyra, *Inverse Problems* 19, 2003; Osborne & Smyth, *SIAM J.
+Sci. Comput.* 16, 1995), in ``(g, u)`` the bound ``u = 0``, where the
+columns are smooth (:func:`~eitats.models._columns`), so a row reaches
+the valley's limit exactly and leaves it where that lowers the SSR.
 The lowest SSR over the starts wins, converged or not; ``converged``,
 ``iterations`` and ``stop`` (one of ``STOP_REASONS``) report how the
 winning start ended, ``limit`` the limit form ``(a, b, g)`` of an EIT
@@ -100,15 +85,14 @@ _DAMPING_MIN = 1e-15
 # A row that rejects lam and takes 10 lam next tries 10 lam / sqrt(10), the
 # log-midpoint of the two levels, not the lam it just rejected.
 _UPPER_DECREASE = math.sqrt(10.0)
+# A pass's two levels of each row, as factors of its damping, and the
+# divisor of the level a row takes, for its next damping.
+_LEVELS = np.array([[1.0], [10.0]])
+_DECREASE = np.array([[10.0], [_UPPER_DECREASE]])
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
 # active at once, so its workspace is at most 4.2 MiB on the default grid
-# (101 folded points) whatever the number of spectra and starts.  At 128,
-# 192 and 256 slots the default 146-point sweep (cap 300, fit seed 1)
-# makes 818, 710 and 655 passes and peaks at 40.9, 41.7 and 42.7 MiB
-# RSS; the criterion-5 sweep (cap 1000) makes 1165, 953 and 846 passes
-# and peaks at 41.7, 42.7 and 43.9 MiB (tools/solver_counts.py; RSS from
-# getrusage in a fresh process).
+# (101 folded points) whatever the number of spectra and starts.
 _MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
 # falling by the relative tolerance, the gradient fell below its
@@ -233,7 +217,9 @@ def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> np.n
         seed_base[1] = seed_base[0]
     rng = np.random.default_rng(seed)
     log4 = np.log(4.0)
-    w = np.array([base] + [seed_base * np.exp(rng.uniform(-log4, log4, size=model.k))[-2:] for _ in range(n - 1)])
+    # One draw of all n - 1 starts' factors is the stream of one draw per start.
+    factors = np.exp(rng.uniform(-log4, log4, size=(n - 1, model.k)))[:, -2:]
+    w = np.vstack((base, seed_base * factors))
     if model is ModelKind.ATS:
         return np.column_stack((w[:, 0], np.square(w[:, 1])))
     half = (w[:, 1] - w[:, 0]) / 2.0
@@ -254,11 +240,13 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
     a = h00 + lam * diag[:, 0]
     l = h10 / a
     u = h11 + lam * diag[:, 1] - l * h01
-    x1 = (grad[:, 1] - l * grad[:, 0]) / u
-    step = np.stack(((grad[:, 0] - h01 * x1) / a, x1), axis=-1)
-    for level, row in zip(*((a == 0.0) | (u == 0.0)).nonzero()):
-        system = jtj[row] + np.diag(lam[level, row] * diag[row])
-        step[level, row] = np.linalg.lstsq(system, grad[row], rcond=None)[0]
+    step = np.empty(lam.shape + (2,))
+    x1 = np.divide(grad[:, 1] - l * grad[:, 0], u, out=step[..., 1])
+    np.divide(grad[:, 0] - h01 * x1, a, out=step[..., 0])
+    if np.count_nonzero(a) < a.size or np.count_nonzero(u) < u.size:  # a zero pivot (nan is not one)
+        for level, row in zip(*((a == 0.0) | (u == 0.0)).nonzero()):
+            system = jtj[row] + np.diag(lam[level, row] * diag[row])
+            step[level, row] = np.linalg.lstsq(system, grad[row], rcond=None)[0]
     return step
 
 
@@ -271,10 +259,10 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     """Profile the column coefficients out at the nonlinear parameters ``theta`` (s, 2).
 
     Each row's ``alpha`` minimises ``|y - Phi alpha|`` over the curves the
-    model can draw.  Returns ``(alpha, ssr, resid, q, lor, alone)``: ``q``
-    (s, p, n) is an orthonormal basis of the columns in use, the unused
-    ones zeroed, written over the columns, ``lor`` the two Lorentzians
-    after them (see :func:`~eitats.models._columns`), and ``alone`` (s,) +1
+    model can draw.  Returns ``(alpha, ssr, resid, cols, alone)``: ``cols``
+    (s, p + 2, n) holds an orthonormal basis of the columns in use, the
+    unused ones zeroed, written over the p columns, then the two Lorentzians
+    (see :func:`~eitats.models._columns`), and ``alone`` (s,) +1
     or -1 where a row with ``u > 0`` is fitted by ``L1`` or ``L2`` alone,
     else 0; with ``resid`` they are what :func:`_normal_equations` needs.
     Arrays of s rows come from ``empty``.  ``Phi`` is weighted by
@@ -313,10 +301,11 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
         r11 = np.sqrt(np.einsum("sn,sn->s", e, e))
         e /= r11[:, None]
         z = np.einsum("spn,sn->sp", q, y)
-        alpha = np.column_stack(((z[:, 0] - r01 * z[:, 1] / r11) / norm, z[:, 1] / r11))
+        alpha = np.empty((s, 2))
+        alpha[:, 0], alpha[:, 1] = (z[:, 0] - r01 * z[:, 1] / r11) / norm, z[:, 1] / r11
         spans = r11 > _COLLINEAR_SIN * np.hypot(r01, r11)  # r11 over the second column's norm
         lone = ~(spans & (theta[:, 1] * np.square(4.0 * theta[:, 0] * alpha[:, 0]) <= np.square(alpha[:, 1])))
-        if lone.any():
+        if np.count_nonzero(lone):
             lor = cols[lone, p:]
             lor_norm = np.sqrt(np.einsum("spn,spn->sp", lor, lor))
             lor_z = np.einsum("spn,sn->sp", lor, y[lone]) / lor_norm
@@ -333,19 +322,19 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
             alone[lone] = np.where(x > 0.0, -sign, 0.0)
     np.subtract(y, np.einsum("sp,spn->sn", z, q, out=resid), out=resid)
     ssr = np.einsum("sn,sn->s", resid, resid)
-    if model is ModelKind.ATS and not (z > 0.0).all():
+    if model is ModelKind.ATS and np.count_nonzero(z > 0.0) < s:
         q[z <= 0.0] = 0.0
-    return alpha, ssr, resid, q, cols[:, p:], alone
+    return alpha, ssr, resid, cols, alone
 
 
 def _normal_equations(
-    model: ModelKind, theta: np.ndarray, deltas, alpha, resid, q, lor, alone, empty, weight=1.0
+    model: ModelKind, theta: np.ndarray, deltas, alpha, resid, cols, alone, empty, weight=1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``J^T r`` (s, 2) and ``J^T J`` (s, 2, 2) at a point :func:`_profile` returned.
 
     ``J`` (s, 2, n) is Kaufman's Jacobian ``P (dPhi/dtheta alpha)``, ``P``
-    the projector onto the complement of ``q``'s columns, with ``dPhi``
-    formed from the profile's Lorentzians ``lor`` (overwritten), weighted
+    the projector onto the complement of the basis ``q`` in ``cols``, with
+    ``dPhi`` formed from the Lorentzians after it (overwritten), weighted
     as they are, in blocks from ``empty``.  An EIT row fitted by one
     Lorentzian ``p L(w)``, ``w = g + alone x`` (``p = 2 alpha[0]``, see
     :func:`_profile`), moves with that width alone: its row for ``g`` is
@@ -353,6 +342,7 @@ def _normal_equations(
     would not do: they hold the derivative only up to the pair's columns,
     and with ``alpha`` held they move the other coefficient off 0.
     """
+    q, lor = cols[:, :-2], cols[:, -2:]
     lone = alone.nonzero()[0]
     if lone.size:
         side, x = alone[lone], np.sqrt(theta[lone, 1])
@@ -367,18 +357,10 @@ def _normal_equations(
     return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
 
 
-def _take_rows(a: np.ndarray, rows: np.ndarray, empty) -> np.ndarray:
-    """Rows ``rows`` of ``a`` (s, c, n) in a block from ``empty``, stored column by column."""
-    # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
-    block = a.transpose(1, 0, 2).take(rows, axis=1, out=empty((a.shape[1], rows.size, a.shape[2])), mode="clip")
-    return block.transpose(1, 0, 2)
-
-
 # Floats per solver row and folded grid point that a pass takes from the
-# workspace: for each of its two trial rows the data, residual, columns and
-# Lorentzians (6 for EIT, 5 for ATS), and for the normal equations at the
-# accepted point its residual, basis and Lorentzians, the Jacobian and the
-# projection (9 for EIT, 8 for ATS).
+# workspace: for each trial row the data, residual and columns (6 for EIT,
+# 5 for ATS), and for the normal equations at the accepted point its
+# residual and columns, the Jacobian and the projection (9 and 8).
 _WORKSPACE_PER_ROW = {ModelKind.EIT: 2 * 6 + 9, ModelKind.ATS: 2 * 5 + 8}
 
 
@@ -443,10 +425,8 @@ def _lm_run_batch(
     ``values`` (m, n), m dividing s, holds the data: the rows split into m
     consecutive groups of s/m, group j fitting ``values[j]``.
 
-    The descent runs on the folded grid of :func:`_fold`, and each SSR
-    gets its spectrum's odd part added back, so acceptance, the tolerance
-    stop and the returned SSR use the full grid's SSR, and the gradient
-    stop the full data's scale.
+    The descent runs on the folded grid of :func:`_fold`, each SSR with its
+    spectrum's odd part added back, and the gradient stop at the full data's scale.
 
     At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
     pending rows fill the free slots in row order, each with its start's
@@ -457,15 +437,16 @@ def _lm_run_batch(
     iteration on the next pass, at ``lam / 10`` if it took ``lam`` and at
     ``10 lam / sqrt(10)``, the log-midpoint of the level it rejected and
     the one it took, if it took ``10 lam``.  A row whose two levels both
-    rise tries ``100 lam`` on the next pass.  Within an iteration the
-    levels are the x10 ladder ``lam, 10 lam, 100 lam, ...`` taken two at a
-    time, so a pass reaches the point that trying them one level at a time
-    would; only the level the next iteration starts from depends on which
-    of a pass's two levels was taken.  When every row fits in the pool,
+    rise tries ``100 lam`` on the next pass: an iteration climbs the x10
+    ladder two levels at a time, to the point one level at a time would
+    reach.  When every row fits in the pool,
     the run makes as many trial passes as its slowest row would alone.
     The accepted trial's profile holds the residual, basis and Lorentzians
     there, so the next normal equations are formed from it and no point is
-    profiled or evaluated twice.
+    profiled or evaluated twice.  A pass's numpy calls do not grow with its
+    rows: the pool's state is packed in one array, each row's outcome is
+    taken in one gather, and what few rows need (the bound, a stop, the
+    damping ceiling, EIT's bound rules) runs behind one test each.
 
     Both models hold ``u >= 0`` by projected steps: a trial's ``u`` is
     clipped to 0, and at ``u = 0`` with descent pointing to ``u < 0`` the
@@ -490,8 +471,7 @@ def _lm_run_batch(
     Returns the solver's state per row: ``(theta, alpha, ssr, iterations,
     stop)``, ``theta`` (s, 2) where the row stopped, ``alpha`` (s, p) its
     column coefficients there, and ``stop`` indexing ``STOP_REASONS``.  A
-    row reads nothing of the other rows, so its outcome depends neither on
-    what else runs nor on when it enters a slot.
+    row's outcome depends neither on what else runs nor on its slot.
     """
     n_rows = theta0.shape[0]
     group = n_rows // values.shape[0]
@@ -502,161 +482,197 @@ def _lm_run_batch(
     # data squared in any units of data and detuning (cf. MINPACK's gtol);
     # the scale, the full data's, is clamped where its square would overflow.
     scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
-    grad_tol = 1e-12 * np.square(scale)[owner]
+    grad_tol = 1e-12 * np.square(scale)
     eit = model is ModelKind.EIT
-    theta, alpha = np.array(theta0, dtype=float), np.empty((n_rows, 2 if eit else 1))
+    p = 2 if eit else 1
     deltas, weight, values, odd = _fold(deltas, values)
     n = deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
     ws = _Workspace(_WORKSPACE_PER_ROW[model] * slots * n)
-    ssr, grad, jtj = np.empty(n_rows), np.empty((n_rows, 2)), np.empty((n_rows, 2, 2))
-    stop = np.full(n_rows, _CAP)
-    iterations = np.zeros(n_rows, dtype=int)
-    active = np.zeros(n_rows, dtype=bool)
-    climbing = np.zeros(n_rows, dtype=bool)  # rows whose last trial was rejected at both levels
+    # The pool holds the active rows in row order, each row's state packed
+    # in one row of ``state``: theta, then the SSR, damping and alpha that
+    # an accepted trial hands on (its outcome), then the gradient, J^T J,
+    # gradient tolerance and odd part; and in ``book`` its index, spectrum,
+    # iterations and whether it is climbing (its last trial rejected both levels).
+    THETA, SSR, LAM, ALPHA = slice(0, 2), 2, 3, slice(4, 4 + p)
+    OUTCOME, GRAD, JTJ, TOL, ODD = slice(0, 4 + p), slice(4 + p, 6 + p), slice(6 + p, 10 + p), 10 + p, 11 + p
+    ROW, SPECTRUM, ITERATIONS, CLIMBING = range(4)
+    state, book = np.empty((0, 12 + p)), np.empty((0, 4), dtype=int)
+    finished = np.empty((n_rows, 4 + p))  # each row's outcome as it stopped
+    iterations, stop = np.zeros(n_rows, dtype=int), np.full(n_rows, _CAP)
     admitted = 0  # rows [0, admitted) have entered a slot
-    lam = np.full(n_rows, _INITIAL_DAMPING)
-    tiny = np.finfo(float).tiny
+    tiny, positions = np.finfo(float).tiny, np.arange(slots)
 
-    while admitted < n_rows or active.any():
+    def leave(going, code):
+        """Write out the pool rows ``going`` with stop ``code`` and drop them; returns the rows kept."""
+        nonlocal state, book
+        out, kept = book[going, ROW], ~going
+        finished[out], iterations[out], stop[out] = state[going, OUTCOME], book[going, ITERATIONS], code
+        state, book = state[kept], book[kept]
+        return kept
+
+    while admitted < n_rows or len(book):
         # Pending rows fill the free slots, in row order.
-        new = np.arange(admitted, min(n_rows, admitted + slots - np.count_nonzero(active)))
-        if new.size:
+        if admitted < n_rows and len(book) < slots:
+            new = np.arange(admitted, min(n_rows, admitted + slots - len(book)))
             admitted += new.size
             ws.rewind()
             # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
             y = values.take(owner[new], axis=0, out=ws.empty((new.size, n)), mode="clip")
-            alpha[new], ssr_new, resid, q, lor, alone = _profile(model, theta[new], deltas, y, ws.empty, weight)
+            start = theta0[new].astype(float)
+            alpha, ssr_new, resid, cols, alone = _profile(model, start, deltas, y, ws.empty, weight)
             ssr_new += odd[owner[new]]
-            grad[new], jtj[new] = _normal_equations(
-                model, theta[new], deltas, alpha[new], resid, q, lor, alone, ws.empty, weight
-            )
-            active[new] = np.isfinite(ssr_new)
-            ssr[new] = np.where(active[new], ssr_new, np.inf)
-            stop[new[~active[new]]] = _NON_FINITE
+            grad, jtj = _normal_equations(model, start, deltas, alpha, resid, cols, alone, ws.empty, weight)
+            fine = np.isfinite(ssr_new)
+            lam = np.full(new.size, _INITIAL_DAMPING)
+            entering = np.column_stack((start, np.where(fine, ssr_new, np.inf), lam, alpha))
+            if not fine.all():  # a start whose SSR is not finite stops there
+                finished[new[~fine]], stop[new[~fine]] = entering[~fine], _NON_FINITE
+                new, entering, grad, jtj = new[fine], entering[fine], grad[fine], jtj[fine]
+            entering = np.column_stack((entering, grad, jtj.reshape(-1, 4), grad_tol[owner[new]], odd[owner[new]]))
+            state = np.concatenate((state, entering))
+            book = np.concatenate((book, np.column_stack((new, owner[new], np.zeros((new.size, 2), dtype=int)))))
         # A row that is not climbing starts an iteration: it is counted, and
-        # one that has used the cap stops there (its stop is already _CAP).
-        fresh = active & ~climbing
-        active[fresh & (iterations == cfg.max_iterations)] = False
-        iterations[fresh & active] += 1
-        idx = active.nonzero()[0]
+        # one that has used the cap stops there.
+        fresh = book[:, CLIMBING] == 0
+        capped = fresh & (book[:, ITERATIONS] == cfg.max_iterations)
+        if np.count_nonzero(capped):
+            fresh = fresh[leave(capped, _CAP)]
+        book[:, ITERATIONS] += fresh
         # theta and grad do not change while a row climbs, so neither does
         # anything below up to the trial; a climbing row passes the tests again.
-        g, h = grad[idx], jtj[idx]
+        theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
         # At u = 0 with descent pointing to u < 0 the bound is active: u
         # leaves the step (a projected Newton step), so the other parameter
         # is still optimised, and only the free components count below.
-        bound = (theta[idx, 1] == 0.0) & (g[:, 1] <= 0.0)
-        g[bound, 1] = 0.0
-        h[bound, 0, 1] = h[bound, 1, 0] = 0.0
-        bad = ~np.isfinite(g).all(axis=1) | ~np.isfinite(h).all(axis=(1, 2))
-        flat = ~bad & (np.abs(g * theta[idx]).max(axis=1) < grad_tol[idx])
-        stop[idx[bad]] = _NON_FINITE
-        stop[idx[flat]] = _GRADIENT
-        # An EIT row that stops off the bound makes a last trial on the
-        # bound (below), and ends there if the gradient test cannot tell
-        # that trial from its point.
-        last = flat & (theta[idx, 1] > 0.0) & eit if flat.any() else flat
-        keep = ~(bad | flat) | last
-        active[idx[~keep]] = False
-        if not keep.all():
-            idx, g, h, last = idx[keep], g[keep], h[keep], last[keep]
-        if idx.size == 0:
+        # Masking the stored gradient and J^T J is the same as masking a
+        # copy: a climbing row masks them again, and an accepted one replaces them.
+        bound = (theta[:, 1] == 0.0) & (g[:, 1] <= 0.0)
+        if np.count_nonzero(bound):
+            g[bound, 1] = h[bound, 1] = h[bound, 2] = 0.0
+        scaled = np.abs(g * theta)
+        flat = np.maximum(scaled[:, 0], scaled[:, 1]) < state[:, TOL]
+        equations, final = state[:, GRAD.start : JTJ.stop], False
+        if np.count_nonzero(flat) or np.count_nonzero(np.isfinite(equations)) < equations.size:
+            bad = ~np.isfinite(equations).all(axis=1)
+            flat &= ~bad
+            # An EIT row that stops off the bound makes a last trial on the
+            # bound (below), and ends there if the gradient test cannot tell
+            # that trial from its point.
+            last = flat & (theta[:, 1] > 0.0) & eit
+            ending = (bad | flat) & ~last
+            last = last[leave(ending, np.where(bad, _NON_FINITE, _GRADIENT)[ending])]
+            final = last.any()
+            theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
+        k = len(book)
+        if k == 0:
             continue
-        final = last.any()
-        origin = theta[idx]
-        diag = np.diagonal(h, axis1=1, axis2=2).copy()
         # Flat directions (e.g. the width of a lobe whose amplitude is
-        # zero) get a floor so the damped system stays solvable.
-        floor = 1e-12 * np.maximum(diag.max(axis=1), tiny)
-        diag = np.maximum(diag, floor[:, None])
-
-        k = idx.size
-        both = np.concatenate((idx, idx))  # each row's two levels, lower first
-        lam_trial = np.concatenate((lam[idx], lam[idx] * 10.0))
-        step = _damped_step(h, diag, g, lam_trial.reshape(2, k))
-        t_trial = origin + step
-        if eit:
+        # zero) get a floor on J^T J's diagonal so the damped system stays solvable.
+        floor = 1e-12 * np.maximum(np.maximum(h[:, 0], h[:, 3]), tiny)
+        diag = np.maximum(h[:, ::3], floor[:, None])
+        lam_trial = np.multiply(state[:, LAM], _LEVELS)  # each row's two levels, lower first
+        step = _damped_step(h.reshape(k, 2, 2), diag, g, lam_trial)
+        # Each row's three outcomes: its trial at either level, and its
+        # rejection of both, which keeps its point.
+        outcomes = np.empty((3 * k, 4 + p))
+        trial = outcomes[: 2 * k, THETA]
+        t_trial = trial.reshape(2, k, 2)
+        np.add(theta, step, out=t_trial)
+        if eit and np.count_nonzero(theta[:, 1]):
             # Off the bound an EIT row steps in x = sqrt(u), to (g + dg, (x + dx)**2):
             # Marquardt's damping is invariant to scaling, so dx = du / (2 x).  Where
             # the u-step reaches the bound, or a last trial's lowers u, the trial goes
-            # where that line meets u = 0.  A last trial is on the bound.
-            x = np.sqrt(origin[:, 1])
+            # where that line meets u = 0.  A last trial (off the bound) is on it.
+            x = np.sqrt(theta[:, 1])
             off = x > 0.0
             u_step = t_trial[..., 1]
             meet = off & (u_step <= 0.0)
             if final:
-                meet |= last & (u_step < origin[:, 1])
-            moved = meet.any()
+                meet |= last & (u_step < theta[:, 1])
+            moved = np.count_nonzero(meet)
             if moved:
-                reach = origin[:, 1] / (origin[:, 1] - u_step)
-                t_trial[..., 0] = np.where(meet, origin[:, 0] + reach * step[..., 0], t_trial[..., 0])
+                reach = theta[:, 1] / (theta[:, 1] - u_step)
+                t_trial[..., 0] = np.where(meet, theta[:, 0] + reach * step[..., 0], t_trial[..., 0])
             t_trial[..., 1] = np.where(off, np.square(x + step[..., 1] / (2.0 * x)), u_step)
+            if final:
+                meet |= last
             if moved or final:
-                t_trial[..., 1][meet | last] = 0.0
-        t_trial = t_trial.reshape(2 * k, 2)
-        np.maximum(t_trial[:, 1], 0.0, out=t_trial[:, 1])  # projected step: u >= 0
+                t_trial[..., 1][meet] = 0.0
+        np.maximum(t_trial[..., 1], 0.0, out=t_trial[..., 1])  # projected step: u >= 0
         if eit:
             # Widths g + x and g - x are those of (|g|, u), and of (x, g**2) where |g| < x.
-            mean, half = np.abs(t_trial[:, 0], out=t_trial[:, 0]), np.sqrt(t_trial[:, 1])
+            mean, half = np.abs(trial[:, 0], out=trial[:, 0]), np.sqrt(trial[:, 1])
             mirror = mean < half
-            if mirror.any():
-                t_trial[mirror] = np.column_stack((half, mean * mean))[mirror]
+            if np.count_nonzero(mirror):
+                trial[mirror] = np.column_stack((half, mean * mean))[mirror]
         ws.rewind()
-        spectrum = owner[both]
-        y = values.take(spectrum, axis=0, out=ws.empty((2 * k, n)), mode="clip")
-        alpha_t, ssr_t, resid_t, q_t, lor_t, alone_t = _profile(model, t_trial, deltas, y, ws.empty, weight)
-        ssr_t += odd[spectrum]
-        ceiling = ssr[both]
+        y = values.take(np.concatenate((book[:, SPECTRUM],) * 2), axis=0, out=ws.empty((2 * k, n)), mode="clip")
+        alpha_t, ssr_t, resid_t, cols_t, alone_t = _profile(model, trial, deltas, y, ws.empty, weight)
+        levels = outcomes.reshape(3, k, 4 + p)
+        ssr_trial = np.add(ssr_t.reshape(2, k), state[:, ODD], out=levels[:2, :, SSR])
+        levels[:2, :, ALPHA] = alpha_t.reshape(2, k, p)
+        # A row that takes lam next tries lam / 10, one that takes 10 lam
+        # 10 lam / sqrt(10); one that rejects both tries 100 lam.
+        np.maximum(np.divide(lam_trial, _DECREASE, out=levels[:2, :, LAM]), _DAMPING_MIN, out=levels[:2, :, LAM])
+        levels[2] = state[:, OUTCOME]
+        np.multiply(lam_trial[1], 10.0, out=levels[2, :, LAM])
+        # A row takes its lower level whose SSR does not rise, else rejects
+        # both; a last trial, one whose SSR rises by no more than the gradient
+        # test counts as flat.  Every row's SSR is finite, so an SSR at most
+        # it is too, but a ceiling raised by the tolerance may overflow.
+        ceiling = state[:, SSR] + np.where(last, state[:, TOL], 0.0) if final else state[:, SSR]
+        ok = np.empty((3, k), dtype=bool)
+        ok[2] = True
+        np.less_equal(ssr_trial, ceiling, out=ok[:2])
         if final:
-            # A last trial is taken if its SSR rises by no more than the
-            # gradient test counts as flat.
-            ceiling = ceiling + np.where(np.concatenate((last, last)), grad_tol[both], 0.0)
-        ok = np.isfinite(ssr_t) & (ssr_t <= ceiling)
-        ok[k:] &= lam_trial[k:] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
-        ok = ok.reshape(2, k)
-        took = ok.any(axis=0)
-        j = ok.argmax(axis=0)[took] * k + took.nonzero()[0]  # trial row taken
-        ga = idx[took]
-        done = ssr[ga] - ssr_t[j] <= _RELATIVE_TOLERANCE * np.maximum(ssr_t[j], tiny)
+            ok[:2] &= np.isfinite(ssr_trial)
+        if lam_trial[1].max() > _DAMPING_MAX:
+            ok[1] &= lam_trial[1] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
+        taken = ok.argmax(axis=0)
+        j = taken * k + positions[:k]  # each row's outcome
+        chosen, took = outcomes[j], taken < 2
+        done = state[:, SSR] - chosen[:, SSR] <= _RELATIVE_TOLERANCE * np.maximum(chosen[:, SSR], tiny)
         if final:
-            done |= last[took]
+            done |= last
+        done &= took
+        # No descent direction at any damping: numerically stationary.  (Only
+        # a rejection can pass the ceiling; a row's damping is at most it.)
+        dead = chosen[:, LAM] > _DAMPING_MAX
+        go = took & ~done
         # An EIT row that steps along the bound gets the secant curvature of
         # its last two gradients there; Kaufman's J^T J underestimates it.
-        along = eit & (theta[ga, 1] == 0.0) & (t_trial[j, 1] == 0.0) & ~done
-        secant = (along, theta[ga, 0], grad[ga, 0]) if along.any() else None
-        theta[ga] = t_trial[j]
-        alpha[ga] = alpha_t[j]
-        ssr[ga] = ssr_t[j]
-        lam[ga] = np.maximum(lam_trial[j] / np.where(j < k, 10.0, _UPPER_DECREASE), _DAMPING_MIN)
-        climbing[idx] = ~took
-        stop[ga[done]] = _TOLERANCE
-        active[ga[done]] = False
-        j, ga = j[~done], ga[~done]
-        if ga.size:
+        along = eit and (theta[:, 1] == 0.0) & (chosen[:, 1] == 0.0) & go
+        secant = (along, theta[:, 0].copy(), g[:, 0].copy()) if eit and np.count_nonzero(along) else None
+        state[:, OUTCOME] = chosen
+        book[:, CLIMBING] = ~took
+        n_go = np.count_nonzero(go)
+        if n_go:
+            at = slice(None) if n_go == k else go
+            j = j[at]
+            # The accepted rows' residuals and columns, the columns stored one
+            # by one as _columns stores them (mode="clip": see the admission).
             resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
-            q_j = _take_rows(q_t, j, ws.empty)
-            lor_j = _take_rows(lor_t, j, ws.empty)
-            grad[ga], jtj[ga] = _normal_equations(
-                model, t_trial[j], deltas, alpha_t[j], resid_j, q_j, lor_j, alone_t[j], ws.empty, weight
-            )
+            block = ws.empty((cols_t.shape[1], j.size, n))
+            cols_j = cols_t.transpose(1, 0, 2).take(j, axis=1, out=block, mode="clip").transpose(1, 0, 2)
+            equations = (state[at, THETA], deltas, state[at, ALPHA], resid_j, cols_j, alone_t[j])
+            grad, jtj = _normal_equations(model, *equations, ws.empty, weight)
+            state[at, GRAD], state[at, JTJ] = grad, jtj.reshape(-1, 4)
             if secant is not None:
-                along, width, slope = (v[~done] for v in secant)
-                curvature = (slope - grad[ga, 0]) / (theta[ga, 0] - width)
+                along, width, slope = secant
+                curvature = (slope - state[:, GRAD.start]) / (state[:, 0] - width)
                 use = along & (curvature > 0.0) & np.isfinite(curvature)
-                jtj[ga[use], 0, 0] = curvature[use]
-        # A row that rejects both levels tries 100 lam on the next pass.
-        rej = idx[~took]
-        lam[rej] = lam_trial[k:][~took] * 10.0
-        dead = rej[lam[rej] > _DAMPING_MAX]
-        # No descent direction at any damping: numerically stationary.
-        stop[dead] = _DAMPING
-        active[dead] = False
+                state[use, JTJ.start] = curvature[use]
+        going = done | dead
         if final:
-            stop[idx[last]] = _GRADIENT
-            active[idx[last]] = False
+            going |= last
+        if np.count_nonzero(going):
+            code = np.where(done, _TOLERANCE, _DAMPING)
+            if final:
+                code[last] = _GRADIENT
+            leave(going, code[going])
 
-    return theta, alpha, ssr, iterations, stop
+    return finished[:, THETA].copy(), finished[:, ALPHA].copy(), finished[:, SSR].copy(), iterations, stop
 
 
 def _best_of(

@@ -171,7 +171,10 @@ def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.e
         x = np.sqrt(theta[:, 1:2])
         cols = empty((4, s, n))
         phi0, phi1, l1, l2 = cols
-        _lorentzians(np.stack((g + x, g - x)), deltas, cols[2:], weight)
+        widths = np.empty((2, s, 1))
+        np.add(g, x, out=widths[0])
+        np.subtract(g, x, out=widths[1])
+        _lorentzians(widths, deltas, cols[2:], weight)
         np.add(l1, l2, out=phi0)
         np.multiply(l1, l2, out=phi1)
         phi1 /= weight  # the product of two Lorentzians carries the weight twice
@@ -213,11 +216,12 @@ def _derivatives(
     jac = empty((2, s, n))
     dg, du = jac
     if model is ModelKind.EIT:
-        d2, m, a0 = deltas * deltas, g * g - u, 2.0 * alpha[:, 0:1]
+        d2, gg, a0 = deltas * deltas, g * g, 2.0 * alpha[:, 0:1]
+        m = gg - u
         l1, l2 = lor[:, 0], lor[:, 1]
         np.multiply(l1, l2, out=l1)
         np.multiply(d2, a0, out=du)
-        du += a0 * (g * g + u) + alpha[:, 1:2]
+        du += a0 * (gg + u) + alpha[:, 1:2]
         du *= l1
         du *= l1
         du *= -2.0 / (weight * weight * weight)  # W, P**2 having carried the weight four times

@@ -137,6 +137,21 @@ class TestSpectrumFiles:
         with pytest.raises(SpectrumParseError, match="negsigma.csv: line 2: sigma must be >= 0, got -0.1"):
             ingest_spectrum(path)
 
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            # A bad cell before a line that does not parse, and the reverse.
+            (["0.0,0.1,0.1", "1.0,nan,0.1", "2.0,0.3", "3.0,0.1,0.1"], "line 3: value must be finite, got nan"),
+            (["0.0,0.1,0.1", "1.0,0.2", "2.0,0.3,-1.0", "3.0,0.1,0.1"], "line 3: expected 3 columns, got 2"),
+            (["0.0,0.1,-0.5", "1.0,0.2,0.1", "2.0,oops,0.1", "3.0,0.1,0.1"], "line 2: sigma must be >= 0, got -0.5"),
+        ],
+    )
+    def test_the_first_of_two_bad_lines_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "twobad.csv"
+        path.write_text("delta,value,sigma\n" + "\n".join(rows + ["4.0,0.2,0.1", "5.0,0.2,0.1"]) + "\n")
+        with pytest.raises(SpectrumParseError, match=f"twobad.csv: {message}$"):
+            ingest_spectrum(path)
+
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("delta,value\n0.0,0.1\n1.0,0.2\n")

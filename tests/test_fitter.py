@@ -614,7 +614,7 @@ def profile_stack(model):
 
 
 def profiled_rows(model, rows, empty=np.empty):
-    """Each row's (alpha, ssr, resid, q) as bytes, profiling the rows as one stack."""
+    """Each row's profile outputs as bytes, profiling the rows as one stack."""
     theta = np.array([t for t, _ in rows], dtype=float)
     y = empty((len(rows), PROFILE_DATA.shape[1]))
     y[:] = PROFILE_DATA[[k for _, k in rows]]
@@ -653,8 +653,8 @@ class TestWorkspace:
         theta = np.array([t for t, _ in others], dtype=float)
         with np.errstate(all="ignore"):
             y = PROFILE_DATA[[k for _, k in others]]
-            alpha, _, resid, q, lor, one_lobe = _profile(model, theta, default_grid(), y, ws.empty)
-            fitter._normal_equations(model, theta, default_grid(), alpha, resid, q, lor, one_lobe, ws.empty)
+            alpha, _, resid, cols, one_lobe = _profile(model, theta, default_grid(), y, ws.empty)
+            fitter._normal_equations(model, theta, default_grid(), alpha, resid, cols, one_lobe, ws.empty)
         ws.rewind()
         assert profiled_rows(model, [rows[i] for i in order], ws.empty) == [alone[i] for i in order]
 
@@ -798,6 +798,27 @@ class TestInitialGuesses:
         c = initial_guesses(ModelKind.ATS, data, 6, 43)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[1], c[1])
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("n", [1, 2, 16, 40])
+    def test_perturbations_drawn_at_once_equal_one_draw_per_start(self, model, n):
+        # The draws of all starts in one call are the stream of one call per
+        # start, as the starts were first drawn; the first start is not drawn.
+        for data in (ats_spectrum(), absorption_profile(TlaParams(omega=0.4), default_grid())):
+            for seed in range(5):
+                theta = initial_guesses(model, data, n, seed)
+                rng, log4 = np.random.default_rng(seed), np.log(4.0)
+                first_guess = fitter._first_guess_ats if model is ModelKind.ATS else fitter._first_guess_eit
+                seed_base = np.array(first_guess(data.deltas, data.values))
+                if model is ModelKind.ATS and seed_base[1] == 0.0:
+                    seed_base[1] = seed_base[0]
+                for i in range(1, n):
+                    w = seed_base * np.exp(rng.uniform(-log4, log4, size=model.k))[-2:]
+                    if model is ModelKind.ATS:
+                        want = [w[0], w[1] * w[1]]
+                    else:
+                        want = [(w[0] + w[1]) / 2.0, ((w[1] - w[0]) / 2.0) ** 2]
+                    assert theta[i].tolist() == want
 
     def test_perturbation_factors_bounded(self):
         data = ats_spectrum()

@@ -32,13 +32,25 @@ repeat exactly from run to run; the faults show how much of a pass goes
 to the allocator handing memory back to the kernel and faulting it in
 again, which wall time on a shared machine cannot resolve.
 
+With ``--pass-cost`` it prints instead, for each model, what one solver
+pass costs: a fixed part (``fixed_us``) and a part per active row
+(``row_us``).  They are the intercept and slope of a least-squares line
+through the median ``process_time`` per pass of one 16-start problem (the
+circuit curve, fit seed 1, cap 1000) with its spectrum replicated 1 to
+16 times in one run, against the mean active rows per pass.  The rows
+are independent, so every replication makes the same passes and only
+the rows per pass grow.  A pass whose fixed part dominates is bound by
+the interpreter's per-call cost, not by arithmetic.
+
 The functions are wrapped in this process only; nothing on disk changes.
 
-Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep]
+Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost]
 """
 import argparse
 import resource
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +59,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from eitats import cli, fitter  # noqa: E402
-from eitats.fitter import FitConfig  # noqa: E402
+from eitats.fitter import FitConfig, initial_guesses  # noqa: E402
 from eitats.lineshape import default_grid, transmission_profile  # noqa: E402
+from eitats.models import ModelKind  # noqa: E402
 from eitats.selection import discriminate  # noqa: E402
 from eitats.simulation import NoiseSpec, sweep_omega  # noqa: E402
 
@@ -144,13 +157,55 @@ def measure(shape, repeats: int) -> dict:
     }
 
 
+REPLICATIONS = (1, 2, 4, 8, 12, 16)  # 16 x 16 starts fill the default pool of 256 slots
+
+
+def pass_cost(model: ModelKind, repeats: int) -> dict:
+    """Fixed and per-row process time of one solver pass, from replications of one problem."""
+    circuit = transmission_profile(cli.CIRCUIT_PRESET, default_grid(*cli.CIRCUIT_GRID))
+    cfg = FitConfig(seed=SEED)
+    theta0 = initial_guesses(model, circuit, cfg.n_starts, cfg.seed)
+    runs, rows_per_pass = [], []
+    for m in REPLICATIONS:
+        args = (model, np.tile(theta0, (m, 1)), circuit.deltas, np.tile(circuit.values, (m, 1)), cfg)
+        with Counter() as counter:
+            fitter._lm_run_batch(*args)
+        runs.append(args)
+        # Each pass profiles two trial rows per active row, and admission profiles each row once.
+        rows_per_pass.append((counter.profiled_rows - m * cfg.n_starts) / 2 / counter.passes)
+    # Rounds run every replication once, so a machine that changes speed slows all of them alike.
+    times = [[] for _ in runs]
+    for _ in range(repeats):
+        for args, samples in zip(runs, times):
+            start = time.process_time()
+            fitter._lm_run_batch(*args)
+            samples.append(time.process_time() - start)
+    seconds_per_pass = [statistics.median(samples) / counter.passes for samples in times]
+    row_s, fixed_s = np.polyfit(rows_per_pass, seconds_per_pass, 1)
+    return {
+        "passes": counter.passes,
+        "rows/pass": f"{rows_per_pass[0]:.1f}-{rows_per_pass[-1]:.1f}",
+        "fixed_us": round(fixed_s * 1e6, 1),
+        "row_us": round(row_s * 1e6, 2),
+        "fixed_share@16": f"{fixed_s / (fixed_s + row_s * rows_per_pass[0]):.0%}",
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timed passes after the warm-up (default 3)")
     parser.add_argument("--only", choices=SHAPES, action="append", help="run only this shape (repeatable)")
+    parser.add_argument("--pass-cost", action="store_true", help="print each model's fixed and per-row cost of a pass")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if args.pass_cost:
+        costs = {model.value: pass_cost(model, max(args.repeats, 5)) for model in ModelKind}
+        names = list(next(iter(costs.values())))
+        print(f"{'model':<6}", *(f"{c:>15}" for c in names))
+        for model, cost in costs.items():
+            print(f"{model:<6}", *(f"{v:>15}" for v in cost.values()))
+        return
     names = args.only or list(SHAPES)
     columns = (
         "passes",
