@@ -35,7 +35,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import __version__
-from .fitter import FitConfig, FitResult, fit
+from .fitter import _SEED_LIMIT, FitConfig, FitResult, fit
 from .lineshape import (
     CircuitParams,
     Spectrum,
@@ -45,8 +45,8 @@ from .lineshape import (
     transmission_profile,
 )
 from .models import ModelKind
-from .selection import DEFAULT_MARGIN, MAX_MARGIN, discriminate
-from .simulation import MAX_SIGMA, NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
+from .selection import DEFAULT_MARGIN, MAX_MARGIN, MAX_SIGMA, discriminate
+from .simulation import NoiseSpec, add_noise, sweep_gbc_boundary, sweep_omega
 
 __all__ = ["RunConfig", "Report", "SpectrumParseError", "ingest_spectrum", "write_spectrum", "run", "main"]
 
@@ -68,11 +68,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _flag(default: Any, help: str, *, at_least: int | None = None, below: float | None = None, **argparse_kw: Any):
+def _flag(default: Any, help: str, *, at_least=None, at_most=None, below=None, **argparse_kw: Any):
     """A ``RunConfig`` field that is also a flag: ``argparse_kw`` (type or
-    choices) and ``help`` go to argparse; a value below ``at_least``, or
-    outside ``[0, below)``, is rejected by ``run`` before any work."""
-    metadata = {"argparse": {**argparse_kw, "help": help}, "at_least": at_least, "below": below}
+    choices) and ``help`` go to argparse; ``run`` rejects a value outside
+    ``[at_least, at_most]`` or ``[0, below)`` by its flag before any work."""
+    metadata = {"argparse": {**argparse_kw, "help": help}, "at_least": at_least, "at_most": at_most, "below": below}
     return field(default=default, metadata=metadata)
 
 
@@ -86,20 +86,22 @@ class RunConfig:
 
     Each command reads only its own flags (``_COMMANDS``); the other
     fields keep their defaults and are neither used nor echoed.  The
-    upper bounds are the library's own, checked here too so that a bad
-    value fails by its flag.
+    defaults and upper bounds are the library's own, the bounds checked
+    here too so that a bad value fails by its flag.
     """
 
     command: str
-    gamma_ab: float = _flag(1.0, "probed-transition dephasing rate", type=_finite_float)
-    gamma_bc: float = _flag(0.1, "two-photon dephasing rate", type=_finite_float)
-    omega: float = _flag(0.0, "pump Rabi frequency", type=_finite_float)
-    delta1: float = _flag(0.0, "one-photon detuning", type=_finite_float)
-    alpha: float = _flag(1.0, "probe Rabi frequency (amplitude)", type=_finite_float)
-    sigma: float = _flag(0.0, "relative noise level", type=_finite_float, below=MAX_SIGMA)
-    seed: int = _flag(0, "seed for noise and fit starts", type=int, at_least=0)
-    replicate: int = _flag(0, "noise replicate index", type=int, at_least=0)
-    replicates: int = _flag(1, "replicates to average in sweeps", type=int, at_least=1)
+    gamma_ab: float = _flag(TlaParams.gamma_ab, "probed-transition dephasing rate", type=_finite_float)
+    gamma_bc: float = _flag(TlaParams.gamma_bc, "two-photon dephasing rate", type=_finite_float)
+    omega: float = _flag(TlaParams.omega, "pump Rabi frequency", type=_finite_float)
+    delta1: float = _flag(TlaParams.delta1, "one-photon detuning", type=_finite_float)
+    alpha: float = _flag(TlaParams.alpha, "probe Rabi frequency (amplitude)", type=_finite_float)
+    sigma: float = _flag(NoiseSpec.sigma, "relative noise level", type=_finite_float, below=MAX_SIGMA)
+    seed: int = _flag(NoiseSpec.seed, "seed for noise and fit starts", type=int, at_least=0, at_most=_SEED_LIMIT - 1)
+    replicate: int = _flag(0, "noise replicate index", type=int, at_least=0, at_most=_SEED_LIMIT - 1)
+    replicates: int = _flag(
+        NoiseSpec.n_replicates, "replicates to average in sweeps", type=int, at_least=1, at_most=_SEED_LIMIT
+    )
     starts: int = _flag(FitConfig.n_starts, "multi-start count for the fitter", type=int, at_least=1)
     max_iterations: int = _flag(FitConfig.max_iterations, "fitter iteration cap", type=int, at_least=1)
     margin: float = _flag(DEFAULT_MARGIN, "inconclusive margin on weight gap", type=_finite_float, below=MAX_MARGIN)
@@ -422,11 +424,14 @@ def run(config: RunConfig) -> Report:
     for f in fields(RunConfig):
         if f.name not in command.flags:
             continue
-        value, low, high = getattr(config, f.name), f.metadata["at_least"], f.metadata["below"]
+        value = getattr(config, f.name)
+        low, high, below = (f.metadata[key] for key in ("at_least", "at_most", "below"))
         if low is not None and value < low:
             raise ValueError(f"{_option(f.name)} must be >= {low}, got {value}")
-        if high is not None and not 0 <= value < high:
-            raise ValueError(f"{_option(f.name)} must lie in [0, {high:g}), got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{_option(f.name)} must be <= {high}, got {value}")
+        if below is not None and not 0 <= value < below:
+            raise ValueError(f"{_option(f.name)} must lie in [0, {below:g}), got {value}")
     cfg = noise = None
     if "starts" in command.flags:
         cfg = FitConfig(max_iterations=config.max_iterations, n_starts=config.starts, seed=config.seed)

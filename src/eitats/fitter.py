@@ -48,6 +48,7 @@ nonnegative form, a limit as the signed pair of
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -104,6 +105,15 @@ _TOLERANCE, _GRADIENT, _DAMPING, _CAP, _NON_FINITE = range(len(STOP_REASONS))
 # Starts whose final SSR is within this relative distance of the best one
 # are counted as agreeing with it.
 _AGREEMENT_RTOL = 1e-6
+# Seeds and replicate indices lie in [0, _SEED_LIMIT), for the 128-bit noise
+# key (seed << 64) | replicate; a fit seed too, as the CLI's --seed is both.
+_SEED_LIMIT = 2**64
+
+
+def _check_seed(name: str, value, limit: int = _SEED_LIMIT) -> None:
+    """Reject a seed or replicate index that is not an integer in [0, limit)."""
+    if not isinstance(value, numbers.Integral) or not 0 <= value < limit:
+        raise ValueError(f"{name} must be a nonnegative integer below {limit}, got {value!r}")
 
 
 class FitConvergenceError(RuntimeError):
@@ -127,8 +137,7 @@ class FitConfig:
             raise ValueError("max_iterations must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_seed("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,16 @@ boundary runs one such sweep per dephasing value.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitter import FitConfig
+from .fitter import _SEED_LIMIT, FitConfig, _check_seed
 from .lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transparency_depth
 from .selection import DEFAULT_MARGIN, MAX_SIGMA, discriminate_many
 
 __all__ = [
-    "MAX_SIGMA",
     "NoiseSpec",
     "SweepResult",
     "BoundaryResult",
@@ -43,10 +43,9 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < MAX_SIGMA:
             raise ValueError(f"sigma must lie in [0, {MAX_SIGMA:g}), got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.n_replicates < 1:
-            raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
+        _check_seed("seed", self.seed)
+        if not isinstance(self.n_replicates, numbers.Integral) or not 1 <= self.n_replicates <= _SEED_LIMIT:
+            raise ValueError(f"n_replicates must be an integer in [1, {_SEED_LIMIT}], got {self.n_replicates!r}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,7 @@ def add_noise(data: Spectrum, spec: NoiseSpec, replicate: int = 0) -> Spectrum:
     The stream is keyed on (spec.seed, replicate); the same pair always
     reproduces the same replicate.  Negative outputs are kept as drawn.
     """
-    if not 0 <= replicate < spec.n_replicates:
-        raise ValueError(f"replicate {replicate} outside [0, {spec.n_replicates})")
+    _check_seed("replicate", replicate, spec.n_replicates)
     if spec.sigma == 0.0:
         values = data.values.copy()
     else:

@@ -355,6 +355,15 @@ class TestCommands:
             (["boundary", "--sigma", "0.5"], "--sigma must lie in [0, 0.5), got 0.5"),
             (["circuit", "--margin", "1.5"], "--margin must lie in [0, 1), got 1.5"),
             (["discriminate", "--input", str(FIXTURE), "--margin", "-0.2"], "--margin must lie in [0, 1), got -0.2"),
+            # Seeds and replicate indices are integers below 2**64, the noise key's half.
+            (["circuit", "--seed", str(2**64)], f"--seed must be <= {2**64 - 1}, got {2**64}"),
+            (["sweep", "--seed", str(2**64)], f"--seed must be <= {2**64 - 1}, got {2**64}"),
+            (
+                ["generate", "--sigma", "0.1", "--replicate", str(2**64)],
+                f"--replicate must be <= {2**64 - 1}, got {2**64}",
+            ),
+            (["sweep", "--replicates", str(2**64 + 1)], f"--replicates must be <= {2**64}, got {2**64 + 1}"),
+            (["boundary", "--replicates", str(2**64 + 1)], f"--replicates must be <= {2**64}, got {2**64 + 1}"),
             (["sweep", "--omegas", "0:1:0"], "--omegas 0:1:0: grid requires hi > lo and step > 0"),
             (["generate", "--grid", "1:-1:0.1"], "--grid 1:-1:0.1: grid requires hi > lo and step > 0"),
             (["boundary", "--gbc", "0.1:0.05:0.01"], "--gbc 0.1:0.05:0.01: grid requires hi > lo and step > 0"),

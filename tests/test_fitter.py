@@ -851,6 +851,11 @@ class TestErrors:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             FitConfig(seed=-1)
 
+    def test_fractional_fit_seed_is_rejected_when_built(self):
+        message = r"^seed must be a nonnegative integer below 18446744073709551616, got 1.5$"
+        with pytest.raises(ValueError, match=message):
+            FitConfig(seed=1.5)
+
     def test_solver_entry_checks(self):
         data = ats_spectrum()
         with pytest.raises(ValueError, match="n must be >= 1"):

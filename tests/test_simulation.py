@@ -73,6 +73,31 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             NoiseSpec(seed=-1)
 
+    # The stream's 128-bit key is (seed << 64) | replicate, so each must be an integer below 2**64.
+    def test_fractional_seed_is_rejected_not_truncated(self):
+        message = r"^seed must be a nonnegative integer below 18446744073709551616, got 1.5$"
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec(sigma=0.1, seed=1.5)
+
+    def test_fractional_replicate_is_rejected_not_truncated(self):
+        spec = NoiseSpec(sigma=0.1, seed=1, n_replicates=2)
+        with pytest.raises(ValueError, match=r"^replicate must be a nonnegative integer below 2, got 1.7$"):
+            add_noise(base_profile(), spec, 1.7)
+
+    def test_seed_beyond_the_key_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer below 18446744073709551616, got"):
+            NoiseSpec(sigma=0.1, seed=2**64)
+
+    def test_replicate_cannot_spill_into_the_seed(self):
+        # Replicate 2**64 of seed 0 would draw the key of replicate 0 of seed 1.
+        with pytest.raises(ValueError, match=r"^n_replicates must be an integer in \[1, 18446744073709551616\], got"):
+            NoiseSpec(sigma=0.1, seed=0, n_replicates=2**64 + 1)
+
+    def test_largest_seed_and_replicate_draw(self):
+        spec = NoiseSpec(sigma=0.1, seed=2**64 - 1, n_replicates=2**64)
+        last = add_noise(base_profile(), spec, 2**64 - 1)
+        assert not np.array_equal(last.values, add_noise(base_profile(), spec, 0).values)
+
 
 class TestSweepOmega:
     def test_region_structure_coarse(self):

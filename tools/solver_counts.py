@@ -40,7 +40,12 @@ circuit curve, fit seed 1, cap 1000) with its spectrum replicated 1 to
 16 times in one run, against the mean active rows per pass.  The rows
 are independent, so every replication makes the same passes and only
 the rows per pass grow.  A pass whose fixed part dominates is bound by
-the interpreter's per-call cost, not by arithmetic.
+the interpreter's per-call cost, not by arithmetic.  The same line is
+also fitted to each round of timings alone, and the quartiles of its
+``fixed_us`` and ``row_us`` over the rounds (``fixed_q``, ``row_q``:
+first/median/third) are printed next to the pooled values: on a machine
+whose speed drifts, a change smaller than that spread is not resolved by
+one invocation.
 
 The functions are wrapped in this process only; nothing on disk changes.
 
@@ -182,11 +187,18 @@ def pass_cost(model: ModelKind, repeats: int) -> dict:
             samples.append(time.process_time() - start)
     seconds_per_pass = [statistics.median(samples) / counter.passes for samples in times]
     row_s, fixed_s = np.polyfit(rows_per_pass, seconds_per_pass, 1)
+    round_row_s, round_fixed_s = np.polyfit(rows_per_pass, np.array(times) / counter.passes, 1)
+
+    def quartiles(seconds, digits):
+        return "/".join(f"{q * 1e6:.{digits}f}" for q in np.percentile(seconds, (25, 50, 75)))
+
     return {
         "passes": counter.passes,
         "rows/pass": f"{rows_per_pass[0]:.1f}-{rows_per_pass[-1]:.1f}",
         "fixed_us": round(fixed_s * 1e6, 1),
+        "fixed_q": quartiles(round_fixed_s, 0),
         "row_us": round(row_s * 1e6, 2),
+        "row_q": quartiles(round_row_s, 2),
         "fixed_share@16": f"{fixed_s / (fixed_s + row_s * rows_per_pass[0]):.0%}",
     }
 
