@@ -83,13 +83,8 @@ __all__ = [
 _INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
-# A row that rejects lam and takes 10 lam next tries 10 lam / sqrt(10), the
-# log-midpoint of the two levels, not the lam it just rejected.
-_UPPER_DECREASE = math.sqrt(10.0)
-# A pass's two levels of each row, as factors of its damping, and the
-# divisor of the level a row takes, for its next damping.
+# A pass's two levels of each row, as factors of its damping.
 _LEVELS = np.array([[1.0], [10.0]])
-_DECREASE = np.array([[10.0], [_UPPER_DECREASE]])
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
 # active at once, so its workspace is at most 4.2 MiB on the default grid
@@ -150,7 +145,7 @@ class FitResult:
     n_points: int
     converged: bool
     n_starts_agreeing: int
-    iterations: int  # iterations the winning start ran
+    iterations: int  # trial passes the winning start made
     stop: str  # why the winning start stopped, one of STOP_REASONS
     # The winning EIT start's limit form if it ended with merged widths,
     # where ``params`` is the signed pair that stands for it; else None.
@@ -216,6 +211,7 @@ def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> np.n
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_seed("seed", seed)
     first_guess = _first_guess_ats if model is ModelKind.ATS else _first_guess_eit
     base = np.array(first_guess(data.deltas, data.values))
     seed_base = base.copy()
@@ -440,16 +436,15 @@ def _lm_run_batch(
     At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
     pending rows fill the free slots in row order, each with its start's
     profile and normal equations, and a row leaves its slot when it stops.
-    Every pass gives each active row one trial at two damping levels,
-    ``lam`` and ``10 lam``, all rows' levels profiled in one call; a row
-    takes the lower level whose SSR does not rise and starts its next
-    iteration on the next pass, at ``lam / 10`` if it took ``lam`` and at
-    ``10 lam / sqrt(10)``, the log-midpoint of the level it rejected and
-    the one it took, if it took ``10 lam``.  A row whose two levels both
-    rise tries ``100 lam`` on the next pass: an iteration climbs the x10
-    ladder two levels at a time, to the point one level at a time would
-    reach.  When every row fits in the pool,
-    the run makes as many trial passes as its slowest row would alone.
+    Every pass gives each active row one trial, one of its iterations, at
+    two damping levels, ``lam`` and ``10 lam``, all rows' levels profiled
+    in one call.  A row takes the lower level whose SSR does not rise, and
+    that level's gain ratio, the SSR drop achieved over the drop ``J^T J``
+    predicts, sets the row's next damping: 10 times the level below 1/4, a
+    tenth of it above 3/4, else the level itself (Madsen et al., 3.2).  A
+    row that rejects both levels tries ``100 lam`` next.  A row's damping
+    is its only schedule state, and when every row fits in the pool, the
+    run makes as many trial passes as its slowest row would alone.
     The accepted trial's profile holds the residual, basis and Lorentzians
     there, so the next normal equations are formed from it and no point is
     profiled or evaluated twice.  A pass's numpy calls do not grow with its
@@ -501,12 +496,12 @@ def _lm_run_batch(
     # The pool holds the active rows in row order, each row's state packed
     # in one row of ``state``: theta, then the SSR, damping and alpha that
     # an accepted trial hands on (its outcome), then the gradient, J^T J,
-    # gradient tolerance and odd part; and in ``book`` its index, spectrum,
-    # iterations and whether it is climbing (its last trial rejected both levels).
+    # gradient tolerance and odd part; and in ``book`` its index, spectrum
+    # and iterations.
     THETA, SSR, LAM, ALPHA = slice(0, 2), 2, 3, slice(4, 4 + p)
     OUTCOME, GRAD, JTJ, TOL, ODD = slice(0, 4 + p), slice(4 + p, 6 + p), slice(6 + p, 10 + p), 10 + p, 11 + p
-    ROW, SPECTRUM, ITERATIONS, CLIMBING = range(4)
-    state, book = np.empty((0, 12 + p)), np.empty((0, 4), dtype=int)
+    ROW, SPECTRUM, ITERATIONS = range(3)
+    state, book = np.empty((0, 12 + p)), np.empty((0, 3), dtype=int)
     finished = np.empty((n_rows, 4 + p))  # each row's outcome as it stopped
     iterations, stop = np.zeros(n_rows, dtype=int), np.full(n_rows, _CAP)
     admitted = 0  # rows [0, admitted) have entered a slot
@@ -540,22 +535,19 @@ def _lm_run_batch(
                 new, entering, grad, jtj = new[fine], entering[fine], grad[fine], jtj[fine]
             entering = np.column_stack((entering, grad, jtj.reshape(-1, 4), grad_tol[owner[new]], odd[owner[new]]))
             state = np.concatenate((state, entering))
-            book = np.concatenate((book, np.column_stack((new, owner[new], np.zeros((new.size, 2), dtype=int)))))
-        # A row that is not climbing starts an iteration: it is counted, and
-        # one that has used the cap stops there.
-        fresh = book[:, CLIMBING] == 0
-        capped = fresh & (book[:, ITERATIONS] == cfg.max_iterations)
+            book = np.concatenate((book, np.column_stack((new, owner[new], np.zeros(new.size, dtype=int)))))
+        # A row that has made max_iterations trials stops at the cap.
+        capped = book[:, ITERATIONS] == cfg.max_iterations
         if np.count_nonzero(capped):
-            fresh = fresh[leave(capped, _CAP)]
-        book[:, ITERATIONS] += fresh
-        # theta and grad do not change while a row climbs, so neither does
-        # anything below up to the trial; a climbing row passes the tests again.
+            leave(capped, _CAP)
+        # theta and grad do not change when a row rejects both levels, so neither
+        # does anything below up to the trial, and such a row passes the tests again.
         theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
         # At u = 0 with descent pointing to u < 0 the bound is active: u
         # leaves the step (a projected Newton step), so the other parameter
         # is still optimised, and only the free components count below.
         # Masking the stored gradient and J^T J is the same as masking a
-        # copy: a climbing row masks them again, and an accepted one replaces them.
+        # copy: a rejecting row masks them again, and an accepted one replaces them.
         bound = (theta[:, 1] == 0.0) & (g[:, 1] <= 0.0)
         if np.count_nonzero(bound):
             g[bound, 1] = h[bound, 1] = h[bound, 2] = 0.0
@@ -576,6 +568,7 @@ def _lm_run_batch(
         k = len(book)
         if k == 0:
             continue
+        book[:, ITERATIONS] += 1  # every row left makes this pass's trial
         # Flat directions (e.g. the width of a lobe whose amplitude is
         # zero) get a floor on J^T J's diagonal so the damped system stays solvable.
         floor = 1e-12 * np.maximum(np.maximum(h[:, 0], h[:, 3]), tiny)
@@ -621,9 +614,12 @@ def _lm_run_batch(
         levels = outcomes.reshape(3, k, 4 + p)
         ssr_trial = np.add(ssr_t.reshape(2, k), state[:, ODD], out=levels[:2, :, SSR])
         levels[:2, :, ALPHA] = alpha_t.reshape(2, k, p)
-        # A row that takes lam next tries lam / 10, one that takes 10 lam
-        # 10 lam / sqrt(10); one that rejects both tries 100 lam.
-        np.maximum(np.divide(lam_trial, _DECREASE, out=levels[:2, :, LAM]), _DAMPING_MIN, out=levels[:2, :, LAM])
+        # Each level's gain ratio sets its next damping; J^T J predicts an SSR
+        # drop of h.(g + lam D h), since (J^T J + lam D) h = g.
+        predicted = np.einsum("lsi,lsi->ls", step, diag * step * lam_trial[:, :, None] + g)
+        rho = (state[:, SSR] - ssr_trial) / predicted
+        factor = np.where(rho < 0.25, 10.0, np.where(rho > 0.75, 0.1, 1.0))
+        np.clip(np.multiply(lam_trial, factor, out=factor), _DAMPING_MIN, _DAMPING_MAX, out=levels[:2, :, LAM])
         levels[2] = state[:, OUTCOME]
         np.multiply(lam_trial[1], 10.0, out=levels[2, :, LAM])
         # A row takes its lower level whose SSR does not rise, else rejects
@@ -654,7 +650,6 @@ def _lm_run_batch(
         along = eit and (theta[:, 1] == 0.0) & (chosen[:, 1] == 0.0) & go
         secant = (along, theta[:, 0].copy(), g[:, 0].copy()) if eit and np.count_nonzero(along) else None
         state[:, OUTCOME] = chosen
-        book[:, CLIMBING] = ~took
         n_go = np.count_nonzero(go)
         if n_go:
             at = slice(None) if n_go == k else go

@@ -190,9 +190,9 @@ FROZEN_PROBLEMS = {
     "circuit_ats": (ModelKind.ATS, None, None, 0, 1000),
     # Criterion-5 replicate: the doublet fit ends on its bound u = 0.
     "offset_bound_ats": (ModelKind.ATS, 0.0, 42, 41, 300),
-    # The winner and 6 other starts stop at the cap.
-    "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 80),
-    # Start 7 ends on the bound u = 0 at widths near 1.8e4 and climbs to
+    # Every start, the winner (start 11) included, stops at the cap.
+    "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 20),
+    # Start 7 ends on the bound u = 0 at widths near 8.9e3 and climbs to
     # the damping ceiling there.
     "damping_eit": (ModelKind.EIT, 1.44, None, 0, 300),
     "unmirrored_eit": (ModelKind.EIT, SHIFTED, None, 0, 1000),
@@ -247,7 +247,7 @@ class TestFrozenRows:
 
     def test_frozen_problems_stop_as_described(self):
         stops = {name: [row["stop"] for row in FROZEN_ROWS[name]] for name in FROZEN_PROBLEMS}
-        assert stops["capped_eit"].count("cap") == 7
+        assert stops["capped_eit"].count("cap") == 16
         assert min(FROZEN_ROWS["capped_eit"], key=lambda row: float.fromhex(row["ssr"]))["stop"] == "cap"
         assert stops["damping_eit"][7] == "damping"
         best = min(FROZEN_ROWS["offset_bound_ats"], key=lambda row: float.fromhex(row["ssr"]))
@@ -259,7 +259,7 @@ class TestScheduling:
         """Start 7 of the frozen damping problem climbs to the damping ceiling.
 
         A pass gives every active row one trial, so a row that accepts
-        never waits while another climbs: the batch profiles 59 times, as
+        never waits while another climbs: the batch profiles 53 times, as
         start 7 does alone.  A nested loop that ran each iteration's damping
         ladder until every row had accepted or died would wait for the
         climbing rows of every iteration.
@@ -280,7 +280,25 @@ class TestScheduling:
 
         batch = passes(x0)
         alone = [passes(x0[i : i + 1]) for i in range(x0.shape[0])]
-        assert batch == max(alone) == alone[7] == 59
+        assert batch == max(alone) == alone[7] == 53
+
+    def test_every_trial_pass_is_an_iteration(self, monkeypatch):
+        """Start 7 of the frozen damping problem ends with a run of passes
+        that reject both levels.  Those trials count as iterations too, so a
+        start's iterations are its trials, and the cap bounds them."""
+        model, data, x0, cfg = frozen_problem("damping_eit")
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _damped_step(*args)
+
+        monkeypatch.setattr(fitter, "_damped_step", counted)
+        for cap, reason in ((20, "cap"), (cfg.max_iterations, "damping")):
+            calls.clear()
+            *_, iterations, stop = _lm_run_batch(model, x0[7:8], data.deltas, data.values[None], FitConfig(cap))
+            assert STOP_REASONS[stop[0]] == reason
+            assert iterations[0] == len(calls) <= cap
 
 
 # The EIT fit on the circuit curve and its noisy fixture walks the flat
@@ -292,28 +310,46 @@ VALLEY_DATA = {
 
 
 class TestDampingSchedule:
-    def test_a_row_that_takes_the_upper_level_next_tries_its_log_midpoint(self, monkeypatch):
-        """From one pass to the next a row's lower level moves by 1/10 (it
-        took the lower level), sqrt(10) (it rejected the lower level and
-        took 10 lam: the log-midpoint of the two) or 100 (it rejected both),
-        unless the floor clamps it.  On the valley the lower level is often
-        rejected, so sqrt(10) occurs."""
-        model, data, x0, cfg = frozen_problem("circuit_eit")
-        levels = []
+    def test_a_row_s_next_damping_follows_the_gain_ratio_of_the_level_it_took(self, monkeypatch):
+        """From one pass to the next a row's lower level moves to 10, 1 or
+        1/10 times the level it took, as that level's gain ratio (the SSR
+        drop achieved over the drop J^T J predicts) is below 1/4, up to 3/4
+        or above, unless a bound on the damping clamps it; after rejecting
+        both levels it moves to 100 times its lower level.  The capped
+        problem's winning start makes all four moves."""
+        model, data, x0, cfg = frozen_problem("capped_eit")
+        odd = fitter._fold(data.deltas, data.values[None])[3][0]
+        systems, ssr = [], []
 
-        def recorded(jtj, diag, grad, lam):
-            levels.append(lam[:, 0].copy())  # the one row's two levels
-            return _damped_step(jtj, diag, grad, lam)
+        def recorded_step(jtj, diag, grad, lam):
+            step = _damped_step(jtj, diag, grad, lam)
+            systems.append((diag[0].copy(), grad[0].copy(), lam[:, 0].copy(), step[:, 0].copy()))  # the one row's
+            return step
 
-        monkeypatch.setattr(fitter, "_damped_step", recorded)
-        _lm_run_batch(model, x0[:1], data.deltas, data.values[None], cfg)
-        lower, upper = np.array(levels).T
-        assert np.array_equal(upper, 10.0 * lower)
-        ratios = lower[1:] / lower[:-1]
-        allowed = np.array([0.1, np.sqrt(10.0), 100.0])
-        near = np.isclose(ratios[:, None], allowed, rtol=1e-12, atol=0.0)
-        assert np.all(near.any(axis=1) | (lower[1:] == fitter._DAMPING_MIN)), ratios
-        assert near[:, 1].any()
+        def recorded_profile(*args, **kwargs):
+            out = _profile(*args, **kwargs)
+            ssr.append(out[1] + odd)  # the admitted start's SSR, then its two trials'
+            return out
+
+        monkeypatch.setattr(fitter, "_damped_step", recorded_step)
+        monkeypatch.setattr(fitter, "_profile", recorded_profile)
+        _lm_run_batch(model, x0[11:12], data.deltas, data.values[None], cfg)
+        current, factors = ssr[0][0], set()
+        for (diag, grad, lam, step), trial, following in zip(systems, ssr[1:], systems[1:]):
+            assert lam[1] == 10.0 * lam[0]
+            taken = trial <= current
+            if taken.any():
+                level = int(taken.argmax())
+                h = step[level]
+                gain = (current - trial[level]) / (h @ grad + lam[level] * h @ (diag * h))
+                factor = 10.0 if gain < 0.25 else 0.1 if gain > 0.75 else 1.0
+                want = np.clip(factor * lam[level], fitter._DAMPING_MIN, fitter._DAMPING_MAX)
+                current = trial[level]
+            else:
+                factor, want = 100.0, 100.0 * lam[0]
+            factors.add(factor)
+            assert following[2][0] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert factors == {10.0, 1.0, 0.1, 100.0}
 
     @pytest.mark.parametrize("name", VALLEY_DATA)
     def test_every_valley_start_ends_on_the_diagonal_by_tolerance_within_20_iterations(self, name):
@@ -855,6 +891,13 @@ class TestErrors:
         message = r"^seed must be a nonnegative integer below 18446744073709551616, got 1.5$"
         with pytest.raises(ValueError, match=message):
             FitConfig(seed=1.5)
+
+    @pytest.mark.parametrize("seed", [1.5, 2**70], ids=["fractional", "past_the_noise_key"])
+    def test_a_starts_seed_outside_the_fit_seed_domain_is_rejected_by_name(self, seed):
+        # Before, 1.5 failed inside numpy with a TypeError and 2**70 drew starts.
+        message = rf"^seed must be a nonnegative integer below 18446744073709551616, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            initial_guesses(ModelKind.ATS, ats_spectrum(), 4, seed)
 
     def test_solver_entry_checks(self):
         data = ats_spectrum()

@@ -28,32 +28,39 @@ ATS rows (``it_max_eit``, ``it_max_ats``: on a shape whose rows all fit in
 the solver's pool, that row sets the number of passes of its model's run);
 and then the minor page faults and system seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
-repeat exactly from run to run; the faults show how much of a pass goes
-to the allocator handing memory back to the kernel and faulting it in
-again, which wall time on a shared machine cannot resolve.
+repeat exactly from run to run and on any machine; the faults show how
+much of a pass goes to the allocator handing memory back to the kernel
+and faulting it in again, which wall time on a shared machine cannot
+resolve.
+
+With ``--json`` it writes the counts of all five shapes, without the
+faults and system time, to ``COUNTS.json`` at the checkout root: the
+checked-in record of the solver's work, which
+``tests/test_solver_counts.py`` recomputes for the three benchmark
+shapes.  A change that moves the solver's paths rewrites it and states
+the difference.
 
 With ``--pass-cost`` it prints instead, for each model, what one solver
 pass costs: a fixed part (``fixed_us``) and a part per active row
-(``row_us``).  They are the intercept and slope of a least-squares line
-through the median ``process_time`` per pass of one 16-start problem (the
+(``row_us``).  Each round of timings runs one 16-start problem (the
 circuit curve, fit seed 1, cap 1000) with its spectrum replicated 1 to
-16 times in one run, against the mean active rows per pass.  The rows
-are independent, so every replication makes the same passes and only
-the rows per pass grow.  A pass whose fixed part dominates is bound by
-the interpreter's per-call cost, not by arithmetic.  The same line is
-also fitted to each round of timings alone, and the quartiles of its
-``fixed_us`` and ``row_us`` over the rounds (``fixed_q``, ``row_q``:
-first/median/third) are printed next to the pooled values: on a machine
-whose speed drifts, a change smaller than that spread is not resolved by
-one invocation.
+16 times in one run, and a least-squares line through its
+``process_time`` per pass against the mean active rows per pass gives
+that round's intercept and slope.  The rows are independent, so every
+replication makes the same passes and only the rows per pass grow.
+``fixed_us`` and ``row_us`` are the medians of those per-round fits, and
+``fixed_q`` and ``row_q`` their quartiles (first/median/third): on a
+machine whose speed drifts, a change smaller than that spread is not
+resolved by one invocation.  A pass whose fixed part dominates is bound
+by the interpreter's per-call cost, not by arithmetic.
 
-The functions are wrapped in this process only; nothing on disk changes.
+The functions are wrapped in this process only; only ``--json`` writes a file.
 
-Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost]
+Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost | --json]
 """
 import argparse
+import json
 import resource
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -72,6 +79,7 @@ from eitats.simulation import NoiseSpec, sweep_omega  # noqa: E402
 
 SEED = 1
 FIXTURE = ROOT / "tests" / "data" / "circuit_noisy.csv"
+COUNTS = ROOT / "COUNTS.json"
 
 
 def verdict():
@@ -135,13 +143,14 @@ class Counter:
         fitter._damped_step, fitter._profile, fitter._lm_run_batch = self._step, self._profile, self._run
 
 
-def measure(shape, repeats: int) -> dict:
+def _mean(iterations):
+    return round(float(np.mean(iterations)), 1) if iterations else None
+
+
+def count(shape) -> dict:
+    """The solver's work on one pass of ``shape``; it repeats exactly on any machine."""
     with Counter() as counter:
         shape()
-    before = resource.getrusage(resource.RUSAGE_SELF)
-    for _ in range(repeats):
-        shape()
-    after = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "passes": counter.passes,
         "passes_eit": counter.passes_by_model["eit"],
@@ -153,10 +162,22 @@ def measure(shape, repeats: int) -> dict:
         "iterations": counter.iterations,
         "eit_rows": sum(len(v) for v in counter.eit_iterations.values()),
         "eit_on_bound": len(counter.eit_iterations[True]),
-        "it_on_bound": round(float(np.mean(counter.eit_iterations[True] or [np.nan])), 1),
-        "it_rest": round(float(np.mean(counter.eit_iterations[False] or [np.nan])), 1),
+        "it_on_bound": _mean(counter.eit_iterations[True]),
+        "it_rest": _mean(counter.eit_iterations[False]),
         "it_max_eit": max(counter.eit_iterations[True] + counter.eit_iterations[False], default=0),
         "it_max_ats": counter.it_max_ats,
+    }
+
+
+def measure(shape, repeats: int) -> dict:
+    """:func:`count`, then the page faults and system time of ``repeats`` more passes."""
+    counts = count(shape)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    for _ in range(repeats):
+        shape()
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        **counts,
         "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
         "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
     }
@@ -185,9 +206,8 @@ def pass_cost(model: ModelKind, repeats: int) -> dict:
             start = time.process_time()
             fitter._lm_run_batch(*args)
             samples.append(time.process_time() - start)
-    seconds_per_pass = [statistics.median(samples) / counter.passes for samples in times]
-    row_s, fixed_s = np.polyfit(rows_per_pass, seconds_per_pass, 1)
     round_row_s, round_fixed_s = np.polyfit(rows_per_pass, np.array(times) / counter.passes, 1)
+    row_s, fixed_s = np.median(round_row_s), np.median(round_fixed_s)
 
     def quartiles(seconds, digits):
         return "/".join(f"{q * 1e6:.{digits}f}" for q in np.percentile(seconds, (25, 50, 75)))
@@ -207,10 +227,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timed passes after the warm-up (default 3)")
     parser.add_argument("--only", choices=SHAPES, action="append", help="run only this shape (repeatable)")
-    parser.add_argument("--pass-cost", action="store_true", help="print each model's fixed and per-row cost of a pass")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--pass-cost", action="store_true", help="print each model's fixed and per-row cost of a pass")
+    mode.add_argument("--json", action="store_true", help=f"write every shape's counts to {COUNTS.name}")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if args.json:
+        COUNTS.write_text(json.dumps({name: count(shape) for name, shape in SHAPES.items()}, indent=1) + "\n")
+        print(f"wrote {COUNTS}")
+        return
     if args.pass_cost:
         costs = {model.value: pass_cost(model, max(args.repeats, 5)) for model in ModelKind}
         names = list(next(iter(costs.values())))
@@ -240,7 +266,7 @@ def main() -> None:
     print(f"{'shape':<14}", *(f"{c:>13}" for c in columns))
     for name in names:
         m = measure(SHAPES[name], args.repeats)
-        print(f"{name:<14}", *(f"{v:>13}" for v in m.values()))
+        print(f"{name:<14}", *(f"{'nan' if v is None else v:>13}" for v in m.values()))
 
 
 if __name__ == "__main__":
