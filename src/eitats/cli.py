@@ -191,8 +191,9 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         )
     want = len(cols)
 
-    # Parse up to the first line that is not a row of numbers, then check the
-    # parsed cells at once: a bad cell before that line is the first offence.
+    # Parse up to the first line of the wrong width or with a cell that does
+    # not convert (found row by row only if the bulk conversion fails), then
+    # check the parsed cells at once: a bad cell before that line is the first offence.
     rows, linenos, problem = [], [], None
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -200,13 +201,19 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         if len(row) != want:
             problem = f"expected {want} columns, got {len(row)}"
             break
-        try:
-            rows.append(list(map(float, row)))
-        except ValueError as exc:
-            problem = exc
-            break
+        rows.append(row)
         linenos.append(lineno)
-    table = np.array(rows).reshape(len(rows), want)
+    try:
+        cells = [float(cell) for row in rows for cell in row]
+    except ValueError:
+        cells = []
+        for row, lineno in zip(rows, linenos):
+            try:
+                cells += [float(cell) for cell in row]
+            except ValueError as exc:
+                problem = exc
+                break
+    table = np.array(cells).reshape(-1, want)
     infinite = ~np.isfinite(table)
     bad = infinite | ((np.arange(want) == 2) & (table < 0))  # the sigma column
     if bad.any():
@@ -216,8 +223,8 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
     if problem is not None:
         cause = problem if isinstance(problem, ValueError) else None
         raise SpectrumParseError(f"{path}: line {lineno}: {problem}") from cause
-    if len(rows) < 5:
-        raise SpectrumParseError(f"{path}: need at least 5 data rows, got {len(rows)}")
+    if len(table) < 5:
+        raise SpectrumParseError(f"{path}: need at least 5 data rows, got {len(table)}")
     deltas, values, *sigmas = table[np.argsort(table[:, 0], kind="stable")].T.copy()
     if np.any(np.diff(deltas) == 0):
         dup = float(deltas[np.argmax(np.diff(deltas) == 0)])

@@ -62,6 +62,8 @@ from .models import (
     ModelKind,
     _columns,
     _derivatives,
+    _Grid,
+    _grid,
     _join,
     canonicalize,
 )
@@ -85,6 +87,9 @@ _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 # A pass's two levels of each row, as factors of its damping.
 _LEVELS = np.array([[1.0], [10.0]])
+# A taken level's next damping, as factors of it, by its gain ratio: below
+# 1/4, from 1/4 up to 3/4, above 3/4 (the bounds for searchsorted).
+_GAIN_BOUNDS, _GAIN_FACTORS = np.array([0.25, np.nextafter(0.75, 1.0)]), np.array([10.0, 1.0, 0.1])
 _RELATIVE_TOLERANCE = 1e-12
 # Slots in _lm_run_batch's row pool: the most rows (starts x spectra)
 # active at once, so its workspace is at most 4.2 MiB on the default grid
@@ -128,6 +133,9 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_iterations", "n_starts"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if self.n_starts < 1:
@@ -260,7 +268,7 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
 _COLLINEAR_SIN = 1e-8
 
 
-def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndarray, empty=np.empty, weight=1.0):
+def _profile(model: ModelKind, theta: np.ndarray, grid: _Grid, y: np.ndarray, empty=np.empty):
     """Profile the column coefficients out at the nonlinear parameters ``theta`` (s, 2).
 
     Each row's ``alpha`` minimises ``|y - Phi alpha|`` over the curves the
@@ -270,8 +278,8 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     (see :func:`~eitats.models._columns`), and ``alone`` (s,) +1
     or -1 where a row with ``u > 0`` is fitted by ``L1`` or ``L2`` alone,
     else 0; with ``resid`` they are what :func:`_normal_equations` needs.
-    Arrays of s rows come from ``empty``.  ``Phi`` is weighted by
-    ``weight``, and so must ``y`` be.
+    Arrays of s rows come from ``empty``.  ``Phi`` is weighted by the
+    grid's weight, and so must ``y`` be.
 
     The doublet's squared amplitude is the nonnegative one-column solve.
     The pair's columns ``L1 + L2`` and ``L1 L2`` stay apart as the
@@ -286,8 +294,8 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
     ``L2`` alone, with either sign, and the other's coefficient in
     :func:`~eitats.models._lobes` is exactly 0.
     """
-    s, n = theta.shape[0], deltas.size
-    cols = _columns(model, theta, deltas, empty=empty, weight=weight)
+    s, n = theta.shape[0], grid.deltas.size
+    cols = _columns(model, theta, grid, empty=empty)
     p = 2 if model is ModelKind.EIT else 1
     q = cols[:, :p]  # the columns, made the basis here; the derivatives read only the Lorentzians
     resid = empty((s, n))  # scratch until it holds the residual
@@ -318,12 +326,12 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
             pick = (np.arange(second.size), second.astype(int))
             q[lone, 0] = lor[pick] / lor_norm[pick][:, None]
             q[lone, 1] = 0.0
-            z[lone] = np.column_stack((lor_z[pick], np.zeros(second.size)))
+            z[lone, 0], z[lone, 1] = lor_z[pick], 0.0
             # p L1 = (p/2) (L1 + L2) - 4 g x (p/2) L1 L2, and L2 alike with +4 g x.
             sign, half, x = np.where(second, 1.0, -1.0), lor_z[pick] / lor_norm[pick] / 2.0, np.sqrt(theta[lone, 1])
             alpha_1 = sign * (4.0 * theta[lone, 0] * x) * half
             alpha_0 = sign * np.divide(alpha_1, 4.0 * theta[lone, 0] * x, out=sign * half, where=x > 0.0)
-            alpha[lone] = np.column_stack((alpha_0, alpha_1))
+            alpha[lone, 0], alpha[lone, 1] = alpha_0, alpha_1
             alone[lone] = np.where(x > 0.0, -sign, 0.0)
     np.subtract(y, np.einsum("sp,spn->sn", z, q, out=resid), out=resid)
     ssr = np.einsum("sn,sn->s", resid, resid)
@@ -333,7 +341,7 @@ def _profile(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, y: np.ndar
 
 
 def _normal_equations(
-    model: ModelKind, theta: np.ndarray, deltas, alpha, resid, cols, alone, empty, weight=1.0
+    model: ModelKind, theta: np.ndarray, grid: _Grid, alpha, resid, cols, alone, empty
 ) -> tuple[np.ndarray, np.ndarray]:
     """``J^T r`` (s, 2) and ``J^T J`` (s, 2, 2) at a point :func:`_profile` returned.
 
@@ -352,12 +360,12 @@ def _normal_equations(
     if lone.size:
         side, x = alone[lone], np.sqrt(theta[lone, 1])
         lobe = lor[lone, (side < 0.0).astype(int)]
-        lobe_g = (-4.0 * alpha[lone, 0] * (theta[lone, 0] + side * x))[:, None] * lobe * lobe / weight
-    jac = _derivatives(model, theta, deltas, lor, alpha, empty=empty, weight=weight)
+        lobe_g = (-4.0 * alpha[lone, 0] * (theta[lone, 0] + side * x))[:, None] * lobe * lobe / grid.weight
+    jac = _derivatives(model, theta, grid, lor, alpha, empty=empty)
     if lone.size:
         jac[lone, 0] = lobe_g
         jac[lone, 1] = lobe_g / (2.0 * side * x)[:, None]
-    along_q = empty((theta.shape[0], deltas.size, 2))
+    along_q = empty((theta.shape[0], grid.deltas.size, 2))
     jac -= np.matmul(q.transpose(0, 2, 1), q @ jac.transpose(0, 2, 1), out=along_q).transpose(0, 2, 1)
     return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
 
@@ -390,12 +398,13 @@ class _Workspace:
         self._top = 0
 
 
-def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[_Grid, np.ndarray, np.ndarray]:
     """Fold the detuning axis onto ``|delta|``, where both models are evaluated.
 
-    Returns the distinct values of ``|delta|`` in the order they first
-    occur on the grid, the square root ``sqrt(w)`` of each one's
-    multiplicity, every spectrum of ``values`` (m, n) as ``sqrt(w)`` times
+    Returns the folded grid (a :class:`~eitats.models._Grid`): the
+    distinct values of ``|delta|`` in the order they first occur on the
+    grid, weighted by the square root ``sqrt(w)`` of each one's
+    multiplicity; then every spectrum of ``values`` (m, n) as ``sqrt(w)`` times
     its mean over the samples that share a value (m, n_folded), and each
     spectrum's squared distance to those means (m,), its part odd in the
     detuning.  Any even model's SSR on the full grid is that distance plus
@@ -412,7 +421,7 @@ def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     np.add.at(total, (slice(None), inverse), values)
     odd = values - (total / count)[:, inverse]
     weight = np.sqrt(count)
-    return a[keep], weight, total / weight, np.einsum("mn,mn->m", odd, odd)
+    return _grid(a[keep], weight), total / weight, np.einsum("mn,mn->m", odd, odd)
 
 
 # Overflow far out or near the float limit gives non-finite values, which
@@ -489,8 +498,8 @@ def _lm_run_batch(
     grad_tol = 1e-12 * np.square(scale)
     eit = model is ModelKind.EIT
     p = 2 if eit else 1
-    deltas, weight, values, odd = _fold(deltas, values)
-    n = deltas.size
+    grid, values, odd = _fold(deltas, values)
+    n = grid.deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
     ws = _Workspace(_WORKSPACE_PER_ROW[model] * slots * n)
     # The pool holds the active rows in row order, each row's state packed
@@ -519,27 +528,30 @@ def _lm_run_batch(
         # Pending rows fill the free slots, in row order.
         if admitted < n_rows and len(book) < slots:
             new = np.arange(admitted, min(n_rows, admitted + slots - len(book)))
-            admitted += new.size
+            admitted, spectra = admitted + new.size, owner[new]
             ws.rewind()
             # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
-            y = values.take(owner[new], axis=0, out=ws.empty((new.size, n)), mode="clip")
+            y = values.take(spectra, axis=0, out=ws.empty((new.size, n)), mode="clip")
             start = theta0[new].astype(float)
-            alpha, ssr_new, resid, cols, alone = _profile(model, start, deltas, y, ws.empty, weight)
-            ssr_new += odd[owner[new]]
-            grad, jtj = _normal_equations(model, start, deltas, alpha, resid, cols, alone, ws.empty, weight)
+            alpha, ssr_new, resid, cols, alone = _profile(model, start, grid, y, ws.empty)
+            ssr_new += odd[spectra]
+            grad, jtj = _normal_equations(model, start, grid, alpha, resid, cols, alone, ws.empty)
+            entering, entered = np.empty((new.size, state.shape[1])), np.zeros((new.size, 3), dtype=int)
+            entering[:, THETA], entering[:, SSR], entering[:, LAM] = start, ssr_new, _INITIAL_DAMPING
+            entering[:, ALPHA], entering[:, GRAD], entering[:, JTJ] = alpha, grad, jtj.reshape(-1, 4)
+            entering[:, TOL], entering[:, ODD] = grad_tol[spectra], odd[spectra]
+            entered[:, ROW], entered[:, SPECTRUM] = new, spectra
             fine = np.isfinite(ssr_new)
-            lam = np.full(new.size, _INITIAL_DAMPING)
-            entering = np.column_stack((start, np.where(fine, ssr_new, np.inf), lam, alpha))
             if not fine.all():  # a start whose SSR is not finite stops there
-                finished[new[~fine]], stop[new[~fine]] = entering[~fine], _NON_FINITE
-                new, entering, grad, jtj = new[fine], entering[fine], grad[fine], jtj[fine]
-            entering = np.column_stack((entering, grad, jtj.reshape(-1, 4), grad_tol[owner[new]], odd[owner[new]]))
-            state = np.concatenate((state, entering))
-            book = np.concatenate((book, np.column_stack((new, owner[new], np.zeros(new.size, dtype=int)))))
-        # A row that has made max_iterations trials stops at the cap.
-        capped = book[:, ITERATIONS] == cfg.max_iterations
-        if np.count_nonzero(capped):
-            leave(capped, _CAP)
+                entering[~fine, SSR] = np.inf
+                finished[new[~fine]], stop[new[~fine]] = entering[~fine, OUTCOME], _NON_FINITE
+                entering, entered = entering[fine], entered[fine]
+            state, book = np.concatenate((state, entering)), np.concatenate((book, entered))
+        # A row that has made max_iterations trials stops at the cap.  Rows
+        # enter in row order and each active row makes one trial a pass, so
+        # the first row has made the most.
+        if len(book) and book[0, ITERATIONS] == cfg.max_iterations:
+            leave(book[:, ITERATIONS] == cfg.max_iterations, _CAP)
         # theta and grad do not change when a row rejects both levels, so neither
         # does anything below up to the trial, and such a row passes the tests again.
         theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
@@ -607,10 +619,11 @@ def _lm_run_batch(
             mean, half = np.abs(trial[:, 0], out=trial[:, 0]), np.sqrt(trial[:, 1])
             mirror = mean < half
             if np.count_nonzero(mirror):
-                trial[mirror] = np.column_stack((half, mean * mean))[mirror]
+                swapped = mean[mirror]
+                trial[mirror, 0], trial[mirror, 1] = half[mirror], swapped * swapped
         ws.rewind()
         y = values.take(np.concatenate((book[:, SPECTRUM],) * 2), axis=0, out=ws.empty((2 * k, n)), mode="clip")
-        alpha_t, ssr_t, resid_t, cols_t, alone_t = _profile(model, trial, deltas, y, ws.empty, weight)
+        alpha_t, ssr_t, resid_t, cols_t, alone_t = _profile(model, trial, grid, y, ws.empty)
         levels = outcomes.reshape(3, k, 4 + p)
         ssr_trial = np.add(ssr_t.reshape(2, k), state[:, ODD], out=levels[:2, :, SSR])
         levels[:2, :, ALPHA] = alpha_t.reshape(2, k, p)
@@ -618,8 +631,11 @@ def _lm_run_batch(
         # drop of h.(g + lam D h), since (J^T J + lam D) h = g.
         predicted = np.einsum("lsi,lsi->ls", step, diag * step * lam_trial[:, :, None] + g)
         rho = (state[:, SSR] - ssr_trial) / predicted
-        factor = np.where(rho < 0.25, 10.0, np.where(rho > 0.75, 0.1, 1.0))
-        np.clip(np.multiply(lam_trial, factor, out=factor), _DAMPING_MIN, _DAMPING_MAX, out=levels[:2, :, LAM])
+        # searchsorted puts a NaN ratio last; it is 0/0 where a taken level
+        # left the SSR as it was, and that row stops by the tolerance.
+        factor = _GAIN_FACTORS.take(_GAIN_BOUNDS.searchsorted(rho, side="right"))
+        np.maximum(np.multiply(lam_trial, factor, out=factor), _DAMPING_MIN, out=factor)
+        np.minimum(factor, _DAMPING_MAX, out=levels[:2, :, LAM])
         levels[2] = state[:, OUTCOME]
         np.multiply(lam_trial[1], 10.0, out=levels[2, :, LAM])
         # A row takes its lower level whose SSR does not rise, else rejects
@@ -632,7 +648,7 @@ def _lm_run_batch(
         np.less_equal(ssr_trial, ceiling, out=ok[:2])
         if final:
             ok[:2] &= np.isfinite(ssr_trial)
-        if lam_trial[1].max() > _DAMPING_MAX:
+        if np.count_nonzero(lam_trial[1] > _DAMPING_MAX):
             ok[1] &= lam_trial[1] <= _DAMPING_MAX  # a row stops before trying a level past the ceiling
         taken = ok.argmax(axis=0)
         j = taken * k + positions[:k]  # each row's outcome
@@ -659,8 +675,8 @@ def _lm_run_batch(
             resid_j = resid_t.take(j, axis=0, out=ws.empty((j.size, n)), mode="clip")
             block = ws.empty((cols_t.shape[1], j.size, n))
             cols_j = cols_t.transpose(1, 0, 2).take(j, axis=1, out=block, mode="clip").transpose(1, 0, 2)
-            equations = (state[at, THETA], deltas, state[at, ALPHA], resid_j, cols_j, alone_t[j])
-            grad, jtj = _normal_equations(model, *equations, ws.empty, weight)
+            equations = (state[at, THETA], grid, state[at, ALPHA], resid_j, cols_j, alone_t[j])
+            grad, jtj = _normal_equations(model, *equations, ws.empty)
             state[at, GRAD], state[at, JTJ] = grad, jtj.reshape(-1, 4)
             if secant is not None:
                 along, width, slope = secant

@@ -135,13 +135,37 @@ def canonicalize(model: ModelKind, x) -> EitParams | AtsParams:
     return cls(*(float(v) for v in x))
 
 
-def _lorentzians(widths: np.ndarray, deltas: np.ndarray, out: np.ndarray, weight=1.0) -> np.ndarray:
+class _Grid(NamedTuple):
+    """A detuning grid as the kernels read it: points, a weight per point, and factors that depend on them alone.
+
+    ``weight`` is a scalar or one factor per point (the fitter's square-root
+    multiplicities); it enters the Lorentzians' numerators, so a weight of 1
+    changes no bit.  :func:`_grid` forms the factors once per grid.
+    """
+
+    deltas: np.ndarray
+    weight: np.ndarray | float
+    d2: np.ndarray  # deltas**2
+    a: np.ndarray  # |deltas|
+    eit_w: np.ndarray | float  # -2 / weight**3: EIT's W, P**2 having carried the weight four times
+    ats_du: np.ndarray  # 4 |deltas| / weight**2, the ATS offset derivative's factor
+    ats_lp: np.ndarray | float  # 2 / weight, its lp**2 term's
+
+
+def _grid(deltas: np.ndarray, weight=1.0) -> _Grid:
+    """The :class:`_Grid` of points ``deltas`` (n,) with weight ``weight``."""
+    a = np.abs(deltas)
+    w2 = weight * weight
+    return _Grid(deltas, weight, deltas * deltas, a, -2.0 / (w2 * weight), 4.0 * a / w2, 2.0 / weight)
+
+
+def _lorentzians(widths: np.ndarray, grid: _Grid, out: np.ndarray) -> np.ndarray:
     """``weight / (w**2 + d**2)`` for widths (2, s, 1), into ``out`` (2, s, n)."""
-    np.add(widths * widths, deltas * deltas, out=out)
-    return np.divide(weight, out, out=out)
+    np.add(widths * widths, grid.d2, out=out)
+    return np.divide(grid.weight, out, out=out)
 
 
-def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.empty, weight=1.0) -> np.ndarray:
+def _columns(model: ModelKind, theta: np.ndarray, grid: _Grid, empty=np.empty) -> np.ndarray:
     """Model columns at the nonlinear parameters ``theta`` of shape (s, 2), then the two Lorentzians behind them.
 
     Both models take ``theta = (g, u)`` with ``u >= 0``, and ``L_w(d) =
@@ -155,9 +179,7 @@ def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.e
     two Lorentzians ``L_g(|d| - d0)`` and ``L_g(|d| + d0)``.
     :func:`_derivatives` forms the derivatives from the two Lorentzians
     alone.  Returns shape (s, c, n), the model's columns first; all are
-    multiplied by ``weight``, a scalar or one factor per detuning (the
-    fitter's square-root multiplicities).  It enters the Lorentzians'
-    numerators, so a weight of 1 changes no bit.
+    multiplied by the grid's weight.
 
     The result is stored column by column, as one (c, s, n) block from
     ``empty(shape)`` seen through a transpose, so that ``cols[:, j]`` is a
@@ -165,7 +187,7 @@ def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.e
     column several times slower.  A caller that passes reused buffers
     allocates nothing here.
     """
-    s, n = theta.shape[0], deltas.size
+    s, n = theta.shape[0], grid.deltas.size
     g = theta[:, 0:1]
     if model is ModelKind.EIT:
         x = np.sqrt(theta[:, 1:2])
@@ -174,31 +196,30 @@ def _columns(model: ModelKind, theta: np.ndarray, deltas: np.ndarray, empty=np.e
         widths = np.empty((2, s, 1))
         np.add(g, x, out=widths[0])
         np.subtract(g, x, out=widths[1])
-        _lorentzians(widths, deltas, cols[2:], weight)
+        _lorentzians(widths, grid, cols[2:])
         np.add(l1, l2, out=phi0)
         np.multiply(l1, l2, out=phi1)
-        phi1 /= weight  # the product of two Lorentzians carries the weight twice
+        phi1 /= grid.weight  # the product of two Lorentzians carries the weight twice
         return cols.transpose(1, 0, 2)
     # The doublet is even in the detuning, so |d| is used: then d0 >= 0
     # makes L(|d| + d0) the smaller Lorentzian, and the offset derivative
     # has no cancellation at either peak (d = +-d0).
-    a = np.abs(deltas)
     gg = g * g
     d0 = np.sqrt(theta[:, 1:2])
     cols = empty((3, s, n))
     phi, lm, lp = cols
-    np.subtract(a, d0, out=lm)
-    np.add(a, d0, out=lp)
+    np.subtract(grid.a, d0, out=lm)
+    np.add(grid.a, d0, out=lp)
     for lor in (lm, lp):  # weight / (g**2 + (|d| -+ d0)**2)
         np.square(lor, out=lor)
         np.add(gg, lor, out=lor)
-        np.divide(weight, lor, out=lor)
+        np.divide(grid.weight, lor, out=lor)
     np.add(lm, lp, out=phi)
     return cols.transpose(1, 0, 2)
 
 
 def _derivatives(
-    model: ModelKind, theta: np.ndarray, deltas: np.ndarray, lor: np.ndarray, alpha: np.ndarray, empty=np.empty, weight=1.0
+    model: ModelKind, theta: np.ndarray, grid: _Grid, lor: np.ndarray, alpha: np.ndarray, empty=np.empty
 ) -> np.ndarray:
     """``J`` (s, 2, n): ``J[:, j]`` is the derivative of the curve ``alpha . Phi`` in ``theta_j`` with ``alpha`` held.
 
@@ -211,12 +232,12 @@ def _derivatives(
     g**2 - u) W`` for ``g`` and ``(d**2 - g**2 + u) W`` for ``u``.  No
     term divides by ``x``.
     """
-    s, n = theta.shape[0], deltas.size
+    s, n = theta.shape[0], grid.deltas.size
     g, u = theta[:, 0:1], theta[:, 1:2]
     jac = empty((2, s, n))
     dg, du = jac
     if model is ModelKind.EIT:
-        d2, gg, a0 = deltas * deltas, g * g, 2.0 * alpha[:, 0:1]
+        d2, gg, a0 = grid.d2, g * g, 2.0 * alpha[:, 0:1]
         m = gg - u
         l1, l2 = lor[:, 0], lor[:, 1]
         np.multiply(l1, l2, out=l1)
@@ -224,14 +245,13 @@ def _derivatives(
         du += a0 * (gg + u) + alpha[:, 1:2]
         du *= l1
         du *= l1
-        du *= -2.0 / (weight * weight * weight)  # W, P**2 having carried the weight four times
+        du *= grid.eit_w  # W
         np.add(d2, m, out=dg)
         dg *= 2.0 * g
         dg *= du
         np.subtract(d2, m, out=l2)
         du *= l2
         return jac.transpose(1, 0, 2)
-    a = np.abs(deltas)
     d0 = np.sqrt(u)
     lm, lp = lor[:, 0], lor[:, 1]
     # d/du = (d/dd0) / (2 d0), with the 1/d0 cancelled analytically, so it
@@ -239,13 +259,13 @@ def _derivatives(
     # du = 4 |d| (|d| - d0) lm lp (lm + lp) - 2 lp**2, factors applied left
     # to right (lm + lp, the column, formed in dg as _columns forms it),
     # each weighted product divided back to one weight.
-    np.subtract(a, d0, out=du)
-    np.multiply(4.0 * a / (weight * weight), du, out=du)
+    np.subtract(grid.a, d0, out=du)
+    np.multiply(grid.ats_du, du, out=du)
     du *= lm
     du *= lp
     np.add(lm, lp, out=dg)
     du *= dg
-    np.multiply(2.0 / weight, lp, out=dg)
+    np.multiply(grid.ats_lp, lp, out=dg)
     dg *= lp
     du -= dg
     # dg = -2 g (lm**2 + lp**2)
@@ -253,7 +273,7 @@ def _derivatives(
     lp *= lp
     np.add(lm, lp, out=dg)
     np.multiply(-2.0 * g, dg, out=dg)
-    dg /= weight
+    dg /= grid.weight
     jac *= alpha[None, :, 0:1]
     return jac.transpose(1, 0, 2)
 
@@ -306,10 +326,10 @@ def evaluate(model: ModelKind, params, delta):
     half-gap, whose rounding would cost the narrower lobe digits.
     """
     x = _raw(model, params)[None, :]
-    d = np.asarray(delta, dtype=float).reshape(-1)
+    d = _grid(np.asarray(delta, dtype=float).reshape(-1))
     if model is ModelKind.EIT:
         coef = np.square(x[:, :2]) * [1.0, -1.0]
-        cols = _lorentzians(x[:, 2:].T[:, :, None], d, np.empty((2, 1, d.size))).transpose(1, 0, 2)
+        cols = _lorentzians(x[:, 2:].T[:, :, None], d, np.empty((2, 1, d.deltas.size))).transpose(1, 0, 2)
     else:
         c, g, d0 = x[0]
         coef, cols = np.array([[c * c]]), _columns(model, np.array([[g, d0 * d0]]), d)[:, :1]
@@ -328,9 +348,9 @@ def jacobian(model: ModelKind, params, delta) -> np.ndarray:
     offset.
     """
     x = _raw(model, params)
-    d = np.asarray(delta, dtype=float).reshape(-1)
+    d = _grid(np.asarray(delta, dtype=float).reshape(-1))
     if model is ModelKind.EIT:
-        lobes = _lorentzians(x[2:, None, None], d, np.empty((2, 1, d.size)))[:, 0]
+        lobes = _lorentzians(x[2:, None, None], d, np.empty((2, 1, d.deltas.size)))[:, 0]
         sign = np.array([[1.0], [-1.0]])
         widths = -2.0 * sign * x[2:, None] * lobes * lobes
         jac = np.concatenate((sign * 2.0 * x[:2, None] * lobes, np.square(x[:2, None]) * widths))

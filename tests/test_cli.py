@@ -32,6 +32,22 @@ from eitats.selection import Verdict, discriminate
 FIXTURE = Path(__file__).parent / "data" / "circuit_noisy.csv"
 SRC = Path(__file__).resolve().parents[1] / "src"
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Cells that float() may read or refuse: text with underscores, surrounding
+# whitespace, Unicode digits, hex, exponents past the float range, nan and
+# inf, or nothing at all.
+ODD_CELL = st.one_of(
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e400", "0x10", "", " ", "1_000", "1__0", "_1", "\u0663.\u0665"]),
+    st.text(alphabet="0123456789_.eE+-x \t\u00a0\u0661\u0662\uff11nfia", max_size=6),
+)
+
+
+@st.composite
+def spectrum_cells(draw):
+    """A value column: numbers as Python writes them, with up to three odd cells among them."""
+    cells = draw(st.lists(FINITE.map(repr), min_size=5, max_size=30))
+    for i, cell in draw(st.lists(st.tuples(st.integers(0, len(cells) - 1), ODD_CELL), max_size=3)):
+        cells[i] = cell
+    return cells
 
 # The flags each subcommand reads (RunConfig field names): 49 in all.
 FLAGS = {
@@ -151,6 +167,38 @@ class TestSpectrumFiles:
         path.write_text("delta,value,sigma\n" + "\n".join(rows + ["4.0,0.2,0.1", "5.0,0.2,0.1"]) + "\n")
         with pytest.raises(SpectrumParseError, match=f"twobad.csv: {message}$"):
             ingest_spectrum(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=spectrum_cells())
+    @example(cells=["0.5", " 1_0 ", "\u0661\u0662", "-0.0", "1e-320"])  # every cell converts
+    @example(cells=["0.5", "1", "1__0", "1", "2"])  # only one cell does not convert
+    @example(cells=["0.5", "0x10", "nan", "1", "2"])  # the cell that does not convert comes first
+    @example(cells=["0.5", "1e400", "", "1", "2"])  # the non-finite cell comes first
+    def test_each_cell_reads_as_float_reads_it_or_fails_on_its_line(self, cells):
+        # The cells are converted at once, and only a failure is traced to
+        # its line; either way the outcome is float's, cell by cell, with the
+        # first line that does not convert or is not finite named.
+        lines = [f"{i}.0,{cell}" for i, cell in enumerate(cells)]
+        expected = None
+        for lineno, cell in enumerate(cells, start=2):
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                expected = f"line {lineno}: {exc}"
+                break
+            if not np.isfinite(value):
+                expected = f"line {lineno}: value must be finite, got {value}"
+                break
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            path.write_text("delta,value\n" + "\n".join(lines) + "\n", encoding="utf-8")
+            if expected is None:
+                data = ingest_spectrum(path)
+                assert data.values.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+            else:
+                with pytest.raises(SpectrumParseError) as caught:
+                    ingest_spectrum(path)
+                assert str(caught.value) == f"{path}: {expected}"
 
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"

@@ -2,6 +2,7 @@
 frozen per-row solver output, stop reasons, and batch invariance of the
 lockstep engine."""
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +27,7 @@ from eitats.fitter import (
 )
 from eitats.cli import CIRCUIT_GRID, CIRCUIT_PRESET, ingest_spectrum
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
-from eitats.models import AtsParams, EitParams, ModelKind, _join, _lobes, as_array, eval_ats, eval_eit, evaluate
+from eitats.models import AtsParams, EitParams, ModelKind, _grid, _join, _lobes, as_array, eval_ats, eval_eit, evaluate
 from eitats.simulation import NoiseSpec, add_noise
 
 
@@ -318,7 +319,7 @@ class TestDampingSchedule:
         both levels it moves to 100 times its lower level.  The capped
         problem's winning start makes all four moves."""
         model, data, x0, cfg = frozen_problem("capped_eit")
-        odd = fitter._fold(data.deltas, data.values[None])[3][0]
+        odd = fitter._fold(data.deltas, data.values[None])[2][0]
         systems, ssr = [], []
 
         def recorded_step(jtj, diag, grad, lam):
@@ -473,11 +474,11 @@ class TestProfile:
         # Profiled as the solver profiles it: on the folded grid, with the
         # data's odd part added back.
         data = transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
-        deltas, weight, values, odd = fitter._fold(data.deltas, data.values[None])
-        assert deltas.size == 121
+        grid, values, odd = fitter._fold(data.deltas, data.values[None])
+        assert grid.deltas.size == 121
         for delta, want in COLLINEAR_SSR.items():
             theta = mean_and_gap([[6.357, 6.357 - delta]])
-            alpha, ssr, *_ = _profile(ModelKind.EIT, theta, deltas, values, weight=weight)
+            alpha, ssr, *_ = _profile(ModelKind.EIT, theta, grid, values)
             assert ssr[0] + odd[0] == pytest.approx(want, rel=1e-13)
             assert np.all(_join(ModelKind.EIT, theta, alpha)[:, :2] > 0.0)  # both lobes in use
 
@@ -493,7 +494,7 @@ class TestProfile:
         y = -absorption_profile(TlaParams(omega=0.0), grid).values
         widths = np.array([[3.0, 0.5], [2.0, 0.4], [1.5, 0.8]])
         theta = mean_and_gap(widths)
-        alpha, ssr, *_ = _profile(ModelKind.EIT, theta, grid, np.repeat(y[None], 3, axis=0))
+        alpha, ssr, *_ = _profile(ModelKind.EIT, theta, _grid(grid), np.repeat(y[None], 3, axis=0))
         assert np.all(np.prod(_lobes(theta, alpha), axis=0) == 0.0)
         signed_pair = _join(ModelKind.EIT, theta, alpha)
         for row, pair in enumerate(widths):
@@ -655,7 +656,7 @@ def profiled_rows(model, rows, empty=np.empty):
     y = empty((len(rows), PROFILE_DATA.shape[1]))
     y[:] = PROFILE_DATA[[k for _, k in rows]]
     with np.errstate(all="ignore"):  # a one-column row divides zero by zero in the unused direction
-        outputs = _profile(model, theta, default_grid(), y, empty)
+        outputs = _profile(model, theta, _grid(default_grid()), y, empty)
     return [tuple(out[i].tobytes() for out in outputs) for i in range(len(rows))]
 
 
@@ -689,8 +690,8 @@ class TestWorkspace:
         theta = np.array([t for t, _ in others], dtype=float)
         with np.errstate(all="ignore"):
             y = PROFILE_DATA[[k for _, k in others]]
-            alpha, _, resid, cols, one_lobe = _profile(model, theta, default_grid(), y, ws.empty)
-            fitter._normal_equations(model, theta, default_grid(), alpha, resid, cols, one_lobe, ws.empty)
+            alpha, _, resid, cols, one_lobe = _profile(model, theta, _grid(default_grid()), y, ws.empty)
+            fitter._normal_equations(model, theta, _grid(default_grid()), alpha, resid, cols, one_lobe, ws.empty)
         ws.rewind()
         assert profiled_rows(model, [rows[i] for i in order], ws.empty) == [alone[i] for i in order]
 
@@ -886,6 +887,20 @@ class TestErrors:
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             FitConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["max_iterations", "n_starts"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, np.float64(3.0), "5", None], ids=["half", "whole", "numpy", "text", "none"]
+    )
+    def test_a_non_integer_count_is_rejected_when_built_by_name(self, field, value):
+        # Before, max_iterations=2.5 never met the cap and "5" failed at the
+        # first comparison; n_starts=2.5 failed only at fit time, in numpy.
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            FitConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = FitConfig(max_iterations=np.int64(5), n_starts=np.int32(2))
+        assert fit(ModelKind.ATS, ats_spectrum(), cfg).iterations <= 5
 
     def test_fractional_fit_seed_is_rejected_when_built(self):
         message = r"^seed must be a nonnegative integer below 18446744073709551616, got 1.5$"

@@ -10,6 +10,7 @@ from eitats.models import (
     ModelKind,
     _columns,
     _derivatives,
+    _grid,
     as_array,
     canonicalize,
     eval_ats,
@@ -193,7 +194,7 @@ def column_difference(model, theta, j, h):
     def columns(shift):
         moved = theta.copy()
         moved[0, j] += shift
-        return _columns(model, moved, GRID)[0, :p]
+        return _columns(model, moved, _grid(GRID))[0, :p]
 
     if j == 1 and theta[0, 1] < 2.0 * h:
         return (-3.0 * columns(0.0) + 4.0 * columns(h) - columns(2.0 * h)) / (2.0 * h)
@@ -217,12 +218,12 @@ class TestKernel:
             g, u = data.draw(width), data.draw(st.one_of(st.just(0.0), st.floats(1e-4, 1e4)))
             steps = (1e-5 * g, 1e-5 * g * max(g, np.sqrt(u)))
         theta = np.array([[g, u]])
-        cols = _columns(model, theta, GRID)
+        cols = _columns(model, theta, _grid(GRID))
         p = 2 if model is ModelKind.EIT else 1
         # Holding alpha = e_i, the derivatives of the curve are those of
         # column i; EIT's up to a combination of the columns, so for EIT both
         # sides are compared after the columns are projected out.
-        dphi = [_derivatives(model, theta, GRID, cols[:, p:].copy(), np.eye(p)[i : i + 1])[0] for i in range(p)]
+        dphi = [_derivatives(model, theta, _grid(GRID), cols[:, p:].copy(), np.eye(p)[i : i + 1])[0] for i in range(p)]
         basis = np.linalg.qr(cols[0, :p].T)[0] if model is ModelKind.EIT else np.zeros((GRID.size, 0))
         for j, h in enumerate(steps):
             fd = column_difference(model, theta, j, h)
@@ -250,7 +251,7 @@ class TestKernel:
         theta = np.array([[(g_plus + g_minus) / 2.0, half * half]])
         plus_sq, minus_sq = c_plus**2, c_minus**2
         alpha = np.array([[(plus_sq - minus_sq) / 2.0, 2.0 * theta[0, 0] * half * (plus_sq + minus_sq)]])
-        cols = _columns(ModelKind.EIT, theta, GRID)[0]
+        cols = _columns(ModelKind.EIT, theta, _grid(GRID))[0]
         ratio, eps = max(widths) / min(widths), np.finfo(float).eps
         plus, minus = 1.0 / (g_plus**2 + GRID**2), 1.0 / (g_minus**2 + GRID**2)
         wide, narrow = (plus, minus) if g_plus >= g_minus else (minus, plus)

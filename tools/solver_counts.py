@@ -52,7 +52,13 @@ replication makes the same passes and only the rows per pass grow.
 ``fixed_q`` and ``row_q`` their quartiles (first/median/third): on a
 machine whose speed drifts, a change smaller than that spread is not
 resolved by one invocation.  A pass whose fixed part dominates is bound
-by the interpreter's per-call cost, not by arithmetic.
+by the interpreter's per-call cost, not by arithmetic.  Each round also
+runs the single problem once more with ``fitter._profile``,
+``fitter._normal_equations`` and ``fitter._damped_step`` timed, and
+splits its process time per pass into those three phases and the rest of
+the loop (``profile_q``, ``normal_q``, ``step_q``, ``rest_q``, quartiles
+across rounds): where in a pass a change lands.  The timers' own cost, a
+few microseconds a pass, falls in the phases and the rest.
 
 The functions are wrapped in this process only; only ``--json`` writes a file.
 
@@ -115,11 +121,11 @@ class Counter:
         self.passes += 1
         return self._step(*args)
 
-    def profile(self, model, theta, deltas, *args, **kwargs):
+    def profile(self, model, theta, grid, *args, **kwargs):
         self.profile_calls += 1
         self.profiled_rows += theta.shape[0]
-        self.points += theta.shape[0] * deltas.size
-        return self._profile(model, theta, deltas, *args, **kwargs)
+        self.points += theta.shape[0] * grid.deltas.size
+        return self._profile(model, theta, grid, *args, **kwargs)
 
     def run(self, model, *args, **kwargs):
         before = self.passes
@@ -184,6 +190,36 @@ def measure(shape, repeats: int) -> dict:
 
 
 REPLICATIONS = (1, 2, 4, 8, 12, 16)  # 16 x 16 starts fill the default pool of 256 slots
+PHASES = ("_profile", "_normal_equations", "_damped_step")  # the rest of a pass is the loop's own
+
+
+class PhaseTimer:
+    """Wraps the ``PHASES`` of ``fitter`` to add up the process time spent in each."""
+
+    def __init__(self):
+        self.spent = dict.fromkeys(PHASES, 0.0)
+        self._originals = {name: getattr(fitter, name) for name in PHASES}
+
+    def _timed(self, name):
+        inner = self._originals[name]
+
+        def call(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self.spent[name] += time.process_time() - start
+
+        return call
+
+    def __enter__(self):
+        for name in PHASES:
+            setattr(fitter, name, self._timed(name))
+        return self
+
+    def __exit__(self, *exc):
+        for name, inner in self._originals.items():
+            setattr(fitter, name, inner)
 
 
 def pass_cost(model: ModelKind, repeats: int) -> dict:
@@ -199,19 +235,26 @@ def pass_cost(model: ModelKind, repeats: int) -> dict:
         runs.append(args)
         # Each pass profiles two trial rows per active row, and admission profiles each row once.
         rows_per_pass.append((counter.profiled_rows - m * cfg.n_starts) / 2 / counter.passes)
-    # Rounds run every replication once, so a machine that changes speed slows all of them alike.
-    times = [[] for _ in runs]
+    # Rounds run every replication once, and the single problem once more
+    # timed by phase, so a machine that changes speed slows all of them alike.
+    times, phases = [[] for _ in runs], []
     for _ in range(repeats):
         for args, samples in zip(runs, times):
             start = time.process_time()
             fitter._lm_run_batch(*args)
             samples.append(time.process_time() - start)
+        with PhaseTimer() as timer:
+            start = time.process_time()
+            fitter._lm_run_batch(*runs[0])
+            total = time.process_time() - start
+        phases.append([*timer.spent.values(), total - sum(timer.spent.values())])
     round_row_s, round_fixed_s = np.polyfit(rows_per_pass, np.array(times) / counter.passes, 1)
     row_s, fixed_s = np.median(round_row_s), np.median(round_fixed_s)
 
     def quartiles(seconds, digits):
         return "/".join(f"{q * 1e6:.{digits}f}" for q in np.percentile(seconds, (25, 50, 75)))
 
+    phase_s = np.array(phases) / counter.passes
     return {
         "passes": counter.passes,
         "rows/pass": f"{rows_per_pass[0]:.1f}-{rows_per_pass[-1]:.1f}",
@@ -220,6 +263,7 @@ def pass_cost(model: ModelKind, repeats: int) -> dict:
         "row_us": round(row_s * 1e6, 2),
         "row_q": quartiles(round_row_s, 2),
         "fixed_share@16": f"{fixed_s / (fixed_s + row_s * rows_per_pass[0]):.0%}",
+        **{f"{name}_q": quartiles(phase_s[:, i], 0) for i, name in enumerate(("profile", "normal", "step", "rest"))},
     }
 
 
