@@ -164,10 +164,11 @@ def variance_floor(values) -> float:
     """Floor for the residual variance before it enters a logarithm.
 
     Exact-model fits drive the estimated variance to zero; flooring it at
-    1e-30 times the squared data scale keeps downstream information
+    1e-30 times the squared data scale, or at the smallest normal float where
+    that underflows (data below about 1e-147), keeps downstream information
     values finite without affecting any non-exact fit.
     """
-    return 1e-30 * float(np.max(np.square(np.asarray(values, dtype=float))))
+    return max(1e-30 * float(np.max(np.square(np.asarray(values, dtype=float)))), np.finfo(float).tiny)
 
 
 def _half_width_outward(deltas: np.ndarray, values: np.ndarray, peak_idx: int) -> float:
@@ -425,7 +426,7 @@ def _fold(deltas: np.ndarray, values: np.ndarray) -> tuple[_Grid, np.ndarray, np
 
 
 # Overflow far out or near the float limit gives non-finite values, which
-# the rows' checks stop on; the warnings are silenced once, for the body.
+# stop a row; the warnings are silenced once, for the body.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lm_run_batch(
     model: ModelKind,
@@ -481,10 +482,11 @@ def _lm_run_batch(
     data have their minimum, the gradient in ``log u`` cannot tell ``u``
     from 0, and the x-steps only halve the gap.
 
-    Returns the solver's state per row: ``(theta, alpha, ssr, iterations,
+    Returns columns of the rows' records: ``(theta, alpha, ssr, iterations,
     stop)``, ``theta`` (s, 2) where the row stopped, ``alpha`` (s, p) its
-    column coefficients there, and ``stop`` indexing ``STOP_REASONS``.  A
-    row's outcome depends neither on what else runs nor on its slot.
+    column coefficients there, and ``stop`` indexing ``STOP_REASONS``; a
+    start stopped non-finite keeps the SSR it was profiled at, inf or nan.
+    A row's outcome depends neither on what else runs nor on its slot.
     """
     n_rows = theta0.shape[0]
     group = n_rows // values.shape[0]
@@ -502,51 +504,44 @@ def _lm_run_batch(
     n = grid.deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)
     ws = _Workspace(_WORKSPACE_PER_ROW[model] * slots * n)
-    # The pool holds the active rows in row order, each row's state packed
-    # in one row of ``state``: theta, then the SSR, damping and alpha that
-    # an accepted trial hands on (its outcome), then the gradient, J^T J,
-    # gradient tolerance and odd part; and in ``book`` its index, spectrum
-    # and iterations.
-    THETA, SSR, LAM, ALPHA = slice(0, 2), 2, 3, slice(4, 4 + p)
+    # Each row has one record from its start to its stop: in ``records``
+    # theta, then the damping, alpha and SSR that an accepted trial hands on
+    # (its outcome), then the gradient, J^T J, gradient tolerance and odd
+    # part; in ``ledger`` its index, spectrum, iterations and stop.  The
+    # pool, ``state`` and ``book``, holds the active rows' records in row order.
+    THETA, LAM, ALPHA, SSR = slice(0, 2), 2, slice(3, 3 + p), 3 + p
     OUTCOME, GRAD, JTJ, TOL, ODD = slice(0, 4 + p), slice(4 + p, 6 + p), slice(6 + p, 10 + p), 10 + p, 11 + p
-    ROW, SPECTRUM, ITERATIONS = range(3)
-    state, book = np.empty((0, 12 + p)), np.empty((0, 3), dtype=int)
-    finished = np.empty((n_rows, 4 + p))  # each row's outcome as it stopped
-    iterations, stop = np.zeros(n_rows, dtype=int), np.full(n_rows, _CAP)
+    ROW, SPECTRUM, ITERATIONS, STOP = range(4)
+    records, ledger = np.empty((n_rows, 12 + p)), np.zeros((n_rows, 4), dtype=int)
+    records[:, THETA], records[:, LAM], records[:, TOL] = theta0, _INITIAL_DAMPING, grad_tol[owner]
+    records[:, ODD], ledger[:, ROW], ledger[:, SPECTRUM] = odd[owner], np.arange(n_rows), owner
+    state, book = records[:0], ledger[:0]
     admitted = 0  # rows [0, admitted) have entered a slot
     tiny, positions = np.finfo(float).tiny, np.arange(slots)
 
     def leave(going, code):
-        """Write out the pool rows ``going`` with stop ``code`` and drop them; returns the rows kept."""
+        """Write the pool rows ``going`` back to their records, stopped by ``code``; returns the rows kept."""
         nonlocal state, book
+        book[going, STOP] = code
         out, kept = book[going, ROW], ~going
-        finished[out], iterations[out], stop[out] = state[going, OUTCOME], book[going, ITERATIONS], code
+        records[out], ledger[out] = state[going], book[going]
         state, book = state[kept], book[kept]
         return kept
 
     while admitted < n_rows or len(book):
         # Pending rows fill the free slots, in row order.
         if admitted < n_rows and len(book) < slots:
-            new = np.arange(admitted, min(n_rows, admitted + slots - len(book)))
-            admitted, spectra = admitted + new.size, owner[new]
+            new = slice(admitted, min(n_rows, admitted + slots - len(book)))
+            admitted, spectra = new.stop, ledger[new, SPECTRUM]
+            state, book = np.concatenate((state, records[new])), np.concatenate((book, ledger[new]))
+            entering = state[len(book) - spectra.size :]
             ws.rewind()
             # mode="clip" writes straight into out ("raise" would buffer); every index is in range.
-            y = values.take(spectra, axis=0, out=ws.empty((new.size, n)), mode="clip")
-            start = theta0[new].astype(float)
-            alpha, ssr_new, resid, cols, alone = _profile(model, start, grid, y, ws.empty)
-            ssr_new += odd[spectra]
-            grad, jtj = _normal_equations(model, start, grid, alpha, resid, cols, alone, ws.empty)
-            entering, entered = np.empty((new.size, state.shape[1])), np.zeros((new.size, 3), dtype=int)
-            entering[:, THETA], entering[:, SSR], entering[:, LAM] = start, ssr_new, _INITIAL_DAMPING
+            y = values.take(spectra, axis=0, out=ws.empty((spectra.size, n)), mode="clip")
+            alpha, ssr, resid, cols, alone = _profile(model, entering[:, THETA], grid, y, ws.empty)
+            grad, jtj = _normal_equations(model, entering[:, THETA], grid, alpha, resid, cols, alone, ws.empty)
+            np.add(ssr, entering[:, ODD], out=entering[:, SSR])
             entering[:, ALPHA], entering[:, GRAD], entering[:, JTJ] = alpha, grad, jtj.reshape(-1, 4)
-            entering[:, TOL], entering[:, ODD] = grad_tol[spectra], odd[spectra]
-            entered[:, ROW], entered[:, SPECTRUM] = new, spectra
-            fine = np.isfinite(ssr_new)
-            if not fine.all():  # a start whose SSR is not finite stops there
-                entering[~fine, SSR] = np.inf
-                finished[new[~fine]], stop[new[~fine]] = entering[~fine, OUTCOME], _NON_FINITE
-                entering, entered = entering[fine], entered[fine]
-            state, book = np.concatenate((state, entering)), np.concatenate((book, entered))
         # A row that has made max_iterations trials stops at the cap.  Rows
         # enter in row order and each active row makes one trial a pass, so
         # the first row has made the most.
@@ -565,7 +560,8 @@ def _lm_run_batch(
             g[bound, 1] = h[bound, 1] = h[bound, 2] = 0.0
         scaled = np.abs(g * theta)
         flat = np.maximum(scaled[:, 0], scaled[:, 1]) < state[:, TOL]
-        equations, final = state[:, GRAD.start : JTJ.stop], False
+        # A row whose SSR or normal equations are not finite stops here (a start before its first trial).
+        equations, final = state[:, SSR : JTJ.stop], False
         if np.count_nonzero(flat) or np.count_nonzero(np.isfinite(equations)) < equations.size:
             bad = ~np.isfinite(equations).all(axis=1)
             flat &= ~bad
@@ -692,7 +688,7 @@ def _lm_run_batch(
                 code[last] = _GRADIENT
             leave(going, code[going])
 
-    return finished[:, THETA].copy(), finished[:, ALPHA].copy(), finished[:, SSR].copy(), iterations, stop
+    return records[:, THETA], records[:, ALPHA], records[:, SSR], ledger[:, ITERATIONS], ledger[:, STOP]
 
 
 def _best_of(

@@ -210,10 +210,10 @@ def _columns(model: ModelKind, theta: np.ndarray, grid: _Grid, empty=np.empty) -
     phi, lm, lp = cols
     np.subtract(grid.a, d0, out=lm)
     np.add(grid.a, d0, out=lp)
-    for lor in (lm, lp):  # weight / (g**2 + (|d| -+ d0)**2)
-        np.square(lor, out=lor)
-        np.add(gg, lor, out=lor)
-        np.divide(grid.weight, lor, out=lor)
+    lor = cols[1:]  # weight / (g**2 + (|d| -+ d0)**2)
+    np.square(lor, out=lor)
+    np.add(gg, lor, out=lor)
+    np.divide(grid.weight, lor, out=lor)
     np.add(lm, lp, out=phi)
     return cols.transpose(1, 0, 2)
 
@@ -269,8 +269,7 @@ def _derivatives(
     dg *= lp
     du -= dg
     # dg = -2 g (lm**2 + lp**2)
-    lm *= lm
-    lp *= lp
+    lor *= lor
     np.add(lm, lp, out=dg)
     np.multiply(-2.0 * g, dg, out=dg)
     dg /= grid.weight

@@ -949,7 +949,24 @@ class TestErrors:
         with pytest.raises(FitConvergenceError, match="no usable minimum"):
             fit_scaled(ModelKind.EIT, 1e154)
 
+    @pytest.mark.parametrize(
+        ("params", "factor"), [(AtsParams(1.0, 0.1, 1.0), 1e152), (AtsParams(1.0, 0.5, 1.5), 1e154)]
+    )
+    def test_starts_at_the_float_limit_stop_in_the_pass_they_enter(self, params, factor):
+        # One test stops a row whose SSR or normal equations are not finite
+        # before its trial.  The doublet's first start keeps a finite SSR and
+        # overflows in its normal equations; every other start's SSR overflows.
+        data = ats_spectrum(params)
+        data = Spectrum(deltas=data.deltas, values=factor * data.values)
+        for model in ModelKind:
+            x0 = initial_guesses(model, data, 4, 0)
+            _, _, ssr, iterations, stop = _lm_run_batch(model, x0, data.deltas, data.values[None], FitConfig())
+            assert np.all(stop == STOP_REASONS.index("non-finite")), (model, stop)
+            assert np.all(iterations == 0), (model, iterations)
+            assert np.isfinite(ssr).tolist() == [model is ModelKind.ATS, False, False, False], (model, ssr)
+
 
 def test_variance_floor_scales_with_data():
     assert variance_floor([0.0, 2.0]) == pytest.approx(4e-30)
     assert variance_floor([-3.0, 1.0]) == pytest.approx(9e-30)
+    assert variance_floor([1e-160, 0.0]) == np.finfo(float).tiny  # where 1e-30 v**2 underflows

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eitats.cli import CIRCUIT_GRID, CIRCUIT_PRESET, ingest_spectrum
 from eitats.fitter import FitConfig, FitConvergenceError
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
-from eitats.models import AtsParams, as_array, eval_ats
+from eitats.models import AtsParams, EitParams, as_array, eval_ats, eval_eit
 from eitats.selection import (
     Verdict,
     aic_least_squares,
@@ -221,6 +221,21 @@ class TestDiscriminate:
         assert np.isfinite(report.aic["ats"])
         assert report.verdict is Verdict.ATS
         assert report.akaike_weights["ats"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_data_of_tiny_magnitude_get_a_report(self):
+        # Below about 1e-147 the variance floor's 1e-30 max v**2 underflows,
+        # as does an exact fit's SSR; the floor is then the smallest normal
+        # float.  At 1e-150 the other model's SSR is still above it.
+        grid = default_grid()
+        exact = {
+            Verdict.ATS: eval_ats(AtsParams(0.5, 1.0, 2.0), grid),
+            Verdict.EIT: eval_eit(EitParams(1.0, 0.6, 1.0, 0.2), grid),
+        }
+        for verdict, values in exact.items():
+            assert discriminate(Spectrum(deltas=grid, values=values)).verdict is verdict
+            assert discriminate(Spectrum(deltas=grid, values=1e-150 * values)).verdict is verdict
+            report = discriminate(Spectrum(deltas=grid, values=1e-300 * values))
+            assert np.isfinite([report.aic["eit"], report.aic["ats"]]).all()
 
     def test_margin_validation(self):
         data = absorption_profile(TlaParams(omega=0.5), default_grid())

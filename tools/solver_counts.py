@@ -184,8 +184,8 @@ def measure(shape, repeats: int) -> dict:
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {
         **counts,
-        "minflt_per_pass": round((after.ru_minflt - before.ru_minflt) / repeats),
-        "sys_s_per_pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
+        "minflt/pass": round((after.ru_minflt - before.ru_minflt) / repeats),
+        "sys_s/pass": round((after.ru_stime - before.ru_stime) / repeats, 3),
     }
 
 
@@ -288,28 +288,9 @@ def main() -> None:
         for model, cost in costs.items():
             print(f"{model:<6}", *(f"{v:>15}" for v in cost.values()))
         return
-    names = args.only or list(SHAPES)
-    columns = (
-        "passes",
-        "passes_eit",
-        "passes_ats",
-        "profile_calls",
-        "profiled_rows",
-        "rows/call",
-        "points",
-        "iterations",
-        "eit_rows",
-        "eit_on_bound",
-        "it_on_bound",
-        "it_rest",
-        "it_max_eit",
-        "it_max_ats",
-        "minflt/pass",
-        "sys_s/pass",
-    )
-    print(f"{'shape':<14}", *(f"{c:>13}" for c in columns))
-    for name in names:
-        m = measure(SHAPES[name], args.repeats)
+    rows = {name: measure(SHAPES[name], args.repeats) for name in args.only or SHAPES}
+    print(f"{'shape':<14}", *(f"{c:>13}" for c in next(iter(rows.values()))))
+    for name, m in rows.items():
         print(f"{name:<14}", *(f"{'nan' if v is None else v:>13}" for v in m.values()))
 
 
