@@ -270,10 +270,7 @@ def _require(config: RunConfig, name: str) -> str:
 def _run_generate(config: RunConfig, _: None, noise: NoiseSpec) -> dict[str, Any]:
     out_path = _require(config, "output")
     grid = _parse_range(config.grid, "--grid")
-    params = TlaParams(
-        alpha=config.alpha, omega=config.omega, delta1=config.delta1, gamma_ab=config.gamma_ab, gamma_bc=config.gamma_bc
-    )
-    data = absorption_profile(params, grid)
+    data = absorption_profile(TlaParams(**{f.name: getattr(config, f.name) for f in fields(TlaParams)}), grid)
     if noise.sigma > 0:  # a noiseless spectrum is written without a sigma column
         data = add_noise(data, noise, config.replicate)
     written = write_spectrum(data, out_path)

@@ -297,7 +297,7 @@ def _profile(model: ModelKind, theta: np.ndarray, grid: _Grid, y: np.ndarray, em
     """
     s, n = theta.shape[0], grid.deltas.size
     cols = _columns(model, theta, grid, empty=empty)
-    p = 2 if model is ModelKind.EIT else 1
+    p = model.k - 2  # every parameter beyond theta's two is profiled
     q = cols[:, :p]  # the columns, made the basis here; the derivatives read only the Lorentzians
     resid = empty((s, n))  # scratch until it holds the residual
     alone = np.zeros(s)
@@ -499,7 +499,7 @@ def _lm_run_batch(
     scale = np.minimum(np.max(np.abs(values), axis=1), np.sqrt(np.finfo(float).max))
     grad_tol = 1e-12 * np.square(scale)
     eit = model is ModelKind.EIT
-    p = 2 if eit else 1
+    p = model.k - 2
     grid, values, odd = _fold(deltas, values)
     n = grid.deltas.size
     slots = min(n_rows, _MAX_BATCH_ROWS)

@@ -20,7 +20,7 @@ detunings and reject a raw vector of the wrong length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -105,10 +105,8 @@ def eval_ats(m: AtsParams, delta):
 
 def as_array(params: EitParams | AtsParams) -> np.ndarray:
     """Flatten model parameters into the fitter's raw vector."""
-    if isinstance(params, EitParams):
-        return np.array([params.c_plus, params.c_minus, params.g_plus, params.g_minus])
-    if isinstance(params, AtsParams):
-        return np.array([params.c, params.g, params.d0])
+    if isinstance(params, (EitParams, AtsParams)):
+        return np.array([getattr(params, f.name) for f in fields(params)])
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 

@@ -123,9 +123,6 @@ def noise_threshold(gamma_ab: float, gamma_bc: float, sigma: float) -> float:
     return math.sqrt(2.0 * sigma * gamma_ab * gamma_bc / (1.0 - 2.0 * sigma))
 
 
-_MODEL_ORDER = (ModelKind.EIT, ModelKind.ATS)
-
-
 def _report(data: Spectrum, outcomes: dict[str, FitResult | Exception], margin: float) -> SelectionReport:
     """Weights and verdict from both models' fit outcomes on one spectrum.
 
@@ -139,25 +136,23 @@ def _report(data: Spectrum, outcomes: dict[str, FitResult | Exception], margin: 
 
     n = data.n_points
     floor = variance_floor(data.values) * n
-    fitted = [kind for kind in _MODEL_ORDER if fits[kind.value] is not None]
+    fitted = [kind for kind in ModelKind if fits[kind.value] is not None]
     info = np.array([aic_least_squares(max(fits[kind.value].ssr, floor), n, kind.k) for kind in fitted])
 
     def table(values: np.ndarray) -> dict[str, float | None]:
         """``{eit, ats}``: the fitted models' ``values`` in order, None for a failed model."""
         by_name = {kind.value: float(v) for kind, v in zip(fitted, values)}
-        return {kind.value: by_name.get(kind.value) for kind in _MODEL_ORDER}
+        return {kind.value: by_name.get(kind.value) for kind in ModelKind}
 
     aic, pp_aic = table(info), table(info / n)
     weights, pp_weights = table(akaike_weights(info)), table(per_point_weights(info, n))
 
-    if len(fitted) == 1:
-        verdict = Verdict.EIT if fitted[0] is ModelKind.EIT else Verdict.ATS
+    # A failed model weighs 0, so a lone survivor (weight 1) clears any margin.
+    diff = (pp_weights["eit"] or 0.0) - (pp_weights["ats"] or 0.0)
+    if abs(diff) < margin:
+        verdict = Verdict.INCONCLUSIVE
     else:
-        diff = pp_weights["eit"] - pp_weights["ats"]
-        if abs(diff) < margin:
-            verdict = Verdict.INCONCLUSIVE
-        else:
-            verdict = Verdict.EIT if diff > 0 else Verdict.ATS
+        verdict = Verdict.EIT if diff > 0 else Verdict.ATS
 
     return SelectionReport(
         aic=aic,
@@ -203,7 +198,7 @@ def discriminate_many(
     """
     if not 0 <= margin < MAX_MARGIN:
         raise ValueError(f"margin must lie in [0, {MAX_MARGIN:g}), got {margin}")
-    per_model = {kind.value: fit_many(kind, spectra, cfg) for kind in _MODEL_ORDER}
+    per_model = {kind.value: fit_many(kind, spectra, cfg) for kind in ModelKind}
     return [
         _report(data, {name: outcomes[i] for name, outcomes in per_model.items()}, margin)
         for i, data in enumerate(spectra)

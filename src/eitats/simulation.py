@@ -84,17 +84,13 @@ def add_noise(data: Spectrum, spec: NoiseSpec, replicate: int = 0) -> Spectrum:
     """One noisy replicate of a spectrum: values scaled by (1 + xi) per point.
 
     The stream is keyed on (spec.seed, replicate); the same pair always
-    reproduces the same replicate.  Negative outputs are kept as drawn.
+    reproduces the same replicate.  Negative outputs are kept as drawn, and
+    sigma 0 draws xi = 0, which returns the values unchanged.
     """
     _check_seed("replicate", replicate, spec.n_replicates)
-    if spec.sigma == 0.0:
-        values = data.values.copy()
-    else:
-        key = (int(spec.seed) << 64) | int(replicate)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        xi = rng.normal(0.0, spec.sigma, size=data.n_points)
-        values = data.values * (1.0 + xi)
-    return Spectrum(deltas=data.deltas.copy(), values=values, sigma_exp=spec.sigma)
+    key = (int(spec.seed) << 64) | int(replicate)
+    xi = np.random.Generator(np.random.Philox(key=key)).normal(0.0, spec.sigma, size=data.n_points)
+    return Spectrum(deltas=data.deltas.copy(), values=data.values * (1.0 + xi), sigma_exp=spec.sigma)
 
 
 def _interp_crossover(axis: np.ndarray, diff: np.ndarray) -> float | None:

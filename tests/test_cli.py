@@ -568,7 +568,7 @@ def test_run_rejects_unknown_command():
 
 
 # Invocations whose exit code, stdout, stderr and written files are frozen
-# in data/cli_reports.json (rewrite it with tools/freeze_cli_reports.py).
+# in data/cli_reports.json (rewrite it with tools/refreeze.py).
 # They run in this order in one fresh directory holding a copy of FIXTURE,
 # with relative paths, so the reports' ``outputs`` do not depend on where.
 _CAPS = ["--starts", "4", "--max-iterations", "100"]

@@ -854,7 +854,8 @@ class TestInitialGuesses:
                     if model is ModelKind.ATS:
                         want = [w[0], w[1] * w[1]]
                     else:
-                        want = [(w[0] + w[1]) / 2.0, ((w[1] - w[0]) / 2.0) ** 2]
+                        half = (w[1] - w[0]) / 2.0  # squared as the code squares it: a scalar ** 2 may round otherwise
+                        want = [(w[0] + w[1]) / 2.0, half * half]
                     assert theta[i].tolist() == want
 
     def test_perturbation_factors_bounded(self):

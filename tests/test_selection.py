@@ -13,6 +13,7 @@ from eitats.fitter import FitConfig, FitConvergenceError
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
 from eitats.models import AtsParams, EitParams, as_array, eval_ats, eval_eit
 from eitats.selection import (
+    DEFAULT_MARGIN,
     Verdict,
     aic_least_squares,
     akaike_weights,
@@ -208,11 +209,12 @@ class TestDiscriminate:
         # 4-parameter signed pair.
         grid = np.linspace(-2, 2, 4)
         data = Spectrum(deltas=grid, values=eval_ats(AtsParams(0.8, 1.0, 1.0), grid))
-        report = discriminate(data)
-        assert report.verdict is Verdict.ATS
-        assert "eit" in report.fit_failures
-        assert report.akaike_weights["eit"] is None
-        assert report.per_point_weights["ats"] == 1.0
+        for margin in (DEFAULT_MARGIN, 0.99):  # the survivor's weight of 1 clears any margin
+            report = discriminate(data, margin=margin)
+            assert report.verdict is Verdict.ATS
+            assert "eit" in report.fit_failures
+            assert report.akaike_weights["eit"] is None
+            assert report.per_point_weights["ats"] == 1.0
 
     def test_exact_fit_is_floored_not_infinite(self):
         grid = default_grid()
@@ -359,3 +361,23 @@ class TestInvariance:
             np.testing.assert_allclose(have[SHAPE[model]], s * want[SHAPE[model]], rtol=SHAPE_RTOL, atol=0)
             amplitudes = np.sqrt(c) * s * want[AMPLITUDES[model]]
             np.testing.assert_allclose(have[AMPLITUDES[model]], amplitudes, rtol=AMPLITUDE_RTOL[model], atol=0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(["circuit", "fixture", "pump_1.2"]), k=st.integers(-100, 100))
+    @example(name="circuit", k=-100)
+    @example(name="pump_1.2", k=100)
+    def test_scaling_the_signal_by_a_power_of_two_changes_no_fit(self, untransformed, name, k):
+        # Times 2**k every product and sum rounds as before, so each fit
+        # stops where it did with the same widths and offset, and its SSR
+        # is the old one times 2**(2k) exactly.
+        data, want = untransformed[name]
+        got = discriminate(Spectrum(deltas=data.deltas, values=np.ldexp(data.values, k)))
+        assert got.verdict is want.verdict
+        for model in ("eit", "ats"):
+            have, ref = got.fits[model], want.fits[model]
+            assert as_array(have.params)[SHAPE[model]].tolist() == as_array(ref.params)[SHAPE[model]].tolist()
+            for field in ("iterations", "stop", "n_starts_agreeing"):
+                assert getattr(have, field) == getattr(ref, field)
+            assert have.ssr == np.ldexp(ref.ssr, 2 * k)
+            assert got.akaike_weights[model] == pytest.approx(want.akaike_weights[model], rel=0, abs=WEIGHT_TOL)
+            assert got.per_point_weights[model] == pytest.approx(want.per_point_weights[model], rel=0, abs=WEIGHT_TOL)

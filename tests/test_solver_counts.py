@@ -1,7 +1,7 @@
 """The checked-in work record: COUNTS.json holds the solver's counts on
 ``tools/solver_counts.py``'s shapes, and the three benchmark shapes must
 still make exactly those counts.  A change that moves the solver's paths
-rewrites the file with ``python tools/solver_counts.py --json``."""
+rewrites the file with ``python tools/refreeze.py``."""
 import importlib.util
 import json
 from pathlib import Path

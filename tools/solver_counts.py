@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Count the solver's work and its kernel-side memory cost on fixed fit shapes.
 
-Runs one pass of each of the benchmark's shapes and of the criterion-2
-and criterion-5 sweeps, all with fit seed 1:
+Runs one pass of each of the benchmark's shapes, of the criterion-2
+and criterion-5 sweeps and of a dephasing boundary, all with fit seed 1:
 
 - ``verdict``: the circuit curve and the noisy circuit fixture, cap 1000;
 - ``sweep``: the noiseless 6-spectrum sweep 0.7:0.95:0.05, cap 300;
 - ``noisy``: 2 pump values x 2 replicates at 10% noise (noise seed 1), cap 300;
 - ``default-sweep``: the 146-point sweep 0.05:1.5:0.01, cap 300;
 - ``criterion-5``: pump 0 and 0.1 x 100 replicates at 10% noise (noise
-  seed 42), cap 1000.
+  seed 42), cap 1000;
+- ``boundary``: the default sweep's pump values at each two-photon
+  dephasing 0.02:0.3:0.04 (8 sweeps), noiseless, cap 300.
 
 For each it prints the solver passes that try a step (``_damped_step``
 calls), in all and per model (``passes_eit``, ``passes_ats``: the model
@@ -28,17 +30,14 @@ ATS rows (``it_max_eit``, ``it_max_ats``: on a shape whose rows all fit in
 the solver's pool, that row sets the number of passes of its model's run);
 and then the minor page faults and system seconds per pass from
 ``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
-repeat exactly from run to run and on any machine; the faults show how
-much of a pass goes to the allocator handing memory back to the kernel
-and faulting it in again, which wall time on a shared machine cannot
-resolve.
-
-With ``--json`` it writes the counts of all five shapes, without the
-faults and system time, to ``COUNTS.json`` at the checkout root: the
-checked-in record of the solver's work, which
-``tests/test_solver_counts.py`` recomputes for the three benchmark
-shapes.  A change that moves the solver's paths rewrites it and states
-the difference.
+repeat exactly from run to run on one CPU dispatch, but other BLAS
+kernels or numpy SIMD targets round differently and can move them; the
+faults show how much of a pass goes to the allocator handing memory back
+to the kernel and faulting it in again, which wall time on a shared
+machine cannot resolve.  ``COUNTS.json`` at the checkout root records
+the counts of every shape (``tools/refreeze.py`` rewrites it), and
+``tests/test_solver_counts.py`` recomputes them for the three benchmark
+shapes.
 
 With ``--pass-cost`` it prints instead, for each model, what one solver
 pass costs: a fixed part (``fixed_us``) and a part per active row
@@ -60,12 +59,11 @@ the loop (``profile_q``, ``normal_q``, ``step_q``, ``rest_q``, quartiles
 across rounds): where in a pass a change lands.  The timers' own cost, a
 few microseconds a pass, falls in the phases and the rest.
 
-The functions are wrapped in this process only; only ``--json`` writes a file.
+The functions are wrapped in this process only, and no file is written.
 
-Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost | --json]
+Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost]
 """
 import argparse
-import json
 import resource
 import sys
 import time
@@ -81,11 +79,10 @@ from eitats.fitter import FitConfig, initial_guesses  # noqa: E402
 from eitats.lineshape import default_grid, transmission_profile  # noqa: E402
 from eitats.models import ModelKind  # noqa: E402
 from eitats.selection import discriminate  # noqa: E402
-from eitats.simulation import NoiseSpec, sweep_omega  # noqa: E402
+from eitats.simulation import NoiseSpec, sweep_gbc_boundary, sweep_omega  # noqa: E402
 
 SEED = 1
 FIXTURE = ROOT / "tests" / "data" / "circuit_noisy.csv"
-COUNTS = ROOT / "COUNTS.json"
 
 
 def verdict():
@@ -98,12 +95,18 @@ def _sweep(omegas, noise=NoiseSpec(), cap=300):
     sweep_omega(1.0, 0.1, noise, default_grid(*omegas), FitConfig(max_iterations=cap, seed=SEED))
 
 
+def boundary():
+    gbc, omegas = default_grid(0.02, 0.3, 0.04), default_grid(0.05, 1.5, 0.01)
+    sweep_gbc_boundary(1.0, gbc, NoiseSpec(), omegas, FitConfig(max_iterations=300, seed=SEED))
+
+
 SHAPES = {
     "verdict": verdict,
     "sweep": lambda: _sweep((0.7, 0.95, 0.05)),
     "noisy": lambda: _sweep((0.0, 0.1, 0.1), NoiseSpec(sigma=0.1, seed=SEED, n_replicates=2)),
     "default-sweep": lambda: _sweep((0.05, 1.5, 0.01)),
     "criterion-5": lambda: _sweep((0.0, 0.1, 0.1), NoiseSpec(sigma=0.1, seed=42, n_replicates=100), 1000),
+    "boundary": boundary,
 }
 
 
@@ -154,7 +157,7 @@ def _mean(iterations):
 
 
 def count(shape) -> dict:
-    """The solver's work on one pass of ``shape``; it repeats exactly on any machine."""
+    """The solver's work on one pass of ``shape``; it repeats exactly on one CPU dispatch."""
     with Counter() as counter:
         shape()
     return {
@@ -271,16 +274,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timed passes after the warm-up (default 3)")
     parser.add_argument("--only", choices=SHAPES, action="append", help="run only this shape (repeatable)")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--pass-cost", action="store_true", help="print each model's fixed and per-row cost of a pass")
-    mode.add_argument("--json", action="store_true", help=f"write every shape's counts to {COUNTS.name}")
+    parser.add_argument("--pass-cost", action="store_true", help="print each model's fixed and per-row cost of a pass")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.json:
-        COUNTS.write_text(json.dumps({name: count(shape) for name, shape in SHAPES.items()}, indent=1) + "\n")
-        print(f"wrote {COUNTS}")
-        return
     if args.pass_cost:
         costs = {model.value: pass_cost(model, max(args.repeats, 5)) for model in ModelKind}
         names = list(next(iter(costs.values())))
