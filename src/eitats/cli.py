@@ -325,6 +325,8 @@ def _run_sweep(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> dict[str,
 def _run_boundary(config: RunConfig, cfg: FitConfig, noise: NoiseSpec) -> dict[str, Any]:
     out_path = _require(config, "output")
     gbc_values = _parse_range(config.gbc, "--gbc")
+    if gbc_values[0] <= 0.0:
+        raise ValueError(f"--gbc {config.gbc}: each value must be above 0")
     if gbc_values[-1] >= config.gamma_ab:
         raise ValueError(f"--gbc {config.gbc}: each value must be below --gamma-ab {config.gamma_ab}")
     omegas = _parse_range(config.omegas, "--omegas")

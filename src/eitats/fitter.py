@@ -446,6 +446,9 @@ def _lm_run_batch(
     At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
     pending rows fill the free slots in row order, each with its start's
     profile and normal equations, and a row leaves its slot when it stops.
+    Before its trial a row stops by the cap after ``max_iterations``
+    trials, else if its SSR or normal equations are not finite, else by
+    the gradient test; after it, by the tolerance or the damping ceiling.
     Every pass gives each active row one trial, one of its iterations, at
     two damping levels, ``lam`` and ``10 lam``, all rows' levels profiled
     in one call.  A row takes the lower level whose SSR does not rise, and
@@ -542,11 +545,6 @@ def _lm_run_batch(
             grad, jtj = _normal_equations(model, entering[:, THETA], grid, alpha, resid, cols, alone, ws.empty)
             np.add(ssr, entering[:, ODD], out=entering[:, SSR])
             entering[:, ALPHA], entering[:, GRAD], entering[:, JTJ] = alpha, grad, jtj.reshape(-1, 4)
-        # A row that has made max_iterations trials stops at the cap.  Rows
-        # enter in row order and each active row makes one trial a pass, so
-        # the first row has made the most.
-        if len(book) and book[0, ITERATIONS] == cfg.max_iterations:
-            leave(book[:, ITERATIONS] == cfg.max_iterations, _CAP)
         # theta and grad do not change when a row rejects both levels, so neither
         # does anything below up to the trial, and such a row passes the tests again.
         theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
@@ -560,17 +558,17 @@ def _lm_run_batch(
             g[bound, 1] = h[bound, 1] = h[bound, 2] = 0.0
         scaled = np.abs(g * theta)
         flat = np.maximum(scaled[:, 0], scaled[:, 1]) < state[:, TOL]
-        # A row whose SSR or normal equations are not finite stops here (a start before its first trial).
-        equations, final = state[:, SSR : JTJ.stop], False
-        if np.count_nonzero(flat) or np.count_nonzero(np.isfinite(equations)) < equations.size:
-            bad = ~np.isfinite(equations).all(axis=1)
-            flat &= ~bad
-            # An EIT row that stops off the bound makes a last trial on the
-            # bound (below), and ends there if the gradient test cannot tell
-            # that trial from its point.
+        # The stops before the trial, in the order above; the pool's first row has made the most trials.
+        capped, equations, final = book[0, ITERATIONS] == cfg.max_iterations, state[:, SSR : JTJ.stop], False
+        if capped or np.count_nonzero(flat) or np.count_nonzero(np.isfinite(equations)) < equations.size:
+            code = np.where(np.isfinite(equations).all(axis=1), _GRADIENT, _NON_FINITE)
+            if capped:
+                code[book[:, ITERATIONS] == cfg.max_iterations] = _CAP
+            flat &= code == _GRADIENT
+            # A flat EIT row off the bound makes a last trial on it first (below).
             last = flat & (theta[:, 1] > 0.0) & eit
-            ending = (bad | flat) & ~last
-            last = last[leave(ending, np.where(bad, _NON_FINITE, _GRADIENT)[ending])]
+            ending = (flat | (code != _GRADIENT)) & ~last
+            last = last[leave(ending, code[ending])]
             final = last.any()
             theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
         k = len(book)

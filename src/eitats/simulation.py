@@ -145,10 +145,7 @@ def sweep_omega(
     for omega in omegas:
         p = TlaParams(omega=float(omega), delta1=0.0, gamma_ab=gamma_ab, gamma_bc=gamma_bc)
         base = absorption_profile(p, grid)
-        if noise.sigma == 0.0:
-            spectra.append(base)
-        else:
-            spectra.extend(add_noise(base, noise, r) for r in range(n_rep))
+        spectra.extend(add_noise(base, noise, r) for r in range(n_rep))
     reports = discriminate_many(spectra, cfg, margin)
 
     # numpy sums a non-innermost axis in index order: replicates add first to last.
@@ -186,6 +183,8 @@ def sweep_gbc_boundary(
     time, so memory grows with the pump axis, not the whole grid.
     """
     gbc_values = _increasing(gbc_values, "gbc_values")
+    if gbc_values[0] <= 0.0:  # the transparency depth needs gamma_bc > 0
+        raise ValueError(f"each gamma_bc must be above 0, got gamma_bc = {float(gbc_values[0])}")
     if np.any(gbc_values >= gamma_ab):
         raise ValueError(f"each gamma_bc must be below gamma_ab = {gamma_ab}, got gamma_bc = {float(gbc_values.max())}")
     boundary = np.full(gbc_values.size, np.nan)

@@ -420,6 +420,9 @@ class TestCommands:
             (["generate", "--grid", "0:2:0.3"], "--grid 0:2:0.3: step 0.3 does not divide hi - lo = 2"),
             (["generate", "--grid", "abc"], "--grid must be lo:hi:step, got 'abc'"),
             (["boundary", "--gamma-ab", "0.2"], "--gbc 0.02:0.3:0.02: each value must be below --gamma-ab 0.2"),
+            # The transparency depth at a crossing needs gamma_bc > 0.
+            (["boundary", "--gbc", "0:0.2:0.1"], "--gbc 0:0.2:0.1: each value must be above 0"),
+            (["boundary", "--gbc=-0.1:0.2:0.1"], "--gbc -0.1:0.2:0.1: each value must be above 0"),
         ],
     )
     def test_bad_solver_flags_fail_by_name_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):

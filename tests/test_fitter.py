@@ -395,6 +395,20 @@ class TestStopReasons:
         assert np.isfinite(res.ssr)
         assert (res.iterations == cfg.max_iterations) == (reason == "cap")
 
+    def test_the_cap_stops_a_row_before_the_gradient_test(self):
+        """Row 0 of an exact doublet fit is flat after its 4th trial.  At a cap
+        of 4 the cap, tested first, stops it at that same point."""
+        data = ats_spectrum(AtsParams(1.0, 0.5, 1.5))
+        x0 = initial_guesses(ModelKind.ATS, data, 8, 0)
+        free, capped = (
+            _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values[None], FitConfig(max_iterations=cap))
+            for cap in (1000, 4)
+        )
+        assert (STOP_REASONS[free[4][0]], free[3][0]) == ("gradient", 4)
+        assert (STOP_REASONS[capped[4][0]], capped[3][0]) == ("cap", 4)
+        for got, want in zip(capped[:3], free[:3]):  # theta, alpha and SSR
+            assert got[0].tobytes() == want[0].tobytes()
+
 
 def damped_systems(rng, s, scale=1.0, parallel=1.0):
     """``s`` damped systems as the solver forms them: ``J^T J`` of a 3x2 ``J``

@@ -203,3 +203,10 @@ class TestBoundarySweep:
         monkeypatch.setattr(eitats.simulation, "discriminate_many", None)
         with pytest.raises(ValueError, match="omegas must be"):
             sweep_gbc_boundary(1.0, [0.1, 0.2], NoiseSpec(), [0.5, 0.3], FAST)
+
+    @pytest.mark.parametrize("gbc_values, first", [([0.0, 0.1], "0.0"), ([-0.1, 0.1], "-0.1")])
+    def test_rejects_dephasing_at_or_below_zero_before_any_fit(self, monkeypatch, gbc_values, first):
+        """The transparency depth at a crossing needs gamma_bc > 0."""
+        monkeypatch.setattr(eitats.simulation, "discriminate_many", None)
+        with pytest.raises(ValueError, match=f"^each gamma_bc must be above 0, got gamma_bc = {first}$"):
+            sweep_gbc_boundary(1.0, gbc_values, NoiseSpec(), [0.5, 1.0], FAST)

@@ -52,14 +52,18 @@ replication makes the same passes and only the rows per pass grow.
 machine whose speed drifts, a change smaller than that spread is not
 resolved by one invocation.  A pass whose fixed part dominates is bound
 by the interpreter's per-call cost, not by arithmetic.  Each round also
-runs the single problem once more with ``fitter._profile``,
-``fitter._normal_equations`` and ``fitter._damped_step`` timed, and
-splits its process time per pass into those three phases and the rest of
-the loop (``profile_q``, ``normal_q``, ``step_q``, ``rest_q``, quartiles
-across rounds): where in a pass a change lands.  The timers' own cost, a
-few microseconds a pass, falls in the phases and the rest.
+runs the single problem once more under the probe, and splits its
+process time per pass into ``_profile``, ``_normal_equations``,
+``_damped_step`` and the rest of the loop (``profile_q``, ``normal_q``,
+``step_q``, ``rest_q``, quartiles across rounds): where in a pass a
+change lands.  The probe's own cost, a few microseconds a pass, falls in
+the phases and the rest.
 
-The functions are wrapped in this process only, and no file is written.
+Both modes read one probe (:class:`Probe`): it wraps
+``fitter._lm_run_batch``, ``_profile``, ``_normal_equations`` and
+``_damped_step`` once each, counts the work above from their arguments
+and results, and adds up the process time spent in each.  It wraps them
+in this process only, and no file is written.
 
 Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost]
 """
@@ -110,46 +114,61 @@ SHAPES = {
 }
 
 
-class Counter:
-    """Wraps ``fitter._damped_step``, ``fitter._profile`` and ``fitter._lm_run_batch`` to count their work."""
+WRAPPED = ("_lm_run_batch", "_profile", "_normal_equations", "_damped_step")
+PHASES = WRAPPED[1:]  # of a pass; the rest of it is the loop's own
+
+
+class Probe:
+    """Wraps each of ``WRAPPED`` in ``fitter`` once, to count the solver's work and add up each one's process time."""
 
     def __init__(self):
         self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
         self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the bound
         self.it_max_ats = 0
         self.passes_by_model = {"eit": 0, "ats": 0}
-        self._step, self._profile, self._run = fitter._damped_step, fitter._profile, fitter._lm_run_batch
+        self.spent = dict.fromkeys(WRAPPED, 0.0)
+        self._originals = {name: getattr(fitter, name) for name in WRAPPED}
 
-    def step(self, *args):
-        self.passes += 1
-        return self._step(*args)
+    def _count(self, name, args, out):
+        if name == "_damped_step":  # one call a pass
+            self.passes += 1
+        elif name == "_profile":
+            theta, grid = args[1], args[2]
+            self.profile_calls += 1
+            self.profiled_rows += theta.shape[0]
+            self.points += theta.shape[0] * grid.deltas.size
+        elif name == "_lm_run_batch":
+            model, theta, iterations = args[0], out[0], out[3]
+            # The passes that no earlier run took are this one's.
+            self.passes_by_model[model.value] += self.passes - sum(self.passes_by_model.values())
+            self.iterations += int(np.sum(iterations))
+            if model is ModelKind.EIT:
+                on = theta[:, 1] == 0.0
+                for where in (True, False):
+                    self.eit_iterations[where].extend(iterations[on == where].tolist())
+            else:
+                self.it_max_ats = max(self.it_max_ats, int(iterations.max()))
 
-    def profile(self, model, theta, grid, *args, **kwargs):
-        self.profile_calls += 1
-        self.profiled_rows += theta.shape[0]
-        self.points += theta.shape[0] * grid.deltas.size
-        return self._profile(model, theta, grid, *args, **kwargs)
+    def _wrap(self, name):
+        inner = self._originals[name]
 
-    def run(self, model, *args, **kwargs):
-        before = self.passes
-        out = self._run(model, *args, **kwargs)
-        theta, iterations = out[0], out[3]
-        self.passes_by_model[model.value] += self.passes - before
-        self.iterations += int(np.sum(iterations))
-        if model.value == "eit":
-            on = theta[:, 1] == 0.0
-            for where in (True, False):
-                self.eit_iterations[where].extend(iterations[on == where].tolist())
-        else:
-            self.it_max_ats = max(self.it_max_ats, int(iterations.max()))
-        return out
+        def call(*args, **kwargs):
+            start = time.process_time()
+            out = inner(*args, **kwargs)
+            self.spent[name] += time.process_time() - start
+            self._count(name, args, out)
+            return out
+
+        return call
 
     def __enter__(self):
-        fitter._damped_step, fitter._profile, fitter._lm_run_batch = self.step, self.profile, self.run
+        for name in WRAPPED:
+            setattr(fitter, name, self._wrap(name))
         return self
 
     def __exit__(self, *exc):
-        fitter._damped_step, fitter._profile, fitter._lm_run_batch = self._step, self._profile, self._run
+        for name, inner in self._originals.items():
+            setattr(fitter, name, inner)
 
 
 def _mean(iterations):
@@ -158,23 +177,23 @@ def _mean(iterations):
 
 def count(shape) -> dict:
     """The solver's work on one pass of ``shape``; it repeats exactly on one CPU dispatch."""
-    with Counter() as counter:
+    with Probe() as probe:
         shape()
     return {
-        "passes": counter.passes,
-        "passes_eit": counter.passes_by_model["eit"],
-        "passes_ats": counter.passes_by_model["ats"],
-        "profile_calls": counter.profile_calls,
-        "profiled_rows": counter.profiled_rows,
-        "rows/call": round(counter.profiled_rows / counter.profile_calls, 1),
-        "points": counter.points,
-        "iterations": counter.iterations,
-        "eit_rows": sum(len(v) for v in counter.eit_iterations.values()),
-        "eit_on_bound": len(counter.eit_iterations[True]),
-        "it_on_bound": _mean(counter.eit_iterations[True]),
-        "it_rest": _mean(counter.eit_iterations[False]),
-        "it_max_eit": max(counter.eit_iterations[True] + counter.eit_iterations[False], default=0),
-        "it_max_ats": counter.it_max_ats,
+        "passes": probe.passes,
+        "passes_eit": probe.passes_by_model["eit"],
+        "passes_ats": probe.passes_by_model["ats"],
+        "profile_calls": probe.profile_calls,
+        "profiled_rows": probe.profiled_rows,
+        "rows/call": round(probe.profiled_rows / probe.profile_calls, 1),
+        "points": probe.points,
+        "iterations": probe.iterations,
+        "eit_rows": sum(len(v) for v in probe.eit_iterations.values()),
+        "eit_on_bound": len(probe.eit_iterations[True]),
+        "it_on_bound": _mean(probe.eit_iterations[True]),
+        "it_rest": _mean(probe.eit_iterations[False]),
+        "it_max_eit": max(probe.eit_iterations[True] + probe.eit_iterations[False], default=0),
+        "it_max_ats": probe.it_max_ats,
     }
 
 
@@ -193,36 +212,6 @@ def measure(shape, repeats: int) -> dict:
 
 
 REPLICATIONS = (1, 2, 4, 8, 12, 16)  # 16 x 16 starts fill the default pool of 256 slots
-PHASES = ("_profile", "_normal_equations", "_damped_step")  # the rest of a pass is the loop's own
-
-
-class PhaseTimer:
-    """Wraps the ``PHASES`` of ``fitter`` to add up the process time spent in each."""
-
-    def __init__(self):
-        self.spent = dict.fromkeys(PHASES, 0.0)
-        self._originals = {name: getattr(fitter, name) for name in PHASES}
-
-    def _timed(self, name):
-        inner = self._originals[name]
-
-        def call(*args, **kwargs):
-            start = time.process_time()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                self.spent[name] += time.process_time() - start
-
-        return call
-
-    def __enter__(self):
-        for name in PHASES:
-            setattr(fitter, name, self._timed(name))
-        return self
-
-    def __exit__(self, *exc):
-        for name, inner in self._originals.items():
-            setattr(fitter, name, inner)
 
 
 def pass_cost(model: ModelKind, repeats: int) -> dict:
@@ -233,33 +222,32 @@ def pass_cost(model: ModelKind, repeats: int) -> dict:
     runs, rows_per_pass = [], []
     for m in REPLICATIONS:
         args = (model, np.tile(theta0, (m, 1)), circuit.deltas, np.tile(circuit.values, (m, 1)), cfg)
-        with Counter() as counter:
+        with Probe() as probe:
             fitter._lm_run_batch(*args)
         runs.append(args)
         # Each pass profiles two trial rows per active row, and admission profiles each row once.
-        rows_per_pass.append((counter.profiled_rows - m * cfg.n_starts) / 2 / counter.passes)
+        rows_per_pass.append((probe.profiled_rows - m * cfg.n_starts) / 2 / probe.passes)
     # Rounds run every replication once, and the single problem once more
-    # timed by phase, so a machine that changes speed slows all of them alike.
+    # probed by phase, so a machine that changes speed slows all of them alike.
     times, phases = [[] for _ in runs], []
     for _ in range(repeats):
         for args, samples in zip(runs, times):
             start = time.process_time()
             fitter._lm_run_batch(*args)
             samples.append(time.process_time() - start)
-        with PhaseTimer() as timer:
-            start = time.process_time()
+        with Probe() as probe:
             fitter._lm_run_batch(*runs[0])
-            total = time.process_time() - start
-        phases.append([*timer.spent.values(), total - sum(timer.spent.values())])
-    round_row_s, round_fixed_s = np.polyfit(rows_per_pass, np.array(times) / counter.passes, 1)
+        spent = [probe.spent[name] for name in PHASES]
+        phases.append([*spent, probe.spent["_lm_run_batch"] - sum(spent)])
+    round_row_s, round_fixed_s = np.polyfit(rows_per_pass, np.array(times) / probe.passes, 1)
     row_s, fixed_s = np.median(round_row_s), np.median(round_fixed_s)
 
     def quartiles(seconds, digits):
         return "/".join(f"{q * 1e6:.{digits}f}" for q in np.percentile(seconds, (25, 50, 75)))
 
-    phase_s = np.array(phases) / counter.passes
+    phase_s = np.array(phases) / probe.passes
     return {
-        "passes": counter.passes,
+        "passes": probe.passes,
         "rows/pass": f"{rows_per_pass[0]:.1f}-{rows_per_pass[-1]:.1f}",
         "fixed_us": round(fixed_s * 1e6, 1),
         "fixed_q": quartiles(round_fixed_s, 0),
