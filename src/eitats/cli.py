@@ -143,11 +143,11 @@ def _fmt(x: float) -> str:
 def _atomic_write(path: str | Path, text: str) -> str:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
     try:
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except OSError:
-        tmp.unlink()
+        tmp.unlink(missing_ok=True)
         raise
     return str(path)
 
@@ -168,9 +168,11 @@ def write_spectrum(data: Spectrum, path: str | Path) -> str:
 def ingest_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum CSV (``delta,value[,sigma]`` with header).
 
-    Rows are sorted by detuning; duplicate detunings are rejected, and so
-    is a non-finite number (``nan``, ``inf``) or a negative sigma, naming
-    its line.  A per-point sigma column is collapsed to its RMS, since the
+    Each line is checked as it is read, and the first bad one is named: a
+    line of the wrong width, a cell that is not a number, a non-finite
+    number (``nan``, ``inf``) or a negative sigma, and bytes that are not
+    UTF-8.  Rows are sorted by detuning, and duplicate detunings are
+    rejected.  A per-point sigma column is collapsed to its RMS, since the
     reported noise scale is a single number.
     """
     path = Path(path)
@@ -178,6 +180,11 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         text = path.read_text(encoding="utf-8-sig")  # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
     except OSError as exc:
         raise SpectrumParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # exc.object and exc.start both begin after a byte-order mark; the
+        # bad byte's line is the last of the good bytes before it plus one.
+        lineno = len((exc.object[: exc.start] + b".").decode().splitlines())
+        raise SpectrumParseError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from exc
 
     reader = csv.reader(text.splitlines())
     try:
@@ -189,48 +196,31 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         raise SpectrumParseError(
             f"{path}: line 1: header must be 'delta,value' or 'delta,value,sigma', got {','.join(cols)}"
         )
-    want = len(cols)
 
-    # Parse up to the first line of the wrong width or with a cell that does
-    # not convert (found row by row only if the bulk conversion fails), then
-    # check the parsed cells at once: a bad cell before that line is the first offence.
-    rows, linenos, problem = [], [], None
+    table = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != want:
-            problem = f"expected {want} columns, got {len(row)}"
-            break
-        rows.append(row)
-        linenos.append(lineno)
-    try:
-        cells = [float(cell) for row in rows for cell in row]
-    except ValueError:
-        cells = []
-        for row, lineno in zip(rows, linenos):
-            try:
-                cells += [float(cell) for cell in row]
-            except ValueError as exc:
-                problem = exc
-                break
-    table = np.array(cells).reshape(-1, want)
-    infinite = ~np.isfinite(table)
-    bad = infinite | ((np.arange(want) == 2) & (table < 0))  # the sigma column
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), want)  # the first bad cell, line by line
-        rule = "must be finite" if infinite[row, col] else "must be >= 0"
-        raise SpectrumParseError(f"{path}: line {linenos[row]}: {cols[col]} {rule}, got {float(table[row, col])}")
-    if problem is not None:
-        cause = problem if isinstance(problem, ValueError) else None
-        raise SpectrumParseError(f"{path}: line {lineno}: {problem}") from cause
+        if len(row) != len(cols):
+            raise SpectrumParseError(f"{path}: line {lineno}: expected {len(cols)} columns, got {len(row)}")
+        try:
+            cells = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise SpectrumParseError(f"{path}: line {lineno}: {exc}") from exc
+        for name, cell in zip(cols, cells):
+            if not math.isfinite(cell) or (name == "sigma" and cell < 0):
+                rule = "must be >= 0" if math.isfinite(cell) else "must be finite"
+                raise SpectrumParseError(f"{path}: line {lineno}: {name} {rule}, got {cell}")
+        table.append(cells)
     if len(table) < 5:
         raise SpectrumParseError(f"{path}: need at least 5 data rows, got {len(table)}")
+    table = np.array(table)
     deltas, values, *sigmas = table[np.argsort(table[:, 0], kind="stable")].T.copy()
     if np.any(np.diff(deltas) == 0):
         dup = float(deltas[np.argmax(np.diff(deltas) == 0)])
         raise SpectrumParseError(f"{path}: duplicate detuning {dup}")
     sigma_exp = None
-    if want == 3:
+    if sigmas:
         # RMS scaled by the largest magnitude, so that squaring can neither
         # overflow nor underflow; a constant column comes back exactly.
         sigmas = sigmas[0]

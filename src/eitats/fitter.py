@@ -110,9 +110,14 @@ _AGREEMENT_RTOL = 1e-6
 _SEED_LIMIT = 2**64
 
 
+def _is_integer(value) -> bool:
+    """True for an integer of any integral type but ``bool``, which ``numbers`` counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_seed(name: str, value, limit: int = _SEED_LIMIT) -> None:
     """Reject a seed or replicate index that is not an integer in [0, limit)."""
-    if not isinstance(value, numbers.Integral) or not 0 <= value < limit:
+    if not _is_integer(value) or not 0 <= value < limit:
         raise ValueError(f"{name} must be a nonnegative integer below {limit}, got {value!r}")
 
 
@@ -134,7 +139,7 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_iterations", "n_starts"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")

@@ -13,12 +13,11 @@ boundary runs one such sweep per dephasing value.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitter import _SEED_LIMIT, FitConfig, _check_seed
+from .fitter import _SEED_LIMIT, FitConfig, _check_seed, _is_integer
 from .lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transparency_depth
 from .selection import DEFAULT_MARGIN, MAX_SIGMA, discriminate_many
 
@@ -44,7 +43,7 @@ class NoiseSpec:
         if not 0 <= self.sigma < MAX_SIGMA:
             raise ValueError(f"sigma must lie in [0, {MAX_SIGMA:g}), got {self.sigma}")
         _check_seed("seed", self.seed)
-        if not isinstance(self.n_replicates, numbers.Integral) or not 1 <= self.n_replicates <= _SEED_LIMIT:
+        if not _is_integer(self.n_replicates) or not 1 <= self.n_replicates <= _SEED_LIMIT:
             raise ValueError(f"n_replicates must be an integer in [1, {_SEED_LIMIT}], got {self.n_replicates!r}")
 
 

@@ -1,4 +1,5 @@
 """CLI commands, spectrum file round trips, and report reproducibility."""
+import errno
 import io
 import json
 import os
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import eitats.cli
 from eitats.cli import (
+    CIRCUIT_GRID,
+    CIRCUIT_PRESET,
     RunConfig,
     SpectrumParseError,
     _atomic_write,
@@ -26,8 +29,9 @@ from eitats.cli import (
     run,
     write_spectrum,
 )
-from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid
+from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
 from eitats.selection import Verdict, discriminate
+from eitats.simulation import NoiseSpec, add_noise
 
 FIXTURE = Path(__file__).parent / "data" / "circuit_noisy.csv"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -160,6 +164,14 @@ class TestSpectrumFiles:
             (["0.0,0.1,0.1", "1.0,nan,0.1", "2.0,0.3", "3.0,0.1,0.1"], "line 3: value must be finite, got nan"),
             (["0.0,0.1,0.1", "1.0,0.2", "2.0,0.3,-1.0", "3.0,0.1,0.1"], "line 3: expected 3 columns, got 2"),
             (["0.0,0.1,-0.5", "1.0,0.2,0.1", "2.0,oops,0.1", "3.0,0.1,0.1"], "line 2: sigma must be >= 0, got -0.5"),
+            # Two bad cells on one line: the first column wins.
+            (["inf,0.1,-0.1", "1.0,0.2,0.1", "2.0,0.3,0.1", "3.0,0.1,0.1"], "line 2: delta must be finite, got inf"),
+            # A cell that does not convert before a short line, and a negative sigma before a nan.
+            (
+                ["0.0,abc,0.1", "1.0,0.2", "2.0,0.3,0.1", "3.0,0.1,0.1"],
+                "line 2: could not convert string to float: 'abc'",
+            ),
+            (["0.0,0.1,-0.1", "1.0,nan,0.1", "2.0,0.3,0.1", "3.0,0.1,0.1"], "line 2: sigma must be >= 0, got -0.1"),
         ],
     )
     def test_the_first_of_two_bad_lines_is_reported(self, tmp_path, rows, message):
@@ -175,9 +187,9 @@ class TestSpectrumFiles:
     @example(cells=["0.5", "0x10", "nan", "1", "2"])  # the cell that does not convert comes first
     @example(cells=["0.5", "1e400", "", "1", "2"])  # the non-finite cell comes first
     def test_each_cell_reads_as_float_reads_it_or_fails_on_its_line(self, cells):
-        # The cells are converted at once, and only a failure is traced to
-        # its line; either way the outcome is float's, cell by cell, with the
-        # first line that does not convert or is not finite named.
+        # Each line's cells are converted and checked as the line is read;
+        # the outcome is float's, cell by cell, with the first line that does
+        # not convert or is not finite named.
         lines = [f"{i}.0,{cell}" for i, cell in enumerate(cells)]
         expected = None
         for lineno, cell in enumerate(cells, start=2):
@@ -199,6 +211,20 @@ class TestSpectrumFiles:
                 with pytest.raises(SpectrumParseError) as caught:
                     ingest_spectrum(path)
                 assert str(caught.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte_order_mark"])
+    def test_bytes_that_are_not_utf8_are_rejected_with_line_number(self, tmp_path, capsys, mark):
+        # Before, a bare UnicodeDecodeError named neither the file nor the
+        # line.  The bad byte opens its line, so a count that forgot the
+        # mark's three bytes would name line 2.
+        path = tmp_path / "latin.csv"
+        path.write_bytes(mark + b"delta,value\n0,1\n\xff1,2\n2,0.3\n3,0.1\n4,0.2\n")
+        message = f"{path}: line 3: not UTF-8 text (invalid start byte)"
+        with pytest.raises(SpectrumParseError) as caught:
+            ingest_spectrum(path)
+        assert str(caught.value) == message
+        assert main(["discriminate", "--input", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {"type": "SpectrumParseError", "message": message}
 
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -475,6 +501,24 @@ class TestCommands:
             _atomic_write(target, "{}\n")
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_a_write_that_fails_partway_leaves_only_the_untouched_target(self, tmp_path, monkeypatch):
+        # A full disk fails the temp file's write; before, the partial temp file stayed behind.
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+        write_text = Path.write_text
+
+        def write_a_little_then_fail(self, text, *args, **kwargs):
+            write_text(self, text[:3], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", write_a_little_then_fail)
+        with pytest.raises(OSError) as caught:
+            _atomic_write(target, "{}\n" * 100)
+        monkeypatch.undo()
+        assert caught.value.errno == errno.ENOSPC
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+        assert target.read_text() == "old\n"
+
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
@@ -555,6 +599,23 @@ class TestCircuitPreset:
         _, at_1000 = cli("circuit", "--max-iterations", "1000")
         _, at_5000 = cli("circuit", "--max-iterations", "5000")
         assert at_1000["fits"] == at_5000["fits"]
+
+    def test_the_noisy_fixture_is_rebuilt_from_its_recipe(self, tmp_path):
+        """The fixture's bytes are those its recipe writes.
+
+        The measured transmission behind the circuit case study is not
+        published in tabular form, so the fixture is a stand-in: the
+        theoretical curve for the reported device rates with one frozen
+        multiplicative-noise draw.  Its sigma and seed were scanned (sigma in
+        [0.1, 0.18], seeds 0..11) so that the stand-in's discrimination
+        matches the one reported for the measurement: per-point weights within
+        a few thousandths of (0.48, 0.52), and an inconclusive verdict.  A
+        change that moves the recipe's bytes on purpose writes ``rebuilt``
+        over the fixture.
+        """
+        clean = transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
+        rebuilt = write_spectrum(add_noise(clean, NoiseSpec(sigma=0.15, seed=9), 0), tmp_path / "rebuilt.csv")
+        assert Path(rebuilt).read_bytes() == FIXTURE.read_bytes()
 
     def test_noisy_circuit_fixture_is_inconclusive(self):
         data = ingest_spectrum(FIXTURE)

@@ -905,11 +905,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("field", ["max_iterations", "n_starts"])
     @pytest.mark.parametrize(
-        "value", [2.5, 3.0, np.float64(3.0), "5", None], ids=["half", "whole", "numpy", "text", "none"]
+        "value", [2.5, 3.0, np.float64(3.0), "5", None, True], ids=["half", "whole", "numpy", "text", "none", "bool"]
     )
     def test_a_non_integer_count_is_rejected_when_built_by_name(self, field, value):
         # Before, max_iterations=2.5 never met the cap and "5" failed at the
         # first comparison; n_starts=2.5 failed only at fit time, in numpy.
+        # A bool is a numbers.Integral, and True used to pass for 1.
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
             FitConfig(**{field: value})
 
@@ -922,9 +923,9 @@ class TestErrors:
         with pytest.raises(ValueError, match=message):
             FitConfig(seed=1.5)
 
-    @pytest.mark.parametrize("seed", [1.5, 2**70], ids=["fractional", "past_the_noise_key"])
+    @pytest.mark.parametrize("seed", [1.5, 2**70, False], ids=["fractional", "past_the_noise_key", "bool"])
     def test_a_starts_seed_outside_the_fit_seed_domain_is_rejected_by_name(self, seed):
-        # Before, 1.5 failed inside numpy with a TypeError and 2**70 drew starts.
+        # Before, 1.5 failed inside numpy with a TypeError, and 2**70 and False drew starts.
         message = rf"^seed must be a nonnegative integer below 18446744073709551616, got {seed!r}$"
         with pytest.raises(ValueError, match=message):
             initial_guesses(ModelKind.ATS, ats_spectrum(), 4, seed)

@@ -84,6 +84,16 @@ class TestAddNoise:
         with pytest.raises(ValueError, match=r"^replicate must be a nonnegative integer below 2, got 1.7$"):
             add_noise(base_profile(), spec, 1.7)
 
+    def test_a_bool_is_not_a_seed_a_replicate_or_a_count(self):
+        # bool is a numbers.Integral, so True used to pass for 1.
+        limit = 18446744073709551616
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer below {limit}, got True$"):
+            NoiseSpec(sigma=0.1, seed=True)
+        with pytest.raises(ValueError, match=rf"^n_replicates must be an integer in \[1, {limit}\], got True$"):
+            NoiseSpec(sigma=0.1, n_replicates=True)
+        with pytest.raises(ValueError, match=r"^replicate must be a nonnegative integer below 2, got True$"):
+            add_noise(base_profile(), NoiseSpec(sigma=0.1, n_replicates=2), True)
+
     def test_seed_beyond_the_key_is_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer below 18446744073709551616, got"):
             NoiseSpec(sigma=0.1, seed=2**64)
