@@ -165,15 +165,34 @@ def write_spectrum(data: Spectrum, path: str | Path) -> str:
     return _write_table(path, "delta,value,sigma", data.deltas, data.values, np.full(data.n_points, data.sigma_exp))
 
 
+def _records(path: Path, text: str):
+    """Each CSV record of ``text`` with its line number.
+
+    A record that spans lines, through a line break inside quotes, is
+    rejected at its first line: every line after it would be misnumbered.
+    So is one the CSV reader refuses (a field over its size limit).
+    """
+    reader = csv.reader(text.splitlines(keepends=True))  # with the breaks kept, line_num counts lines
+    lineno = 0
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if reader.line_num > lineno:
+                raise SpectrumParseError(f"{path}: line {lineno}: a quoted field runs on to line {reader.line_num}")
+            yield lineno, row
+    except csv.Error as exc:
+        raise SpectrumParseError(f"{path}: line {lineno + 1}: {exc}") from exc
+
+
 def ingest_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum CSV (``delta,value[,sigma]`` with header).
 
     Each line is checked as it is read, and the first bad one is named: a
     line of the wrong width, a cell that is not a number, a non-finite
-    number (``nan``, ``inf``) or a negative sigma, and bytes that are not
-    UTF-8.  Rows are sorted by detuning, and duplicate detunings are
-    rejected.  A per-point sigma column is collapsed to its RMS, since the
-    reported noise scale is a single number.
+    number (``nan``, ``inf``) or a negative sigma, a quoted field that runs
+    on to the next line, and bytes that are not UTF-8.  Rows are sorted by
+    detuning, and duplicate detunings are rejected.  A per-point sigma
+    column is collapsed to its RMS, since the reported noise scale is a
+    single number.
     """
     path = Path(path)
     try:
@@ -186,11 +205,10 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         lineno = len((exc.object[: exc.start] + b".").decode().splitlines())
         raise SpectrumParseError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from exc
 
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SpectrumParseError(f"{path}: empty file") from None
+    records = _records(path, text)
+    _, header = next(records, (None, None))
+    if header is None:
+        raise SpectrumParseError(f"{path}: empty file")
     cols = [c.strip().lower() for c in header]
     if cols[:2] != ["delta", "value"] or len(cols) > 3 or (len(cols) == 3 and cols[2] != "sigma"):
         raise SpectrumParseError(
@@ -198,7 +216,7 @@ def ingest_spectrum(path: str | Path) -> Spectrum:
         )
 
     table = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(cols):

@@ -9,8 +9,12 @@ steps use Kaufman's projected Jacobian (separable least squares: Golub &
 Pereyra, SIAM J. Numer. Anal. 10, 1973; Kaufman, BIT 15, 1975).  Fitting
 ``u`` removes the doublet's stationary plane ``d0 = 0`` and makes the
 pair's merged widths a bound, ``u = 0``, which both models hold by
-projected steps.  The information criterion still counts every amplitude
-(K = 4 and 3): profiling them out does not change what is fitted.
+projected steps.  The same steps hold both models in a box set by the
+grid's reach ``R = max|delta|``: ``|g| <= 2 R`` and ``0 <= u <= R**2``.
+Lines far wider than the grid, or split beyond it, fit nothing it can
+resolve, and a start that walks there sets the passes of its whole run.
+The information criterion still counts every amplitude (K = 4 and 3):
+profiling them out does not change what is fitted.
 
 Steps follow a Levenberg-Marquardt schedule (Madsen, Nielsen & Tingleff,
 *Methods for Non-Linear Least Squares Problems*, 2004, 3.2; see
@@ -470,11 +474,13 @@ def _lm_run_batch(
     taken in one gather, and what few rows need (the bound, a stop, the
     damping ceiling, EIT's bound rules) runs behind one test each.
 
-    Both models hold ``u >= 0`` by projected steps: a trial's ``u`` is
-    clipped to 0, and at ``u = 0`` with descent pointing to ``u < 0`` the
-    bound is active, so ``u`` leaves the step and the gradient stop.  Four
-    rules of the EIT model's own make rows reach its bound, merged widths,
-    and leave it cleanly.  Off the bound a row steps in ``x = sqrt(u)``,
+    Both models hold their box, ``|g| <= 2 R`` and ``0 <= u <= R**2`` for
+    the grid's reach ``R = max|delta|``, by projected steps: a start
+    enters at its projection onto the box, every trial is projected onto
+    it, and a component on a face whose descent points out of the box is
+    active, so it leaves the step and the gradient stop (at ``u = 0``,
+    descent pointing to ``u < 0``).  Four rules of the EIT model's own
+    make rows reach its bound, merged widths, and leave it cleanly.  Off the bound a row steps in ``x = sqrt(u)``,
     by ``dx = du / (2 x)``: Marquardt's damping is invariant to the
     scaling ``diag(1, 2 x)``, so that is the step in ``(g, x)``, and a
     path that holds one width is straight; where the u-step would reach
@@ -510,6 +516,9 @@ def _lm_run_batch(
     p = model.k - 2
     grid, values, odd = _fold(deltas, values)
     n = grid.deltas.size
+    # The box every row is held in, from the grid's reach R = max|delta|: |g| <= 2 R, 0 <= u <= R**2.
+    reach = float(np.max(grid.deltas))  # the folded grid is |delta|
+    low, high = np.array([-2.0 * reach, 0.0]), np.array([2.0 * reach, reach * reach])
     slots = min(n_rows, _MAX_BATCH_ROWS)
     ws = _Workspace(_WORKSPACE_PER_ROW[model] * slots * n)
     # Each row has one record from its start to its stop: in ``records``
@@ -521,7 +530,7 @@ def _lm_run_batch(
     OUTCOME, GRAD, JTJ, TOL, ODD = slice(0, 4 + p), slice(4 + p, 6 + p), slice(6 + p, 10 + p), 10 + p, 11 + p
     ROW, SPECTRUM, ITERATIONS, STOP = range(4)
     records, ledger = np.empty((n_rows, 12 + p)), np.zeros((n_rows, 4), dtype=int)
-    records[:, THETA], records[:, LAM], records[:, TOL] = theta0, _INITIAL_DAMPING, grad_tol[owner]
+    records[:, THETA], records[:, LAM], records[:, TOL] = np.clip(theta0, low, high), _INITIAL_DAMPING, grad_tol[owner]
     records[:, ODD], ledger[:, ROW], ledger[:, SPECTRUM] = odd[owner], np.arange(n_rows), owner
     state, book = records[:0], ledger[:0]
     admitted = 0  # rows [0, admitted) have entered a slot
@@ -553,14 +562,16 @@ def _lm_run_batch(
         # theta and grad do not change when a row rejects both levels, so neither
         # does anything below up to the trial, and such a row passes the tests again.
         theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
-        # At u = 0 with descent pointing to u < 0 the bound is active: u
-        # leaves the step (a projected Newton step), so the other parameter
-        # is still optimised, and only the free components count below.
+        # A component on a face of the box with descent pointing out of it
+        # (at u = 0, to u < 0) is active: it leaves the step (a projected
+        # Newton step), so the other parameter is still optimised, and only
+        # the free components count below.
         # Masking the stored gradient and J^T J is the same as masking a
         # copy: a rejecting row masks them again, and an accepted one replaces them.
-        bound = (theta[:, 1] == 0.0) & (g[:, 1] <= 0.0)
+        bound = theta == np.where(g <= 0.0, low, high)  # every row is in the box
         if np.count_nonzero(bound):
-            g[bound, 1] = h[bound, 1] = h[bound, 2] = 0.0
+            g[bound] = 0.0
+            h[bound[:, 0] | bound[:, 1], 1:3] = 0.0
         scaled = np.abs(g * theta)
         flat = np.maximum(scaled[:, 0], scaled[:, 1]) < state[:, TOL]
         # The stops before the trial, in the order above; the pool's first row has made the most trials.
@@ -612,7 +623,7 @@ def _lm_run_batch(
                 meet |= last
             if moved or final:
                 t_trial[..., 1][meet] = 0.0
-        np.maximum(t_trial[..., 1], 0.0, out=t_trial[..., 1])  # projected step: u >= 0
+        trial.clip(low, high, out=trial)  # projected step: into the box
         if eit:
             # Widths g + x and g - x are those of (|g|, u), and of (x, g**2) where |g| < x.
             mean, half = np.abs(trial[:, 0], out=trial[:, 0]), np.sqrt(trial[:, 1])

@@ -226,6 +226,29 @@ class TestSpectrumFiles:
         assert main(["discriminate", "--input", str(path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == {"type": "SpectrumParseError", "message": message}
 
+    @pytest.mark.parametrize(
+        ("lines", "message"),
+        [
+            # A quoted line break shifted every later line: 2,x, on line 5, was named on line 4.
+            (['0,"1', '"', "1,2", "2,x", "3,4", "4,5", "5,6"], "line 2: a quoted field runs on to line 3"),
+            # An unclosed quote took every later line into its cell, read as '22,33,44,55,6'.
+            (["0,1", '1,"2', "2,3", "3,4", "4,5", "5,6"], "line 3: a quoted field runs on to line 7"),
+        ],
+        ids=["closed", "unclosed"],
+    )
+    def test_a_record_that_spans_lines_is_rejected_at_its_first(self, tmp_path, lines, message):
+        path = tmp_path / "quoted.csv"
+        path.write_text("delta,value\n" + "\n".join(lines) + "\n")
+        with pytest.raises(SpectrumParseError, match=f"quoted.csv: {message}$"):
+            ingest_spectrum(path)
+
+    def test_a_record_the_csv_reader_refuses_is_rejected_with_its_line(self, tmp_path):
+        # The reader's own error (type Error) named neither the file nor the line.
+        path = tmp_path / "wide.csv"
+        path.write_text("delta,value\n0,1\n1,2\n2," + "1" * 200_000 + "\n3,4\n4,5\n5,6\n")
+        with pytest.raises(SpectrumParseError, match=r"wide.csv: line 4: field larger than field limit \(\d+\)$"):
+            ingest_spectrum(path)
+
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("delta,value\n0.0,0.1\n1.0,0.2\n")

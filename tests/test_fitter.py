@@ -122,12 +122,15 @@ def ssr_by_cap(model, data, x0, caps):
     )
 
 
+CONVERGED = ("tolerance", "gradient", "damping")
+
+
 def raw_rows(model, state):
     """``_lm_run_batch``'s state read out per row, as ``_best_of`` reads the
     winner: (raw vectors, ssr, converged, iterations, stop, limit), a row's
     limit form nan unless it ended on the EIT bound u = 0."""
     theta, alpha, ssr, iterations, stop = state
-    converged = np.isin(stop, [STOP_REASONS.index(reason) for reason in ("tolerance", "gradient", "damping")])
+    converged = np.isin(stop, [STOP_REASONS.index(reason) for reason in CONVERGED])
     limit = np.full((theta.shape[0], 3), np.nan)
     if model is ModelKind.EIT:
         on = theta[:, 1] == 0.0
@@ -184,22 +187,57 @@ class TestDescentBehaviour:
 # noise seed, replicate, cap); omega None is the circuit curve, omega
 # SHIFTED the noisy circuit fixture with every detuning moved by +0.1 (a
 # two-sided grid on which no two points mirror each other), noise seed
-# None a noiseless spectrum.
+# None a noiseless spectrum.  Every row stays in the box of the grid's
+# reach R = max|delta|, |g| <= 2 R and 0 <= u <= R**2.
 SHIFTED = "shifted fixture"
 FROZEN_PROBLEMS = {
     "circuit_eit": (ModelKind.EIT, None, None, 0, 1000),
+    # A losing start (13) ends on a corner of the box, |g| = 2 R and u = 0.
     "circuit_ats": (ModelKind.ATS, None, None, 0, 1000),
     # Criterion-5 replicate: the doublet fit ends on its bound u = 0.
     "offset_bound_ats": (ModelKind.ATS, 0.0, 42, 41, 300),
     # Every start, the winner (start 11) included, stops at the cap.
     "capped_eit": (ModelKind.EIT, 0.1, 0, 82, 20),
-    # Start 7 ends on the bound u = 0 at widths near 8.9e3 and climbs to
-    # the damping ceiling there.
+    # Run with climbing_profile (solver_rows): every start still descending at
+    # pass CLIMB, start 2 among them, climbs to the damping ceiling, and the
+    # others stop by the tolerance but start 7, which the gradient test stops
+    # on the face g = 2 R.
     "damping_eit": (ModelKind.EIT, 1.44, None, 0, 300),
     "unmirrored_eit": (ModelKind.EIT, SHIFTED, None, 0, 1000),
     "unmirrored_ats": (ModelKind.ATS, SHIFTED, None, 0, 1000),
 }
 FROZEN_ROWS = json.loads((Path(__file__).parent / "data" / "solver_rows.json").read_text(encoding="utf-8"))
+# Inside the box no start of these problems climbs to the damping ceiling
+# on its own, so the tests of that stop make one climb.  Start 2 of the
+# damping problem descends for 14 trials; from pass CLIMB on its trials
+# are made to raise its SSR.
+CLIMBER, CLIMB = 2, 10
+
+
+def climbing_profile(fits=None):
+    """``_profile`` that, from pass ``CLIMB`` on, raises the SSR of every trial
+    of a row fitting the folded data ``fits`` (of every row if None), so that
+    such a row rejects both levels until its damping passes the ceiling.
+
+    Returns it and the list it counts its calls in: the admission, then one
+    per pass, when every row enters at once.
+    """
+    calls = []
+
+    def profile(model, theta, grid, y, *rest):
+        out = _profile(model, theta, grid, y, *rest)
+        if len(calls) >= CLIMB:
+            out[1][slice(None) if fits is None else (y == fits).all(axis=1)] = 1e300
+        calls.append(None)
+        return out
+
+    return profile, calls
+
+
+def box(deltas):
+    """The solver's box on a grid: the bounds of (g, u), |g| <= 2 R and 0 <= u <= R**2, R = max|delta|."""
+    reach = float(np.max(np.abs(deltas)))
+    return np.array([-2.0 * reach, 0.0]), np.array([2.0 * reach, reach * reach])
 
 
 def frozen_problem(name):
@@ -218,10 +256,12 @@ def frozen_problem(name):
 
 
 def solver_rows(name):
-    """Every row _lm_run_batch returns on a frozen problem, floats as float.hex;
-    a row that ends on the EIT bound u = 0 also holds its limit form."""
+    """Every row _lm_run_batch returns on a frozen problem, the damping
+    problem's run with :func:`climbing_profile`, floats as float.hex; a row
+    that ends on the EIT bound u = 0 also holds its limit form."""
     model, data, x0, cfg = frozen_problem(name)
-    state = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
+    with mock.patch.object(fitter, "_profile", climbing_profile()[0] if name == "damping_eit" else _profile):
+        state = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
     x, ssr, converged, iterations, stop, limit = raw_rows(model, state)
     rows = []
     for i in range(x.shape[0]):
@@ -250,43 +290,44 @@ class TestFrozenRows:
         stops = {name: [row["stop"] for row in FROZEN_ROWS[name]] for name in FROZEN_PROBLEMS}
         assert stops["capped_eit"].count("cap") == 16
         assert min(FROZEN_ROWS["capped_eit"], key=lambda row: float.fromhex(row["ssr"]))["stop"] == "cap"
-        assert stops["damping_eit"][7] == "damping"
+        assert stops["damping_eit"][CLIMBER] == "damping"
         best = min(FROZEN_ROWS["offset_bound_ats"], key=lambda row: float.fromhex(row["ssr"]))
         assert best["params"][2] == "0x0.0p+0"
 
 
 class TestScheduling:
     def test_a_batch_makes_as_many_passes_as_its_slowest_row_alone(self, monkeypatch):
-        """Start 7 of the frozen damping problem climbs to the damping ceiling.
+        """Start 2 of the frozen damping problem climbs to the damping ceiling
+        from pass CLIMB on, while other starts still descend.  It fits the
+        data doubled, which tells its rows apart and moves no step.
 
         A pass gives every active row one trial, so a row that accepts
-        never waits while another climbs: the batch profiles 53 times, as
-        start 7 does alone.  A nested loop that ran each iteration's damping
+        never waits while another climbs: the batch profiles 19 times, as
+        start 2 does alone.  A nested loop that ran each iteration's damping
         ladder until every row had accepted or died would wait for the
         climbing rows of every iteration.
         """
         model, data, x0, cfg = frozen_problem("damping_eit")
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return _profile(*args, **kwargs)
-
-        monkeypatch.setattr(fitter, "_profile", counted)
+        values = np.repeat(data.values[None], x0.shape[0], axis=0)
+        values[CLIMBER] *= 2.0
+        fits = fitter._fold(data.deltas, values[CLIMBER : CLIMBER + 1])[1][0]
 
         def passes(rows):
-            calls.clear()
-            _lm_run_batch(model, rows, data.deltas, data.values[None], cfg)
-            return len(calls)
+            profile, calls = climbing_profile(fits)
+            monkeypatch.setattr(fitter, "_profile", profile)
+            stop = _lm_run_batch(model, x0[rows], data.deltas, values[rows], cfg)[4]
+            return len(calls), stop
 
-        batch = passes(x0)
-        alone = [passes(x0[i : i + 1]) for i in range(x0.shape[0])]
-        assert batch == max(alone) == alone[7] == 53
+        batch, stop = passes(slice(None))
+        alone = [passes(slice(i, i + 1))[0] for i in range(x0.shape[0])]
+        assert batch == max(alone) == alone[CLIMBER] == 19
+        assert STOP_REASONS[stop[CLIMBER]] == "damping"
 
     def test_every_trial_pass_is_an_iteration(self, monkeypatch):
-        """Start 7 of the frozen damping problem ends with a run of passes
-        that reject both levels.  Those trials count as iterations too, so a
-        start's iterations are its trials, and the cap bounds them."""
+        """Start 2 of the frozen damping problem, made to climb from pass
+        CLIMB on, ends with a run of passes that reject both levels.  Those
+        trials count as iterations too, so a start's iterations are its
+        trials, and the cap bounds them."""
         model, data, x0, cfg = frozen_problem("damping_eit")
         calls = []
 
@@ -295,11 +336,59 @@ class TestScheduling:
             return _damped_step(*args)
 
         monkeypatch.setattr(fitter, "_damped_step", counted)
-        for cap, reason in ((20, "cap"), (cfg.max_iterations, "damping")):
+        for cap, reason in ((15, "cap"), (cfg.max_iterations, "damping")):
             calls.clear()
-            *_, iterations, stop = _lm_run_batch(model, x0[7:8], data.deltas, data.values[None], FitConfig(cap))
+            monkeypatch.setattr(fitter, "_profile", climbing_profile()[0])
+            rows = x0[CLIMBER : CLIMBER + 1]
+            *_, iterations, stop = _lm_run_batch(model, rows, data.deltas, data.values[None], FitConfig(cap))
             assert STOP_REASONS[stop[0]] == reason
             assert iterations[0] == len(calls) <= cap
+
+
+class TestBox:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(list(ModelKind)),
+        omega=st.floats(0.0, 2.0),
+        sigma=st.floats(0.0, 0.3),
+        noise_seed=st.integers(0, 2**32 - 1),
+        fit_seed=st.integers(0, 2**32 - 1),
+        lo=st.floats(-8.0, 1.0),
+        span=st.floats(1.0, 12.0),
+        points=st.integers(20, 200),
+    )
+    def test_every_row_ends_inside_the_box(self, model, omega, sigma, noise_seed, fit_seed, lo, span, points):
+        # Random grids, one-sided ones among them, and seeded starts, which
+        # may begin outside the box.
+        grid = np.linspace(lo, lo + span, points)
+        data = add_noise(absorption_profile(TlaParams(omega=omega), grid), NoiseSpec(sigma=sigma, seed=noise_seed), 0)
+        x0 = initial_guesses(model, data, 8, fit_seed)
+        theta = _lm_run_batch(model, x0, data.deltas, data.values[None], FitConfig(max_iterations=300))[0]
+        low, high = box(data.deltas)
+        assert np.all((low <= theta) & (theta <= high)), (theta, low, high)
+
+    def test_the_damping_problem_s_walker_ends_inside_the_box_converged(self):
+        # Without the box start 7 walked to a negative lobe near 8.9e3 wide
+        # on the +-5 grid and climbed to the damping ceiling there.
+        model, data, x0, cfg = frozen_problem("damping_eit")
+        theta, _, _, iterations, stop = _lm_run_batch(model, x0[7:8], data.deltas, data.values[None], cfg)
+        low, high = box(data.deltas)
+        assert np.all((low <= theta) & (theta <= high)), theta
+        assert STOP_REASONS[stop[0]] in CONVERGED and iterations[0] < cfg.max_iterations
+
+    @pytest.mark.parametrize("omega", [1.22, 1.23])
+    def test_the_default_sweep_s_ats_walkers_end_inside_the_box_converged(self, omega):
+        # Without the box start 10 of fit seed 1 walked to a doublet of width
+        # about 28 and offset about 10.8 on the +-5 grid and ran to the cap.
+        omegas = default_grid(0.05, 1.5, 0.01)
+        omega = float(omegas[np.argmin(np.abs(omegas - omega))])  # the sweep's own value
+        data = absorption_profile(TlaParams(omega=omega), default_grid())
+        x0 = initial_guesses(ModelKind.ATS, data, 16, 1)[10:11]
+        cfg = FitConfig(max_iterations=300)
+        theta, _, _, iterations, stop = _lm_run_batch(ModelKind.ATS, x0, data.deltas, data.values[None], cfg)
+        low, high = box(data.deltas)
+        assert np.all((low <= theta) & (theta <= high)), theta
+        assert STOP_REASONS[stop[0]] in CONVERGED and iterations[0] < cfg.max_iterations
 
 
 # The EIT fit on the circuit curve and its noisy fixture walks the flat
@@ -370,17 +459,18 @@ class TestStopReasons:
     @pytest.mark.parametrize("reason", STOP_REASONS)
     def test_the_winner_reports_why_it_stopped(self, reason):
         cfg = FitConfig()
-        guesses = initial_guesses
+        guesses, profile = initial_guesses, _profile
         if reason == "tolerance":
             model, data = ModelKind.EIT, transmission_profile(CIRCUIT_PRESET, default_grid(*CIRCUIT_GRID))
         elif reason == "gradient":  # an exact fit: the gradient vanishes first
             model, data = ModelKind.ATS, ats_spectrum()
-        elif reason == "damping":  # the only start is one that stops at the ceiling
+        elif reason == "damping":  # the only start is one made to climb to the ceiling
             model, data, x0, cfg = frozen_problem("damping_eit")
             cfg = FitConfig(max_iterations=cfg.max_iterations, n_starts=1)
+            profile = climbing_profile()[0]
 
             def guesses(*args):
-                return x0[7:8]
+                return x0[CLIMBER : CLIMBER + 1]
 
         elif reason == "cap":
             model, data, _, cfg = frozen_problem("capped_eit")
@@ -388,7 +478,7 @@ class TestStopReasons:
             model, cfg = ModelKind.ATS, FitConfig(n_starts=4)
             data = ats_spectrum(AtsParams(1.0, 0.1, 1.0))
             data = Spectrum(deltas=data.deltas, values=1e152 * data.values)
-        with mock.patch.object(fitter, "initial_guesses", guesses):
+        with mock.patch.object(fitter, "initial_guesses", guesses), mock.patch.object(fitter, "_profile", profile):
             res = fit(model, data, cfg)
         assert res.stop == reason
         assert res.converged == (reason not in ("cap", "non-finite"))

@@ -27,14 +27,16 @@ pass; then how many EIT rows end with merged widths, on the bound ``u =
 pair ends, the mean iterations of those rows and of the other EIT rows
 (``it_on_bound``, ``it_rest``), and the iterations of the slowest EIT and
 ATS rows (``it_max_eit``, ``it_max_ats``: on a shape whose rows all fit in
-the solver's pool, that row sets the number of passes of its model's run);
-and then the minor page faults and system seconds per pass from
-``getrusage(RUSAGE_SELF)`` over ``--repeats`` more passes.  The counts
-repeat exactly from run to run on one CPU dispatch, but other BLAS
-kernels or numpy SIMD targets round differently and can move them; the
-faults show how much of a pass goes to the allocator handing memory back
-to the kernel and faulting it in again, which wall time on a shared
-machine cannot resolve.  ``COUNTS.json`` at the checkout root records
+the solver's pool, that row sets the number of passes of its model's run),
+and the rows of each model that end on an upper face of the solver's box,
+``|g| = 2 R`` or ``u = R**2`` with ``R = max|delta|`` (``on_box_eit``,
+``on_box_ats``: how often the box binds); and then the minor page faults
+and system seconds per pass from ``getrusage(RUSAGE_SELF)`` over
+``--repeats`` more passes.  The counts repeat exactly from run to run on
+one CPU dispatch, but other BLAS kernels or numpy SIMD targets round
+differently and can move them; the faults show how much of a pass goes
+to the allocator handing memory back to the kernel and faulting it in
+again, which wall time on a shared machine cannot resolve.  ``COUNTS.json`` at the checkout root records
 the counts of every shape (``tools/refreeze.py`` rewrites it), and
 ``tests/test_solver_counts.py`` recomputes them for the three benchmark
 shapes.
@@ -125,6 +127,7 @@ class Probe:
         self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
         self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the bound
         self.it_max_ats = 0
+        self.on_box = {"eit": 0, "ats": 0}  # rows that end on an upper face of the box
         self.passes_by_model = {"eit": 0, "ats": 0}
         self.spent = dict.fromkeys(WRAPPED, 0.0)
         self._originals = {name: getattr(fitter, name) for name in WRAPPED}
@@ -138,7 +141,10 @@ class Probe:
             self.profiled_rows += theta.shape[0]
             self.points += theta.shape[0] * grid.deltas.size
         elif name == "_lm_run_batch":
-            model, theta, iterations = args[0], out[0], out[3]
+            model, deltas, theta, iterations = args[0], args[2], out[0], out[3]
+            reach = float(np.max(np.abs(deltas)))
+            on_face = (np.abs(theta[:, 0]) == 2.0 * reach) | (theta[:, 1] == reach * reach)
+            self.on_box[model.value] += int(np.count_nonzero(on_face))
             # The passes that no earlier run took are this one's.
             self.passes_by_model[model.value] += self.passes - sum(self.passes_by_model.values())
             self.iterations += int(np.sum(iterations))
@@ -194,6 +200,8 @@ def count(shape) -> dict:
         "it_rest": _mean(probe.eit_iterations[False]),
         "it_max_eit": max(probe.eit_iterations[True] + probe.eit_iterations[False], default=0),
         "it_max_ats": probe.it_max_ats,
+        "on_box_eit": probe.on_box["eit"],
+        "on_box_ats": probe.on_box["ats"],
     }
 
 
