@@ -112,6 +112,8 @@ _AGREEMENT_RTOL = 1e-6
 # Seeds and replicate indices lie in [0, _SEED_LIMIT), for the 128-bit noise
 # key (seed << 64) | replicate; a fit seed too, as the CLI's --seed is both.
 _SEED_LIMIT = 2**64
+# libm's exp, element by element: numpy's SIMD exp rounds by the host's dispatch target.
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
 def _is_integer(value) -> bool:
@@ -241,7 +243,7 @@ def initial_guesses(model: ModelKind, data: Spectrum, n: int, seed: int) -> np.n
     rng = np.random.default_rng(seed)
     log4 = np.log(4.0)
     # One draw of all n - 1 starts' factors is the stream of one draw per start.
-    factors = np.exp(rng.uniform(-log4, log4, size=(n - 1, model.k)))[:, -2:]
+    factors = _exp(rng.uniform(-log4, log4, size=(n - 1, model.k)))[:, -2:]
     w = np.vstack((base, seed_base * factors))
     if model is ModelKind.ATS:
         return np.column_stack((w[:, 0], np.square(w[:, 1])))
@@ -375,9 +377,9 @@ def _normal_equations(
     if lone.size:
         jac[lone, 0] = lobe_g
         jac[lone, 1] = lobe_g / (2.0 * side * x)[:, None]
-    along_q = empty((theta.shape[0], grid.deltas.size, 2))
-    jac -= np.matmul(q.transpose(0, 2, 1), q @ jac.transpose(0, 2, 1), out=along_q).transpose(0, 2, 1)
-    return (jac @ resid[:, :, None])[:, :, 0], jac @ jac.transpose(0, 2, 1)
+    # einsum's own loops, not one BLAS call per row, so no BLAS kernel moves the bits.
+    jac -= np.einsum("skp,spn->skn", np.einsum("spn,skn->skp", q, jac), q, out=empty(jac.shape))
+    return np.einsum("skn,sn->sk", jac, resid), np.einsum("skn,sln->skl", jac, jac)
 
 
 # Floats per solver row and folded grid point that a pass takes from the

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fitter import FitConfig, FitConvergenceError, FitResult, fit_many, variance_floor
+from .fitter import FitConfig, FitConvergenceError, FitResult, _exp, fit_many, variance_floor
 # Not called here.  The benchmark's tracer (perfbench/spans.py) patches
 # eitats.selection.fit, and its smoke test reads the name.
 from .fitter import fit  # noqa: F401
@@ -92,7 +92,7 @@ def akaike_weights(aics) -> np.ndarray:
         raise ValueError("need at least one information value")
     if not np.all(np.isfinite(info)):
         raise ValueError("information values must be finite")
-    w = np.exp(-(info - info.min()) / 2.0)
+    w = _exp(-(info - info.min()) / 2.0)
     return w / w.sum()
 
 

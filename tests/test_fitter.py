@@ -2,6 +2,7 @@
 frozen per-row solver output, stop reasons, and batch invariance of the
 lockstep engine."""
 import json
+import math
 import re
 from pathlib import Path
 from unittest import mock
@@ -27,7 +28,20 @@ from eitats.fitter import (
 )
 from eitats.cli import CIRCUIT_GRID, CIRCUIT_PRESET, ingest_spectrum
 from eitats.lineshape import Spectrum, TlaParams, absorption_profile, default_grid, transmission_profile
-from eitats.models import AtsParams, EitParams, ModelKind, _grid, _join, _lobes, as_array, eval_ats, eval_eit, evaluate
+from eitats.models import (
+    AtsParams,
+    EitParams,
+    ModelKind,
+    _columns,
+    _derivatives,
+    _grid,
+    _join,
+    _lobes,
+    as_array,
+    eval_ats,
+    eval_eit,
+    evaluate,
+)
 from eitats.simulation import NoiseSpec, add_noise
 
 
@@ -835,6 +849,60 @@ class TestWorkspace:
         assert max(tops) <= fitter._WORKSPACE_PER_ROW[model] * 8 * data.n_points
 
 
+def reference_normal_equations(model, theta, grid, y, alpha, alone):
+    """``J^T r`` and ``J^T J`` row by row, with an explicit projector ``I - Q Q^T``.
+
+    ``Q`` comes from ``np.linalg.qr`` of the columns a row uses: both
+    EIT columns, or the one Lorentzian of a row fitted by it alone (whose
+    derivative is formed here), or the ATS column where its amplitude is
+    positive, else none; ``r`` is ``y`` projected by the same projector.
+    """
+    cols = _columns(model, theta, grid)
+    jac = _derivatives(model, theta, grid, cols[:, -2:].copy(), alpha)
+    grad, jtj = np.empty((len(theta), 2)), np.empty((len(theta), 2, 2))
+    for i, (g, u) in enumerate(theta):
+        if model is ModelKind.ATS:
+            basis = cols[i, :1] if alpha[i, 0] > 0.0 else cols[i, :0]
+        elif alone[i]:
+            w = g + alone[i] * np.sqrt(u)
+            lobe = grid.weight / (w * w + grid.d2)
+            basis = lobe[None]
+            d_g = 2.0 * alpha[i, 0] * -2.0 * w * lobe * lobe / grid.weight  # p dL/dw, p = 2 alpha[0]
+            jac[i] = d_g, d_g * alone[i] / (2.0 * np.sqrt(u))
+        else:
+            basis = cols[i, :2]
+        q = np.linalg.qr(basis.T)[0]
+        projector = np.eye(grid.deltas.size) - q @ q.T
+        j = jac[i] @ projector
+        grad[i], jtj[i] = j @ (projector @ y[i]), j @ j.T
+    return grad, jtj
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_normal_equations_match_an_explicit_projection(self, model, seed):
+        # Random (g, u), one row in four at u = 0, on the folded profile data
+        # (weights sqrt(2) but at the centre); errors relative to |J| |y| and |J|**2.
+        rng, s = np.random.default_rng(seed), 400
+        grid, folded, _ = fitter._fold(default_grid(), PROFILE_DATA)
+        theta = np.exp(rng.uniform(np.log([0.1, 1e-4]), np.log([5.0, 25.0]), (s, 2)))
+        theta[::4, 1] = 0.0
+        y = folded[rng.integers(0, len(folded), s)]
+        with np.errstate(all="ignore"):  # a one-column row divides zero by zero in the unused direction
+            alpha, _, resid, cols, alone = _profile(model, theta, grid, y)
+            grad, jtj = fitter._normal_equations(model, theta, grid, alpha, resid, cols, alone, np.empty)
+        if model is ModelKind.EIT:
+            assert np.count_nonzero(alone) >= 10  # rows fitted by one Lorentzian
+        else:
+            assert 0 < np.count_nonzero(alpha[:, 0] > 0.0) < s  # rows with and without their column
+        want_grad, want_jtj = reference_normal_equations(model, theta, grid, y, alpha, alone)
+        size = np.sqrt(want_jtj[:, 0, 0] + want_jtj[:, 1, 1])  # |J| per row
+        assert np.all(np.abs(grad - want_grad) <= 1e-10 * (size * np.linalg.norm(y, axis=1))[:, None])
+        assert np.all(np.abs(jtj - want_jtj) <= 1e-10 * (size * size)[:, None, None])
+        assert np.array_equal(jtj, jtj.transpose(0, 2, 1))  # exactly symmetric
+
+
 # Few starts and a short cap keep the property test fast; some starts
 # still stop at the cap, where rounding differences would show.
 BATCH_CFG = FitConfig(max_iterations=60, n_starts=3, seed=2)
@@ -954,7 +1022,8 @@ class TestInitialGuesses:
                 if model is ModelKind.ATS and seed_base[1] == 0.0:
                     seed_base[1] = seed_base[0]
                 for i in range(1, n):
-                    w = seed_base * np.exp(rng.uniform(-log4, log4, size=model.k))[-2:]
+                    # Exponentiated by libm, as the code does: numpy's SIMD exp may round otherwise.
+                    w = seed_base * np.array([math.exp(v) for v in rng.uniform(-log4, log4, size=model.k)])[-2:]
                     if model is ModelKind.ATS:
                         want = [w[0], w[1] * w[1]]
                     else:

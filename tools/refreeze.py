@@ -11,8 +11,11 @@
 
 Rewrite them only with a change that moves fits, reports or work counts
 on purpose, and say which entries moved and why (``git diff`` shows them).
-The frozen bits repeat on one CPU dispatch: other BLAS kernels or numpy
-SIMD targets round differently.
+The frozen bits repeat on x86-64-v3 hosts and later, whatever OpenBLAS
+kernel or numpy SIMD target the host gets (``tests/test_other_hosts.py``
+checks one other class).  Below x86-64-v3 they do not: there even the
+noisy fixture's recipe test fails.  Other architectures are untested,
+and ``_damped_step``'s zero-pivot fallback still calls LAPACK.
 
 Run from the checkout root:  python tools/refreeze.py
 """
