@@ -85,7 +85,8 @@ __all__ = [
 ]
 
 # Damping of a start's first step and its bounds, and the relative SSR
-# drop at or below which an accepted step ends a start (a tolerance stop).
+# drop, made or (before a trial, see _lm_run_batch) predicted, at or
+# below which a start ends (a tolerance stop).
 _INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
@@ -100,10 +101,10 @@ _RELATIVE_TOLERANCE = 1e-12
 # (101 folded points) whatever the number of spectra and starts.
 _MAX_BATCH_ROWS = 256
 # Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
-# falling by the relative tolerance, the gradient fell below its
-# tolerance, no step at any damping up to the ceiling lowered the SSR, the
-# iteration cap was reached, or the point went non-finite.  The first
-# three count as converged.
+# falling by the relative tolerance, or its next step predicts so, the
+# gradient fell below its tolerance, no step at any damping up to the
+# ceiling lowered the SSR, the iteration cap was reached, or the point
+# went non-finite.  The first three count as converged.
 STOP_REASONS = ("tolerance", "gradient", "damping", "cap", "non-finite")
 _TOLERANCE, _GRADIENT, _DAMPING, _CAP, _NON_FINITE = range(len(STOP_REASONS))
 # Starts whose final SSR is within this relative distance of the best one
@@ -457,17 +458,25 @@ def _lm_run_batch(
     At most ``_MAX_BATCH_ROWS`` rows are active.  At the top of each pass,
     pending rows fill the free slots in row order, each with its start's
     profile and normal equations, and a row leaves its slot when it stops.
-    Before its trial a row stops by the cap after ``max_iterations``
-    trials, else if its SSR or normal equations are not finite, else by
-    the gradient test; after it, by the tolerance or the damping ceiling.
+    Each pass first solves every row's damped steps; then, before its
+    trial, a row stops if its SSR or normal equations are not finite,
+    else by the gradient test, else by the tolerance where its lower
+    level predicts an SSR drop of at most ``_RELATIVE_TOLERANCE`` times
+    its even SSR (the folded one: no step lowers the odd part), if it took
+    a level at its last pass (its damping did not just climb) and fits ATS
+    or sits on the EIT bound ``u = 0`` (off it the last trial below
+    decides).  After its trial a row stops by the tolerance where its SSR
+    fell by at most that fraction, else at the damping ceiling, else by
+    the cap once it has made ``max_iterations`` trials.
     Every pass gives each active row one trial, one of its iterations, at
     two damping levels, ``lam`` and ``10 lam``, all rows' levels profiled
     in one call.  A row takes the lower level whose SSR does not rise, and
     that level's gain ratio, the SSR drop achieved over the drop ``J^T J``
-    predicts, sets the row's next damping: 10 times the level below 1/4, a
-    tenth of it above 3/4, else the level itself (Madsen et al., 3.2).  A
-    row that rejects both levels tries ``100 lam`` next.  A row's damping
-    is its only schedule state, and when every row fits in the pool, the
+    predicted (the drops the stop above tests), sets the row's next
+    damping: 10 times the level below 1/4, a tenth of it above 3/4, else
+    the level itself (Madsen et al., 3.2).  A row that rejects both levels
+    tries ``100 lam`` next.  A row's damping, and whether it took a level,
+    are its only schedule state, and when every row fits in the pool, the
     run makes as many trial passes as its slowest row would alone.
     The accepted trial's profile holds the residual, basis and Lorentzians
     there, so the next normal equations are formed from it and no point is
@@ -524,16 +533,18 @@ def _lm_run_batch(
     slots = min(n_rows, _MAX_BATCH_ROWS)
     ws = _Workspace(_WORKSPACE_PER_ROW[model] * slots * n)
     # Each row has one record from its start to its stop: in ``records``
-    # theta, then the damping, alpha and SSR that an accepted trial hands on
-    # (its outcome), then the gradient, J^T J, gradient tolerance and odd
-    # part; in ``ledger`` its index, spectrum, iterations and stop.  The
-    # pool, ``state`` and ``book``, holds the active rows' records in row order.
-    THETA, LAM, ALPHA, SSR = slice(0, 2), 2, slice(3, 3 + p), 3 + p
-    OUTCOME, GRAD, JTJ, TOL, ODD = slice(0, 4 + p), slice(4 + p, 6 + p), slice(6 + p, 10 + p), 10 + p, 11 + p
+    # theta, then the damping, predicted-drop tolerance, alpha and SSR that
+    # an accepted trial hands on (its outcome), then the gradient, J^T J,
+    # gradient tolerance and odd part; in ``ledger`` its index, spectrum,
+    # iterations and stop.  The pool, ``state`` and ``book``, holds the
+    # active rows' records in row order.
+    THETA, LAM, SETTLE, ALPHA, SSR = slice(0, 2), 2, 3, slice(4, 4 + p), 4 + p
+    OUTCOME, GRAD, JTJ, TOL, ODD = slice(0, 5 + p), slice(5 + p, 7 + p), slice(7 + p, 11 + p), 11 + p, 12 + p
     ROW, SPECTRUM, ITERATIONS, STOP = range(4)
-    records, ledger = np.empty((n_rows, 12 + p)), np.zeros((n_rows, 4), dtype=int)
-    records[:, THETA], records[:, LAM], records[:, TOL] = np.clip(theta0, low, high), _INITIAL_DAMPING, grad_tol[owner]
-    records[:, ODD], ledger[:, ROW], ledger[:, SPECTRUM] = odd[owner], np.arange(n_rows), owner
+    records, ledger = np.empty((n_rows, 13 + p)), np.zeros((n_rows, 4), dtype=int)
+    records[:, THETA], records[:, LAM], records[:, SETTLE] = np.clip(theta0, low, high), _INITIAL_DAMPING, -np.inf
+    records[:, TOL], records[:, ODD] = grad_tol[owner], odd[owner]
+    ledger[:, ROW], ledger[:, SPECTRUM] = np.arange(n_rows), owner
     state, book = records[:0], ledger[:0]
     admitted = 0  # rows [0, admitted) have entered a slot
     tiny, positions = np.finfo(float).tiny, np.arange(slots)
@@ -576,32 +587,40 @@ def _lm_run_batch(
             h[bound[:, 0] | bound[:, 1], 1:3] = 0.0
         scaled = np.abs(g * theta)
         flat = np.maximum(scaled[:, 0], scaled[:, 1]) < state[:, TOL]
-        # The stops before the trial, in the order above; the pool's first row has made the most trials.
-        capped, equations, final = book[0, ITERATIONS] == cfg.max_iterations, state[:, SSR : JTJ.stop], False
-        if capped or np.count_nonzero(flat) or np.count_nonzero(np.isfinite(equations)) < equations.size:
-            code = np.where(np.isfinite(equations).all(axis=1), _GRADIENT, _NON_FINITE)
-            if capped:
-                code[book[:, ITERATIONS] == cfg.max_iterations] = _CAP
-            flat &= code == _GRADIENT
-            # A flat EIT row off the bound makes a last trial on it first (below).
-            last = flat & (theta[:, 1] > 0.0) & eit
-            ending = (flat | (code != _GRADIENT)) & ~last
-            last = last[leave(ending, code[ending])]
-            final = last.any()
-            theta, g, h = state[:, THETA], state[:, GRAD], state[:, JTJ]
-        k = len(book)
-        if k == 0:
-            continue
-        book[:, ITERATIONS] += 1  # every row left makes this pass's trial
         # Flat directions (e.g. the width of a lobe whose amplitude is
         # zero) get a floor on J^T J's diagonal so the damped system stays solvable.
         floor = 1e-12 * np.maximum(np.maximum(h[:, 0], h[:, 3]), tiny)
         diag = np.maximum(h[:, ::3], floor[:, None])
         lam_trial = np.multiply(state[:, LAM], _LEVELS)  # each row's two levels, lower first
-        step = _damped_step(h.reshape(k, 2, 2), diag, g, lam_trial)
+        step = _damped_step(h.reshape(-1, 2, 2), diag, g, lam_trial)
+        # J^T J predicts each level an SSR drop of h.(g + lam D h), since (J^T J + lam D) h = g.
+        predicted = np.einsum("lsi,lsi->ls", step, diag * step * lam_trial[:, :, None] + g)
+        # The stops before the trial, in the order above: the rows ``ending``, each stopped by ``code``.
+        ending, code = predicted[0] <= state[:, SETTLE], _TOLERANCE  # SETTLE: -inf unless its last pass took a level
+        if eit:
+            ending &= theta[:, 1] == 0.0
+        equations, final = state[:, SSR : JTJ.stop], False
+        if np.count_nonzero(flat) or np.count_nonzero(np.isfinite(equations)) < equations.size:
+            finite = np.isfinite(equations).all(axis=1)
+            flat &= finite
+            # A flat EIT row off the bound makes a last trial on it first (below).
+            last = flat & (theta[:, 1] > 0.0) & eit
+            ending = (ending | flat | ~finite) & ~last
+            code = np.where(finite, np.where(flat, _GRADIENT, _TOLERANCE), _NON_FINITE)[ending]
+            final = last.any()
+        if np.count_nonzero(ending):
+            kept = leave(ending, code)
+            step, lam_trial, predicted = step[:, kept], lam_trial[:, kept], predicted[:, kept]
+            if final:
+                last = last[kept]
+            theta, g = state[:, THETA], state[:, GRAD]
+        k = len(book)
+        if k == 0:
+            continue
+        book[:, ITERATIONS] += 1  # every row left makes this pass's trial
         # Each row's three outcomes: its trial at either level, and its
         # rejection of both, which keeps its point.
-        outcomes = np.empty((3 * k, 4 + p))
+        outcomes = np.empty((3 * k, 5 + p))
         trial = outcomes[: 2 * k, THETA]
         t_trial = trial.reshape(2, k, 2)
         np.add(theta, step, out=t_trial)
@@ -636,12 +655,12 @@ def _lm_run_batch(
         ws.rewind()
         y = values.take(np.concatenate((book[:, SPECTRUM],) * 2), axis=0, out=ws.empty((2 * k, n)), mode="clip")
         alpha_t, ssr_t, resid_t, cols_t, alone_t = _profile(model, trial, grid, y, ws.empty)
-        levels = outcomes.reshape(3, k, 4 + p)
+        levels = outcomes.reshape(3, k, 5 + p)
         ssr_trial = np.add(ssr_t.reshape(2, k), state[:, ODD], out=levels[:2, :, SSR])
         levels[:2, :, ALPHA] = alpha_t.reshape(2, k, p)
-        # Each level's gain ratio sets its next damping; J^T J predicts an SSR
-        # drop of h.(g + lam D h), since (J^T J + lam D) h = g.
-        predicted = np.einsum("lsi,lsi->ls", step, diag * step * lam_trial[:, :, None] + g)
+        # Each level's predicted-drop tolerance: the relative one times its even SSR.
+        np.multiply(ssr_t.reshape(2, k), _RELATIVE_TOLERANCE, out=levels[:2, :, SETTLE])
+        # Each level's gain ratio, its SSR drop over the predicted one, sets its next damping.
         rho = (state[:, SSR] - ssr_trial) / predicted
         # searchsorted puts a NaN ratio last; it is 0/0 where a taken level
         # left the SSR as it was, and that row stops by the tolerance.
@@ -650,6 +669,7 @@ def _lm_run_batch(
         np.minimum(factor, _DAMPING_MAX, out=levels[:2, :, LAM])
         levels[2] = state[:, OUTCOME]
         np.multiply(lam_trial[1], 10.0, out=levels[2, :, LAM])
+        levels[2, :, SETTLE] = -np.inf  # after a rejection, the damping has climbed
         # A row takes its lower level whose SSR does not rise, else rejects
         # both; a last trial, one whose SSR rises by no more than the gradient
         # test counts as flat.  Every row's SSR is finite, so an SSR at most
@@ -672,7 +692,12 @@ def _lm_run_batch(
         # No descent direction at any damping: numerically stationary.  (Only
         # a rejection can pass the ceiling; a row's damping is at most it.)
         dead = chosen[:, LAM] > _DAMPING_MAX
-        go = took & ~done
+        go, going = took & ~done, done | dead
+        # A row that has made its last trial leaves too; the pool's first row has made the most.
+        if book[0, ITERATIONS] == cfg.max_iterations:
+            capped = book[:, ITERATIONS] == cfg.max_iterations
+            go &= ~capped
+            going |= capped
         # An EIT row that steps along the bound gets the secant curvature of
         # its last two gradients there; Kaufman's J^T J underestimates it.
         along = eit and (theta[:, 1] == 0.0) & (chosen[:, 1] == 0.0) & go
@@ -695,11 +720,10 @@ def _lm_run_batch(
                 curvature = (slope - state[:, GRAD.start]) / (state[:, 0] - width)
                 use = along & (curvature > 0.0) & np.isfinite(curvature)
                 state[use, JTJ.start] = curvature[use]
-        going = done | dead
         if final:
             going |= last
         if np.count_nonzero(going):
-            code = np.where(done, _TOLERANCE, _DAMPING)
+            code = np.where(done, _TOLERANCE, np.where(dead, _DAMPING, _CAP))
             if final:
                 code[last] = _GRADIENT
             leave(going, code[going])

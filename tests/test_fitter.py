@@ -513,6 +513,26 @@ class TestStopReasons:
         for got, want in zip(capped[:3], free[:3]):  # theta, alpha and SSR
             assert got[0].tobytes() == want[0].tobytes()
 
+    @pytest.mark.parametrize("name, confirmed", [("circuit_ats", {13}), ("circuit_eit", set())])
+    def test_a_predicted_tolerance_stop_makes_no_confirming_trial(self, name, confirmed):
+        """Every start of these fits stops by the tolerance.  All but the
+        ``confirmed`` ones (the ATS start on the box's corner) stop before a
+        trial, as their next step predicts no SSR drop beyond it.  At a cap
+        of a start's iterations n such a start stops by the cap, decided
+        after its n-th trial, at the same point; a start whose n-th trial's
+        drop stopped it still reports the tolerance."""
+        model, data, x0, cfg = frozen_problem(name)
+        free = _lm_run_batch(model, x0, data.deltas, data.values[None], cfg)
+        assert np.all(free[4] == STOP_REASONS.index("tolerance"))
+        stops = set()
+        for row in range(x0.shape[0]):
+            capped = FitConfig(max_iterations=int(free[3][row]))
+            alone = _lm_run_batch(model, x0[row : row + 1], data.deltas, data.values[None], capped)
+            for got, want in zip(alone[:4], free[:4]):  # theta, alpha, SSR and iterations
+                assert got[0].tobytes() == want[row].tobytes()
+            stops.add((row, STOP_REASONS[alone[4][0]]))
+        assert stops == {(row, "tolerance" if row in confirmed else "cap") for row in range(x0.shape[0])}
+
 
 def damped_systems(rng, s, scale=1.0, parallel=1.0):
     """``s`` damped systems as the solver forms them: ``J^T J`` of a 3x2 ``J``

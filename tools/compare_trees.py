@@ -10,7 +10,11 @@ checkout's fixture) run at pass seeds 1841000-1841039, the two trees
 interleaved call by call, with the tree that goes first alternating.  It
 prints each tree's median ``process_time`` per call, the median of the
 per-call ratios CHANGE/PARENT, the calls each tree ran faster, and the
-calls whose reports are byte-identical.
+calls whose reports are byte-identical.  It also prints each tree's
+trial ``_profile`` calls and ``_damped_step`` calls summed over the
+compared calls, counted by ``tools/solver_counts.py``'s probe on that
+tree's ``fitter``, so a speed difference can be traced to the passes
+that made it; the probe's few microseconds a pass fall on both trees.
 
 Interleaving puts both trees on the same drift of a shared machine's
 speed, which separate invocations do not, so it resolves a change of a
@@ -32,8 +36,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+import solver_counts  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = range(1841000, 1841040)
@@ -82,19 +87,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the changed tree")
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     args = parser.parse_args(argv)
-    clis = [load_tree(args.parent.resolve(), "eitats_parent"), load_tree(args.change.resolve(), "eitats_change")]
+    names = ("eitats_parent", "eitats_change")
+    clis = [load_tree(path.resolve(), name) for path, name in zip((args.parent, args.change), names)]
+    probes = [solver_counts.Probe(importlib.import_module(f"{name}.fitter")) for name in names]
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.WORKLOADS[args.workload](ROOT, Path(tmp))
         for call in workload.calls(0):  # warm-up, untimed
             for cli in clis:
                 run(cli, call.argv)
         calls = [call.argv for seed in SEEDS for call in workload.calls(seed)]
-        (parent, change), equal = compare(clis, calls)
+        with probes[0], probes[1]:
+            (parent, change), equal = compare(clis, calls)
     ratios = [c / p for p, c in zip(parent, change)]
     won = sum(c < p for p, c in zip(parent, change))
     print(f"workload {args.workload}: {len(calls)} calls per tree, pass seeds {SEEDS[0]}-{SEEDS[-1]}")
-    for label, path, times in (("parent", args.parent, parent), ("change", args.change, change)):
+    for label, path, times, probe in zip(("parent", "change"), (args.parent, args.change), (parent, change), probes):
         print(f"{label}  {path}  median {statistics.median(times) * 1e3:.2f} ms")
+        print(f"{label}  {probe.passes} trial _profile calls, {probe.steps} _damped_step calls")
     print(f"change/parent: median ratio {statistics.median(ratios):.4f}, change faster in {won} of {len(calls)} calls")
     print(f"reports byte-identical in {equal} of {len(calls)} calls")
     return 0

@@ -13,13 +13,14 @@ and criterion-5 sweeps and of a dephasing boundary, all with fit seed 1:
 - ``boundary``: the default sweep's pump values at each two-photon
   dephasing 0.02:0.3:0.04 (8 sweeps), noiseless, cap 300.
 
-For each it prints the solver passes that try a step (``_damped_step``
-calls), in all and per model (``passes_eit``, ``passes_ats``: the model
-whose fits make most passes is where a per-pass saving lands), the
-``_profile`` calls (those passes plus the passes that admit
-new rows), the rows they profiled, their ratio (``rows/call``: how full
-the solver's passes are, two trial rows per active start), the profiled
-rows times the solver's grid points (``points``: the folded grid's, so
+For each it prints the solver's trial passes, the passes that profile a
+trial (a pass whose rows all stop before their trial solves its damped
+steps but profiles nothing), in all and per model (``passes_eit``,
+``passes_ats``: the model whose fits make most passes is where a
+per-pass saving lands), the ``_profile`` calls (those passes plus the
+passes that admit new rows), the rows they profiled, their ratio
+(``rows/call``: how full the solver's passes are, two trial rows per
+active start), the profiled rows times the solver's grid points (``points``: the folded grid's, so
 121 per row on the 241-point circuit grid and 101 on the 201-point
 default one) and the iterations summed over every solver row, counted on a first (warm-up)
 pass; then how many EIT rows end with merged widths, on the bound ``u =
@@ -68,7 +69,8 @@ Both modes read one probe (:class:`Probe`): it wraps
 ``fitter._lm_run_batch``, ``_profile``, ``_normal_equations`` and
 ``_damped_step`` once each, counts the work above from their arguments
 and results, and adds up the process time spent in each.  It wraps them
-in this process only, and no file is written.
+in this process only, and no file is written; ``tools/compare_trees.py``
+wraps each tree's ``fitter`` with it too.
 
 Run from the checkout root:  python tools/solver_counts.py [--repeats 3] [--only sweep] [--pass-cost]
 """
@@ -124,25 +126,36 @@ PHASES = WRAPPED[1:]  # of a pass; the rest of it is the loop's own
 
 
 class Probe:
-    """Wraps each of ``WRAPPED`` in ``fitter`` once, to count the solver's work and add up each one's process time."""
+    """Wraps each of ``WRAPPED`` in a tree's ``fitter`` once, to count its work and add up each one's process time."""
 
-    def __init__(self):
-        self.passes = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
+    def __init__(self, module=fitter):
+        self.module = module
+        self.steps = self.admissions = self.profile_calls = self.profiled_rows = self.points = self.iterations = 0
+        self._resid = None  # the last _profile call's residual
         self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the bound
         self.it_max_ats = 0
         self.on_box = {"eit": 0, "ats": 0}  # rows that end on an upper face of the box
         self.passes_by_model = {"eit": 0, "ats": 0}
         self.spent = dict.fromkeys(WRAPPED, 0.0)
-        self._originals = {name: getattr(fitter, name) for name in WRAPPED}
+        self._originals = {name: getattr(module, name) for name in WRAPPED}
+
+    @property
+    def passes(self) -> int:
+        """The trial passes: every ``_profile`` call but the admissions'."""
+        return self.profile_calls - self.admissions
 
     def _count(self, name, args, out):
-        if name == "_damped_step":  # one call a pass
-            self.passes += 1
+        if name == "_damped_step":  # one call a pass, whether or not it makes a trial
+            self.steps += 1
         elif name == "_profile":
             theta, grid = args[1], args[2]
             self.profile_calls += 1
             self.profiled_rows += theta.shape[0]
             self.points += theta.shape[0] * grid.deltas.size
+            self._resid = out[2]
+        elif name == "_normal_equations":
+            # An admission hands its profile's residual straight on; a trial, its accepted rows' copy.
+            self.admissions += args[4] is self._resid
         elif name == "_lm_run_batch":
             model, deltas, theta, iterations = args[0], args[2], out[0], out[3]
             reach = float(np.max(np.abs(deltas)))
@@ -151,7 +164,7 @@ class Probe:
             # The passes that no earlier run took are this one's.
             self.passes_by_model[model.value] += self.passes - sum(self.passes_by_model.values())
             self.iterations += int(np.sum(iterations))
-            if model is ModelKind.EIT:
+            if model.value == "eit":  # the tree's own ModelKind
                 on = theta[:, 1] == 0.0
                 for where in (True, False):
                     self.eit_iterations[where].extend(iterations[on == where].tolist())
@@ -172,12 +185,12 @@ class Probe:
 
     def __enter__(self):
         for name in WRAPPED:
-            setattr(fitter, name, self._wrap(name))
+            setattr(self.module, name, self._wrap(name))
         return self
 
     def __exit__(self, *exc):
         for name, inner in self._originals.items():
-            setattr(fitter, name, inner)
+            setattr(self.module, name, inner)
 
 
 def _mean(iterations):
