@@ -259,12 +259,9 @@ def _report_json(report: Report) -> str:
         "version": __version__,
         "outputs": list(report.outputs),
     }
-    if report.fits is not None:
-        out["fits"] = report.fits
-    if report.selection is not None:
-        out["selection"] = report.selection
-    if report.summary is not None:
-        out["summary"] = report.summary
+    for key in ("fits", "selection", "summary"):  # each where the command makes it
+        if getattr(report, key) is not None:
+            out[key] = getattr(report, key)
     return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 

@@ -107,8 +107,7 @@ _MAX_BATCH_ROWS = 256
 # went non-finite.  The first three count as converged.
 STOP_REASONS = ("tolerance", "gradient", "damping", "cap", "non-finite")
 _TOLERANCE, _GRADIENT, _DAMPING, _CAP, _NON_FINITE = range(len(STOP_REASONS))
-# Starts whose final SSR is within this relative distance of the best one
-# are counted as agreeing with it.
+# A start agrees with the best one within this relative SSR distance, or within variance_floor times the points.
 _AGREEMENT_RTOL = 1e-6
 # Seeds and replicate indices lie in [0, _SEED_LIMIT), for the 128-bit noise
 # key (seed << 64) | replicate; a fit seed too, as the CLI's --seed is both.
@@ -180,7 +179,8 @@ def variance_floor(values) -> float:
     that underflows (data below about 1e-147), keeps downstream information
     values finite without affecting any non-exact fit.
     """
-    return max(1e-30 * float(np.max(np.square(np.asarray(values, dtype=float)))), np.finfo(float).tiny)
+    scale = float(np.max(np.abs(np.asarray(values, dtype=float))))
+    return max(1e-30 * (scale * scale), np.finfo(float).tiny)  # inf, unwarned, where the square overflows
 
 
 def _half_width_outward(deltas: np.ndarray, values: np.ndarray, peak_idx: int) -> float:
@@ -260,7 +260,10 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
     and ``lam`` (L, s) their levels; returns the steps (L, s, 2).  The
     elimination below keeps every product at the scale of the entries,
     where a determinant ``a d - b c`` overflows near the float limit.  A
-    system with a zero pivot (its inf or nan unwarned) takes its lstsq step.
+    system ``M`` with a zero pivot (its inf or nan unwarned) takes ``(M / t) g / t``,
+    ``t = trace(M)``: a symmetric rank-one ``M``'s minimum-norm step, or none if
+    ``M`` is 0.  No LAPACK routine is called, so the bits repeat on every x86-64
+    host, below x86-64-v3 too; other architectures are untested.
     """
     h00, h01, h10, h11 = jtj[:, 0, 0], jtj[:, 0, 1], jtj[:, 1, 0], jtj[:, 1, 1]
     a = h00 + lam * diag[:, 0]
@@ -270,9 +273,10 @@ def _damped_step(jtj: np.ndarray, diag: np.ndarray, grad: np.ndarray, lam: np.nd
     x1 = np.divide(grad[:, 1] - l * grad[:, 0], u, out=step[..., 1])
     np.divide(grad[:, 0] - h01 * x1, a, out=step[..., 0])
     if np.count_nonzero(a) < a.size or np.count_nonzero(u) < u.size:  # a zero pivot (nan is not one)
-        for level, row in zip(*((a == 0.0) | (u == 0.0)).nonzero()):
-            system = jtj[row] + np.diag(lam[level, row] * diag[row])
-            step[level, row] = np.linalg.lstsq(system, grad[row], rcond=None)[0]
+        zero, d = (a == 0.0) | (u == 0.0), h11 + lam * diag[:, 1]
+        t = np.where(a + d == 0.0, np.inf, a + d)  # an all-zero system takes no step
+        step[zero, 0] = ((a / t * grad[:, 0] + h01 / t * grad[:, 1]) / t)[zero]
+        step[zero, 1] = ((h10 / t * grad[:, 0] + d / t * grad[:, 1]) / t)[zero]
     return step
 
 
@@ -738,7 +742,7 @@ def _best_of(
     ssr: np.ndarray,
     iterations: np.ndarray,
     stop: np.ndarray,
-    n: int,
+    data: Spectrum,
 ) -> FitResult:
     """The lowest-SSR row of one spectrum's :func:`_lm_run_batch` state, the lowest index breaking exact ties.
 
@@ -749,8 +753,8 @@ def _best_of(
     if not usable.any():
         raise FitConvergenceError(f"no usable minimum fitting {model.value} ({ssr.size} starts)")
     best = int(np.argmin(np.where(usable, ssr, np.inf)))  # argmin keeps the lowest index on ties
-    best_ssr = float(ssr[best])
-    agreeing = int(np.sum(usable & (ssr <= best_ssr * (1.0 + _AGREEMENT_RTOL) + np.finfo(float).tiny)))
+    n, best_ssr = data.n_points, float(ssr[best])
+    within = max(best_ssr * (1.0 + _AGREEMENT_RTOL), best_ssr + variance_floor(data.values) * n)
     limit = None
     if model is ModelKind.EIT and theta[best, 1] == 0.0:
         form = EitLimit(2.0 * float(alpha[best, 0]), float(alpha[best, 1]), float(theta[best, 0]))
@@ -761,7 +765,7 @@ def _best_of(
         sigma_hat_sq=best_ssr / n,
         n_points=n,
         converged=bool(stop[best] < _CAP),
-        n_starts_agreeing=agreeing,
+        n_starts_agreeing=int(np.count_nonzero(usable & (ssr <= within))),
         iterations=int(iterations[best]),
         stop=STOP_REASONS[stop[best]],
         limit=limit,
@@ -795,9 +799,8 @@ def fit_many(
     deltas = spectra[0].deltas
     if any(not np.array_equal(s.deltas, deltas) for s in spectra[1:]):
         raise ValueError("fit_many needs every spectrum on one detuning grid")
-    n = deltas.size
-    if n <= model.k:
-        return [ValueError(f"need more than {model.k} points to fit {model.value}, got {n}") for _ in spectra]
+    if deltas.size <= model.k:
+        return [ValueError(f"need more than {model.k} points to fit {model.value}, got {deltas.size}") for _ in spectra]
     degenerate = [bool(np.all(s.values == s.values[0])) for s in spectra]
     out: list = [DegenerateDataError("all data values are equal; nothing to fit") if d else None for d in degenerate]
     todo = [i for i, d in enumerate(degenerate) if not d]
@@ -808,7 +811,7 @@ def fit_many(
     for j, i in enumerate(todo):
         rows = slice(j * cfg.n_starts, (j + 1) * cfg.n_starts)
         try:
-            out[i] = _best_of(model, *(a[rows] for a in run), n)
+            out[i] = _best_of(model, *(a[rows] for a in run), spectra[i])
         except (FitConvergenceError, ValueError) as exc:  # ValueError: a width rounded to zero
             out[i] = exc
     return out

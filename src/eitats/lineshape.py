@@ -256,19 +256,19 @@ def transmission_profile(c: CircuitParams, grid) -> Spectrum:
     ``t = 1 - (gamma_rel/2) / [gamma_ab + i*delta
     + omega**2 / (gamma_bc + i*delta)]``.  Returning ``1 - Re(t)``
     orients the curve as a positive peak with a central dip, so it can be
-    fitted exactly like an absorption profile.  The grid is checked by
-    :class:`Spectrum`.
+    fitted exactly like an absorption profile.  It is formed in real
+    arithmetic, ``(gamma_rel/2) (gamma_bc Dr + delta Di) / (Dr**2 + Di**2)``
+    with ``Dr + i Di = (gamma_ab + i delta)(gamma_bc + i delta) + omega**2``,
+    each operation correctly rounded whatever SIMD loops numpy dispatches.
     """
-    grid = np.asarray(grid, dtype=float)
-    d = grid
+    d = np.asarray(grid, dtype=float)
     if c.omega > 0:
-        # Rationalized form; finite for all real detunings when the pump is on.
-        num = (c.gamma_rel / 2.0) * (c.gamma_bc + 1j * d)
-        den = (c.gamma_ab + 1j * d) * (c.gamma_bc + 1j * d) + c.omega**2
-        values = np.real(num / den)
+        dr = (c.gamma_ab * c.gamma_bc + c.omega * c.omega) - d * d
+        di = d * (c.gamma_ab + c.gamma_bc)
+        values = (c.gamma_rel / 2.0) * (c.gamma_bc * dr + d * di) / (dr * dr + di * di)
     else:
-        values = np.real((c.gamma_rel / 2.0) / (c.gamma_ab + 1j * d))
-    return Spectrum(deltas=grid, values=values)
+        values = (c.gamma_rel / 2.0) * c.gamma_ab / (c.gamma_ab * c.gamma_ab + d * d)
+    return Spectrum(deltas=d, values=values)
 
 
 def transparency_depth(p: TlaParams) -> float:

@@ -103,6 +103,18 @@ class TestFitResult:
         res = fit(ModelKind.ATS, ats_spectrum())
         assert 1 <= res.n_starts_agreeing <= 16
 
+    def test_starts_at_the_rounding_floor_agree_on_exact_data(self):
+        # On exact data the starts that reach the fit end at the rounding
+        # floor, far apart relative to each other: every start within the
+        # variance floor times the points of the best agrees with it.
+        data = absorption_profile(TlaParams(omega=0.05), default_grid())
+        x0 = initial_guesses(ModelKind.EIT, data, 16, 0)
+        ssr = _lm_run_batch(ModelKind.EIT, x0, data.deltas, data.values[None], FitConfig())[2]
+        floor = variance_floor(data.values) * data.n_points
+        assert ssr.min() * 1e-6 < floor
+        agreeing = fit(ModelKind.EIT, data).n_starts_agreeing
+        assert agreeing == np.count_nonzero(ssr <= ssr.min() + floor) > 1
+
 
 # Per-start SSRs (5 starts, seed 1) of the four-/three-parameter descent
 # that variable projection replaced, frozen from it on two problems: a
@@ -573,18 +585,27 @@ class TestDampedStep:
         assert np.array_equal(both[0], _damped_step(jtj, diag, grad, lam[None])[0])
         assert np.array_equal(both[1], _damped_step(jtj, diag, grad, 10.0 * lam[None])[0])
 
-    def test_a_singular_system_takes_its_least_squares_step_alone(self):
+    @pytest.mark.parametrize(
+        "system",
+        [
+            [[1.0, 2.0], [2.0, 4.0]],  # rank 1: the second pivot is zero
+            [[1e-300, 2e-300], [2e-300, 4e-300]],  # so is it here, where trace**2 underflows
+            [[0.0, 0.0], [0.0, 3.0]],  # the first pivot is zero
+            [[0.0, 0.0], [0.0, 0.0]],  # no step
+        ],
+    )
+    def test_a_singular_system_takes_its_least_squares_step_alone(self, system):
+        # The closed-form minimum-norm step, against LAPACK's lstsq (the solver calls none).
         jtj, diag, grad = damped_systems(np.random.default_rng(5), 6)
-        jtj[4] = [[1.0, 2.0], [2.0, 4.0]]  # rank 1, and undamped below
+        jtj[4] = system  # undamped below
         diag[4] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(jtj[4], grad[4])
         lam = np.full((2, 6), 1e-3)
         lam[1] *= 10.0
         steps = _damped_step(jtj, diag, grad, lam)
         others = np.arange(6) != 4
         assert np.array_equal(steps[:, others], _damped_step(jtj[others], diag[others], grad[others], lam[:, others]))
-        assert np.array_equal(steps[:, 4], np.tile(np.linalg.lstsq(jtj[4], grad[4], rcond=None)[0], (2, 1)))
+        want = np.linalg.lstsq(jtj[4], grad[4], rcond=None)[0]
+        assert np.all(np.abs(steps[:, 4] - want) <= 4.0 * np.spacing(np.abs(want)))
 
 
 # Profiled EIT SSR on the circuit curve at widths (6.357, 6.357 - delta),

@@ -9,20 +9,25 @@
 - ``COUNTS.json``: the solver's work on every shape of
   ``tools/solver_counts.py``.
 
+For each record it prints what moved against the file it replaces: the
+rows that moved per frozen problem, the invocations that moved by argv,
+and each changed ``COUNTS.json`` field as old -> new.
+
 Rewrite them only with a change that moves fits, reports or work counts
-on purpose, and say which entries moved and why (``git diff`` shows them).
-The frozen bits repeat on x86-64-v3 hosts and later, whatever OpenBLAS
-kernel or numpy SIMD target the host gets (``tests/test_other_hosts.py``
-checks one other class).  Below x86-64-v3 they do not: there even the
-noisy fixture's recipe test fails.  Other architectures are untested,
-and ``_damped_step``'s zero-pivot fallback still calls LAPACK.
+on purpose, and say which entries moved and why.  The frozen bits repeat
+on every x86-64 host, below x86-64-v3 too, whatever OpenBLAS kernel or
+numpy SIMD target it gets (``tests/test_other_hosts.py`` imitates two
+other classes): the circuit curve is formed in real arithmetic and the
+solver calls no LAPACK routine.  Other architectures are untested.
 
 Run from the checkout root:  python tools/refreeze.py
 """
 import json
 import os
+import shlex
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,11 +65,42 @@ def counts_text() -> str:
     return json.dumps(counts, indent=1) + "\n"
 
 
+def rows_moved(old, new):
+    for name, rows in new.items():
+        moved = sum(a != b for a, b in zip_longest(old.get(name, []), rows))
+        yield f"{name}: {moved} of {len(rows)} rows moved"
+
+
+def invocations_moved(old, new):
+    before = {tuple(record["argv"]): record for record in old}
+    moved = [record["argv"] for record in new if before.get(tuple(record["argv"])) != record]
+    yield f"{len(moved)} of {len(new)} invocations moved"
+    yield from (f"moved: {shlex.join(argv)}" for argv in moved)
+
+
+def fields_moved(old, new):
+    changes = [
+        f"{shape} {field}: {old.get(shape, {}).get(field)} -> {value}"
+        for shape, counts in new.items()
+        for field, value in counts.items()
+        if old.get(shape, {}).get(field) != value
+    ]
+    return changes or ["no field moved"]
+
+
 def main() -> None:
-    records = {SOLVER_ROWS: solver_rows_text, GOLDEN: cli_reports_text, COUNTS: counts_text}
-    for path, build in records.items():
-        path.write_text(build(), encoding="utf-8")
+    records = {
+        SOLVER_ROWS: (solver_rows_text, rows_moved, {}),
+        GOLDEN: (cli_reports_text, invocations_moved, []),
+        COUNTS: (counts_text, fields_moved, {}),
+    }
+    for path, (build, moved, empty) in records.items():
+        old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else empty
+        text = build()
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path.relative_to(ROOT)}")
+        for line in moved(old, json.loads(text)):
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -34,11 +34,9 @@ and the rows of each model that end on an upper face of the solver's box,
 ``on_box_ats``: how often the box binds); and then the minor page faults
 and system seconds per pass from ``getrusage(RUSAGE_SELF)`` over
 ``--repeats`` more passes.  The counts repeat exactly from run to run,
-and on x86-64-v3 hosts and later whatever OpenBLAS kernel or numpy SIMD
-target the host gets.  Below x86-64-v3 they move (the ``verdict``
-shape's do with numpy's ``X86_V3`` loops disabled), other architectures
-are untested, and ``_damped_step``'s zero-pivot fallback still calls
-LAPACK.  The faults show how much of a pass goes to the
+and on every x86-64 host, below x86-64-v3 too, whatever OpenBLAS kernel
+or numpy SIMD target it gets: the solver calls no LAPACK routine.  Other
+architectures are untested.  The faults show how much of a pass goes to the
 allocator handing memory back to the kernel and faulting it in again,
 which wall time on a shared machine cannot resolve.  ``COUNTS.json`` at the checkout root records
 the counts of every shape (``tools/refreeze.py`` rewrites it), and
@@ -198,7 +196,7 @@ def _mean(iterations):
 
 
 def count(shape) -> dict:
-    """The solver's work on one pass of ``shape``; it repeats exactly on x86-64-v3 hosts and later."""
+    """The solver's work on one pass of ``shape``; it repeats exactly on every x86-64 host."""
     with Probe() as probe:
         shape()
     return {
