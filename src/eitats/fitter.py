@@ -85,8 +85,8 @@ __all__ = [
 ]
 
 # Damping of a start's first step and its bounds, and the relative SSR
-# drop, made or (before a trial, see _lm_run_batch) predicted, at or
-# below which a start ends (a tolerance stop).
+# drop at or below which a start ends (a tolerance stop): the one its
+# damped step predicts, or off the EIT bound the one its trial made.
 _INITIAL_DAMPING = 1e-3
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
@@ -100,11 +100,10 @@ _RELATIVE_TOLERANCE = 1e-12
 # active at once, so its workspace is at most 4.2 MiB on the default grid
 # (101 folded points) whatever the number of spectra and starts.
 _MAX_BATCH_ROWS = 256
-# Why a start stopped, as ``_lm_run_batch`` codes it: the SSR stopped
-# falling by the relative tolerance, or its next step predicts so, the
-# gradient fell below its tolerance, no step at any damping up to the
-# ceiling lowered the SSR, the iteration cap was reached, or the point
-# went non-finite.  The first three count as converged.
+# Why a start stopped, as ``_lm_run_batch`` codes it: its step predicts, or off the EIT bound its
+# trial made, an SSR drop within the relative tolerance; the gradient fell below its tolerance; no
+# step at any damping up to the ceiling lowered the SSR; the cap was reached; or the point went
+# non-finite.  The first three count as converged.
 STOP_REASONS = ("tolerance", "gradient", "damping", "cap", "non-finite")
 _TOLERANCE, _GRADIENT, _DAMPING, _CAP, _NON_FINITE = range(len(STOP_REASONS))
 # A start agrees with the best one within this relative SSR distance, or within variance_floor times the points.
@@ -464,14 +463,14 @@ def _lm_run_batch(
     profile and normal equations, and a row leaves its slot when it stops.
     Each pass first solves every row's damped steps; then, before its
     trial, a row stops if its SSR or normal equations are not finite,
-    else by the gradient test, else by the tolerance where its lower
-    level predicts an SSR drop of at most ``_RELATIVE_TOLERANCE`` times
-    its even SSR (the folded one: no step lowers the odd part), if it took
-    a level at its last pass (its damping did not just climb) and fits ATS
-    or sits on the EIT bound ``u = 0`` (off it the last trial below
-    decides).  After its trial a row stops by the tolerance where its SSR
-    fell by at most that fraction, else at the damping ceiling, else by
-    the cap once it has made ``max_iterations`` trials.
+    else by the gradient test, else by the tolerance where its trial is
+    that step (it fits ATS or sits on the EIT bound ``u = 0``), it took a
+    level at its last pass (its damping did not just climb) and its lower
+    level predicts an SSR drop of at most ``_RELATIVE_TOLERANCE`` times its
+    even SSR (the folded one: no step lowers the odd part).  After its trial
+    an EIT row off the bound (the x-step or the meet below) stops by the
+    tolerance where its SSR fell by at most that fraction, and any row at
+    the damping ceiling, else by the cap after ``max_iterations`` trials.
     Every pass gives each active row one trial, one of its iterations, at
     two damping levels, ``lam`` and ``10 lam``, all rows' levels profiled
     in one call.  A row takes the lower level whose SSR does not rise, and
@@ -495,21 +494,21 @@ def _lm_run_batch(
     it, and a component on a face whose descent points out of the box is
     active, so it leaves the step and the gradient stop (at ``u = 0``,
     descent pointing to ``u < 0``).  Four rules of the EIT model's own
-    make rows reach its bound, merged widths, and leave it cleanly.  Off the bound a row steps in ``x = sqrt(u)``,
-    by ``dx = du / (2 x)``: Marquardt's damping is invariant to the
-    scaling ``diag(1, 2 x)``, so that is the step in ``(g, x)``, and a
-    path that holds one width is straight; where the u-step would reach
-    the bound, the trial goes where that line meets it.  A trial with
-    ``|g| < x`` becomes ``(x, g**2)``, the same two widths, which keeps
-    rows off the second merge line ``g = 0``.  A row that steps along the
-    bound gets the secant curvature of its last two gradients there in
-    ``g`` where that is positive, since Kaufman's ``J^T J`` underestimates
-    it.  A row that the gradient test stops off the bound first makes a
-    last trial on it, where its step's line meets it (below the trial if
-    the step raises ``u``), and ends there if the SSR rises by no more
-    than the gradient tolerance: near merged widths, where exact limit
-    data have their minimum, the gradient in ``log u`` cannot tell ``u``
-    from 0, and the x-steps only halve the gap.
+    make rows reach its bound, merged widths, and leave it cleanly.  Off
+    the bound a row steps in ``x = sqrt(u)``, by ``dx = du / (2 x)``:
+    Marquardt's damping is invariant to the scaling ``diag(1, 2 x)``, so
+    that is the step in ``(g, x)``, and a path that holds one width is
+    straight; where the u-step would reach the bound, the trial goes where
+    that line meets it.  A trial with ``|g| < x`` becomes ``(x, g**2)``,
+    the same two widths, which keeps rows off the merge line ``g = 0``.  A
+    row stepping along the bound takes the secant curvature in ``g`` of its
+    last two gradients there (Kaufman's ``J^T J`` underestimates it) where
+    ``J^T J`` stays positive definite with it.  A row that the gradient test
+    stops off the bound first makes a last trial on it, where its step's
+    line meets it (below the trial if the step raises ``u``), and ends there
+    if the SSR rises by no more than the gradient tolerance: near merged
+    widths, where exact limit data have their minimum, the gradient in
+    ``log u`` cannot tell ``u`` from 0, and the x-steps only halve the gap.
 
     Returns columns of the rows' records: ``(theta, alpha, ssr, iterations,
     stop)``, ``theta`` (s, 2) where the row stopped, ``alpha`` (s, p) its
@@ -666,8 +665,8 @@ def _lm_run_batch(
         np.multiply(ssr_t.reshape(2, k), _RELATIVE_TOLERANCE, out=levels[:2, :, SETTLE])
         # Each level's gain ratio, its SSR drop over the predicted one, sets its next damping.
         rho = (state[:, SSR] - ssr_trial) / predicted
-        # searchsorted puts a NaN ratio last; it is 0/0 where a taken level
-        # left the SSR as it was, and that row stops by the tolerance.
+        # searchsorted puts a NaN ratio last; it is 0/0 where a taken level left the SSR as it
+        # was, and that row stops by the tolerance, off the EIT bound now, else before its next trial.
         factor = _GAIN_FACTORS.take(_GAIN_BOUNDS.searchsorted(rho, side="right"))
         np.maximum(np.multiply(lam_trial, factor, out=factor), _DAMPING_MIN, out=factor)
         np.minimum(factor, _DAMPING_MAX, out=levels[:2, :, LAM])
@@ -689,10 +688,11 @@ def _lm_run_batch(
         taken = ok.argmax(axis=0)
         j = taken * k + positions[:k]  # each row's outcome
         chosen, took = outcomes[j], taken < 2
+        # Only an EIT row off the bound, whose trial is the x-step or the meet, stops by the drop it made.
         done = state[:, SSR] - chosen[:, SSR] <= _RELATIVE_TOLERANCE * np.maximum(chosen[:, SSR], tiny)
+        done &= took & eit & (theta[:, 1] > 0.0)
         if final:
-            done |= last
-        done &= took
+            done |= last  # a last trial ends its row, by the gradient
         # No descent direction at any damping: numerically stationary.  (Only
         # a rejection can pass the ceiling; a row's damping is at most it.)
         dead = chosen[:, LAM] > _DAMPING_MAX
@@ -702,8 +702,8 @@ def _lm_run_batch(
             capped = book[:, ITERATIONS] == cfg.max_iterations
             go &= ~capped
             going |= capped
-        # An EIT row that steps along the bound gets the secant curvature of
-        # its last two gradients there; Kaufman's J^T J underestimates it.
+        # An EIT row that steps along the bound gets the secant curvature of its last two
+        # gradients there (Kaufman's J^T J underestimates it) where J^T J stays positive definite.
         along = eit and (theta[:, 1] == 0.0) & (chosen[:, 1] == 0.0) & go
         secant = (along, theta[:, 0].copy(), g[:, 0].copy()) if eit and np.count_nonzero(along) else None
         state[:, OUTCOME] = chosen
@@ -721,11 +721,10 @@ def _lm_run_batch(
             state[at, GRAD], state[at, JTJ] = grad, jtj.reshape(-1, 4)
             if secant is not None:
                 along, width, slope = secant
-                curvature = (slope - state[:, GRAD.start]) / (state[:, 0] - width)
-                use = along & (curvature > 0.0) & np.isfinite(curvature)
-                state[use, JTJ.start] = curvature[use]
-        if final:
-            going |= last
+                curvature, h = (slope - state[:, GRAD.start]) / (state[:, 0] - width), state[:, JTJ]
+                # h01 / h11 * h10, not curvature * h11, so nothing overflows near the float limit.
+                use = along & (curvature > h[:, 1] / h[:, 3] * h[:, 2]) & np.isfinite(curvature)
+                h[use, 0] = curvature[use]
         if np.count_nonzero(going):
             code = np.where(done, _TOLERANCE, np.where(dead, _DAMPING, _CAP))
             if final:

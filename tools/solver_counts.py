@@ -31,7 +31,10 @@ ATS rows (``it_max_eit``, ``it_max_ats``: on a shape whose rows all fit in
 the solver's pool, that row sets the number of passes of its model's run),
 and the rows of each model that end on an upper face of the solver's box,
 ``|g| = 2 R`` or ``u = R**2`` with ``R = max|delta|`` (``on_box_eit``,
-``on_box_ats``: how often the box binds); and then the minor page faults
+``on_box_ats``: how often the box binds), and each model's rows by why
+they stopped (``stops_eit``, ``stops_ats``: the count of each of
+``fitter.STOP_REASONS``, printed in that order, so a change to a stop
+rule shows which rows it moved); and then the minor page faults
 and system seconds per pass from ``getrusage(RUSAGE_SELF)`` over
 ``--repeats`` more passes.  The counts repeat exactly from run to run,
 and on every x86-64 host, below x86-64-v3 too, whatever OpenBLAS kernel
@@ -133,6 +136,7 @@ class Probe:
         self.eit_iterations = {True: [], False: []}  # EIT rows' iterations, by whether they end on the bound
         self.it_max_ats = 0
         self.on_box = {"eit": 0, "ats": 0}  # rows that end on an upper face of the box
+        self.stops = {model: dict.fromkeys(module.STOP_REASONS, 0) for model in ("eit", "ats")}
         self.passes_by_model = {"eit": 0, "ats": 0}
         self.spent = dict.fromkeys(WRAPPED, 0.0)
         self._originals = {name: getattr(module, name) for name in WRAPPED}
@@ -159,6 +163,8 @@ class Probe:
             reach = float(np.max(np.abs(deltas)))
             on_face = (np.abs(theta[:, 0]) == 2.0 * reach) | (theta[:, 1] == reach * reach)
             self.on_box[model.value] += int(np.count_nonzero(on_face))
+            for code in out[4]:
+                self.stops[model.value][self.module.STOP_REASONS[code]] += 1
             # The passes that no earlier run took are this one's.
             self.passes_by_model[model.value] += self.passes - sum(self.passes_by_model.values())
             self.iterations += int(np.sum(iterations))
@@ -216,6 +222,8 @@ def count(shape) -> dict:
         "it_max_ats": probe.it_max_ats,
         "on_box_eit": probe.on_box["eit"],
         "on_box_ats": probe.on_box["ats"],
+        "stops_eit": probe.stops["eit"],
+        "stops_ats": probe.stops["ats"],
     }
 
 
@@ -298,7 +306,8 @@ def main() -> None:
     rows = {name: measure(SHAPES[name], args.repeats) for name in args.only or SHAPES}
     print(f"{'shape':<14}", *(f"{c:>13}" for c in next(iter(rows.values()))))
     for name, m in rows.items():
-        print(f"{name:<14}", *(f"{'nan' if v is None else v:>13}" for v in m.values()))
+        cells = ("nan" if v is None else "/".join(map(str, v.values())) if isinstance(v, dict) else v for v in m.values())
+        print(f"{name:<14}", *(f"{v:>13}" for v in cells))
 
 
 if __name__ == "__main__":
